@@ -6,6 +6,7 @@ the low-dimensional free resolution extracted from a coherent presentation.
 from .presentation import (
     AddGenerator,
     AddRule,
+    Budget,
     CompositionError,
     FuelExhausted,
     Generator,
@@ -36,7 +37,6 @@ from .rewrite import (
     GREATER,
     LESS,
     InterpretationCert,
-    apply_step,
     certify_convergent,
     check_deglex_termination,
     check_interpretation_certificate,
@@ -53,7 +53,6 @@ from .branchings import (
     LocalBranching,
     NotConfluent,
     Resolution,
-    Unknown,
     classify_local_branching,
     decide_confluence,
     enumerate_critical_branchings,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .presentation import (
     DEFAULT_FUEL,
+    Budget,
     CompositionError,
     FuelExhausted,
     RewriteStep,
@@ -192,21 +193,19 @@ class NotConfluent:
     status = "NotConfluent"
 
 
-@dataclass(frozen=True)
-class Unknown:
-    branching: CriticalBranching
-    reason: str
-    status = "Unknown"
-
-
 def resolve_branching(p, b, strategy="leftmost", fuel=DEFAULT_FUEL,
                       pump_bound=DEFAULT_PUMP_BOUND):
-    """Normalize both legs of a branching and compare the normal forms."""
+    """Normalize both legs of a branching and compare the normal forms.
+
+    Both legs draw on one budget (`fuel`, an int or a shared Budget);
+    FuelExhausted names the branching when it runs out.
+    """
+    budget = Budget.of(fuel)
     try:
-        nf1, f_prime = normalize(p, b.step1.target_word, strategy, fuel, pump_bound)
-        nf2, g_prime = normalize(p, b.step2.target_word, strategy, fuel, pump_bound)
+        nf1, f_prime = normalize(p, b.step1.target_word, strategy, budget, pump_bound)
+        nf2, g_prime = normalize(p, b.step2.target_word, strategy, budget, pump_bound)
     except FuelExhausted as exc:
-        return Unknown(b, str(exc))
+        raise FuelExhausted(f"resolving branching {b.describe()}: {exc}") from None
     if nf1 == nf2:
         return Resolution(b, f_prime, g_prime, nf1)
     return NotConfluent(b, nf1, nf2, f_prime, g_prime)
@@ -222,18 +221,23 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
     explicit acknowledgment of its sampled nature); assume_terminating skips
     that gate for callers that have already established it.
 
-    Returns (confluent, report).  Raises FuelExhausted if any branching
-    fails to resolve within fuel — an honest "cannot answer", distinct from
-    a negative answer.
+    Returns (confluent, report).  Raises FuelExhausted, with the partial
+    report in .trace, when the one budget for all branchings runs out — an
+    honest "cannot answer", distinct from a negative answer.
     """
     if not assume_terminating:
         _require_termination(p, cert, ack_sampled, pump_bound)
 
+    budget = Budget.of(fuel)
     branchings = enumerate_critical_branchings(p, pump_bound)
     entries = []
     confluent = True
     for b in branchings:
-        res = resolve_branching(p, b, "leftmost", fuel, pump_bound)
+        try:
+            res = resolve_branching(p, b, "leftmost", budget, pump_bound)
+        except FuelExhausted as exc:
+            exc.trace = {"branchings": entries, "truncated": bool(p.pumped)}
+            raise
         entry = {
             "source": str(b.source_word),
             "rules": [
@@ -246,14 +250,9 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
             entry["family"] = f"{b.family[0]} ~ {b.family[1]} @ offset {b.family[2]}"
         if res.status == "Confluent":
             entry["join"] = str(res.join_word)
-        elif res.status == "NotConfluent":
+        else:
             entry["nf1"], entry["nf2"] = str(res.nf1), str(res.nf2)
             confluent = False
-        else:
-            report = {"branchings": entries, "truncated": bool(p.pumped)}
-            raise FuelExhausted(
-                f"cannot resolve branching {b.describe()}: {res.reason}", trace=report
-            )
         entries.append(entry)
     report = {
         "confluent": confluent,

@@ -12,7 +12,7 @@ Exit codes:
         identities or certificate, bad multiplication table) — always with a
         concrete witness in the output
     2   usage or parse error, including missing termination evidence
-    3   fuel, rule cap, or enumeration bound exhausted (partial output)
+    3   fuel, rule cap, pump bound, or enumeration bound exhausted (partial output)
 
 Words on the command line are quoted whitespace-separated generator names,
 with "1" for the identity, mirroring the file grammar.  Global flags
@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 from .presentation import (
     DEFAULT_FUEL,
+    Budget,
     CompositionError,
     FuelExhausted,
     NotCertified,
@@ -103,14 +104,13 @@ def _load_cert(path):
         return parse_certificate(fh.read())
 
 
-def _coherent_from(p, args, fuel=DEFAULT_FUEL, cert=None):
+def _coherent_from(p, args, cert=None):
     """The file's own 3-cells when it declares any (the user is asserting a
     homotopy basis), otherwise Squier completion."""
     if p.three_cells:
         base = replace(p, three_cells=())
         return CoherentPresentation(base, p.three_cells, args.pump_bound)
-    return squier_completion(p, args.pump_bound, fuel, cert=cert,
-                             ack_sampled=cert is not None)
+    return squier_completion(p, args.pump_bound, cert=cert, ack_sampled=cert is not None)
 
 
 def _plural(n, noun):
@@ -167,8 +167,7 @@ def _cmd_check(args):
 def _cmd_nf(args):
     p = _load(args.file)
     w = p.word(args.word)
-    fuel = args.fuel if args.fuel is not None else DEFAULT_FUEL
-    nf, path = normalize(p, w, args.strategy, fuel, args.pump_bound)
+    nf, path = normalize(p, w, args.strategy, args.fuel, args.pump_bound)
     sections = {
         "word": str(w),
         "normal_form": str(nf),
@@ -186,11 +185,12 @@ def _cmd_nf(args):
 def _cmd_eq(args):
     p = _load(args.file)
     cert = _load_cert(args.cert)
-    certify_convergent(p, pump_bound=args.pump_bound, cert=cert,
+    budget = Budget()
+    certify_convergent(p, fuel=budget, pump_bound=args.pump_bound, cert=cert,
                        ack_sampled=cert is not None)
     u, v = p.word(args.word1), p.word(args.word2)
-    nf1, _ = normalize(p, u, "leftmost", DEFAULT_FUEL, args.pump_bound)
-    nf2, _ = normalize(p, v, "leftmost", DEFAULT_FUEL, args.pump_bound)
+    nf1, _ = normalize(p, u, "leftmost", budget, args.pump_bound)
+    nf2, _ = normalize(p, v, "leftmost", budget, args.pump_bound)
     equal = nf1 == nf2
     sections = {"word1": str(u), "word2": str(v), "equal": equal,
                 "nf1": str(nf1), "nf2": str(nf2)}
@@ -240,10 +240,8 @@ def _cmd_cp(args):
                     "truncated": bool(p.pumped)}
         return 0, sections, lines
 
-    confluent, report = decide_confluence(
-        p, cert, cert is not None, DEFAULT_FUEL, args.pump_bound,
-        assume_terminating=evidence is None,
-    )
+    confluent, report = decide_confluence(p, pump_bound=args.pump_bound,
+                                          assume_terminating=True)
     report = dict(report)
     report["resolved"] = True
     report["evidence"] = evidence if evidence is not None else "assumed (--resolve)"
@@ -402,7 +400,7 @@ def _cmd_homology(args):
     p = _load(args.file)
     cert = _load_cert(args.cert)
     cp = _coherent_from(p, args, cert=cert)
-    res = FreeResolution(cp, pump_bound=args.pump_bound)
+    res = FreeResolution(cp)
     rep = verify_identities(res, samples=args.samples, seed=args.seed)
     identities = {name: ("ok" if rep[name] else "FAIL") for name in _IDENTITIES}
     sections = {
@@ -489,7 +487,7 @@ def build_parser():
     s.add_argument("word")
     s.add_argument("--strategy", choices=("leftmost", "rightmost"),
                    default="leftmost")
-    s.add_argument("--fuel", type=int, default=None, metavar="N")
+    s.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N")
     s.set_defaults(handler=_cmd_nf)
 
     s = sub.add_parser("eq", parents=[common],
@@ -584,8 +582,8 @@ def run(argv):
         code, sections, lines = 2, {"error": str(exc)}, [f"error: {exc}"]
     except FuelExhausted as exc:
         sections = {"error": str(exc)}
-        if exc.trace is not None:
-            sections["trace"] = exc.trace
+        if exc.trace is not None:  # a partial report, or a partial path as text
+            sections["trace"] = exc.trace if isinstance(exc.trace, dict) else str(exc.trace)
         code, lines = 3, [f"fuel exhausted: {exc}"]
     return code, Report(args.command if hasattr(args, "command") else "",
                         _STATUS[code], sections, tuple(lines))

@@ -21,6 +21,7 @@ from functools import cached_property
 
 from .presentation import (
     DEFAULT_FUEL,
+    Budget,
     CompositionError,
     FuelExhausted,
     Generator,
@@ -39,7 +40,6 @@ from .branchings import (
     ASPHERICAL,
     PEIFFER,
     classify_local_branching,
-    decide_confluence,
     enumerate_critical_branchings,
     resolve_branching,
 )
@@ -259,21 +259,20 @@ def squier_completion(p, pump_bound=DEFAULT_PUMP_BOUND, fuel=DEFAULT_FUEL,
 
     Each branching (f, g) resolves by the leftmost strategy into legs
     f′, g′ reaching the joint normal form; the cell conf{i} is directed
-    g ⋆₁ g′ ⇛ f ⋆₁ f′ (see the module docstring on orientation).
+    g ⋆₁ g′ ⇛ f ⋆₁ f′ (see the module docstring on orientation).  All
+    resolutions draw on one budget; the first non-confluent branching
+    raises NotCertified.
     """
     termination_evidence(p, cert, ack_sampled, pump_bound)
-    confluent, report = decide_confluence(p, fuel=fuel, pump_bound=pump_bound,
-                                          assume_terminating=True)
-    if not confluent:
-        bad = next(e for e in report["branchings"] if e["status"] == "NotConfluent")
-        raise NotCertified(
-            f"cannot build a coherent presentation: branching on '{bad['source']}' "
-            f"is not confluent ({bad['nf1']} vs {bad['nf2']})"
-        )
+    budget = Budget.of(fuel)
     cells = []
     for i, b in enumerate(enumerate_critical_branchings(p, pump_bound)):
-        res = resolve_branching(p, b, "leftmost", fuel, pump_bound)
-        assert res.status == "Confluent"
+        res = resolve_branching(p, b, "leftmost", budget, pump_bound)
+        if res.status == "NotConfluent":
+            raise NotCertified(
+                f"cannot build a coherent presentation: branching on '{b.source_word}' "
+                f"is not confluent ({res.nf1} vs {res.nf2})"
+            )
         target2 = ZigZag(b.source_word, (b.step1,) + res.f_prime.steps)
         source2 = ZigZag(b.source_word, (b.step2,) + res.g_prime.steps)
         cells.append(ThreeCell(f"conf{i}", source2, target2))
@@ -291,8 +290,9 @@ def fill_local_branching(cp, f, g):
     (f ⋆₁ f_prime, g ⋆₁ g_prime) exactly, both legs ending at one word.
     Aspherical pairs need the identity, Peiffer pairs the interchange, and
     overlapping pairs factor through the generating cell of their critical
-    core — a missing core means the coherent presentation is stale (or the
-    pump bound too small), reported as PresentationError.
+    core.  A missing core is a bound hit (FuelExhausted) when it uses a
+    pumped instance above the pump bound, and otherwise means the coherent
+    presentation is stale (PresentationError).
     """
     kind = classify_local_branching(f, g)
     w = f.source_word
@@ -318,11 +318,12 @@ def fill_local_branching(cp, f, g):
     )
     cell = cp.branching_index.get(_branching_key(h_core, k_core))
     if cell is None:
-        raise PresentationError(
-            f"no generating 3-cell for the critical branching "
-            f"({h.rule.name} @ {h.position}, {k.rule.name} @ {k.position}) on '{w}' — "
-            f"stale coherent presentation or pump bound too small"
-        )
+        core = (f"the critical branching ({h.rule.name} @ {h.position}, "
+                f"{k.rule.name} @ {k.position}) on '{w}'")
+        over = [r.name for r in (h.rule, k.rule) if r.origin and r.origin[1] > cp.pump_bound]
+        if over:
+            raise FuelExhausted(f"{core} needs {over[0]}, above the pump bound {cp.pump_bound}")
+        raise PresentationError(f"no generating 3-cell for {core} — stale coherent presentation")
     h_rest = ZigZag(cell.target2.steps[0].target_word, cell.target2.steps[1:])
     k_rest = ZigZag(cell.source2.steps[0].target_word, cell.source2.steps[1:])
     if f is h or (f.rule == h.rule and f.position == h.position):
@@ -335,31 +336,22 @@ def fill_local_branching(cp, f, g):
     return f_prime, g_prime, Whisker(u, Gen(cell), v)
 
 
-class _Fuel:
-    def __init__(self, amount):
-        self.left = amount
-
-    def burn(self, what):
-        if self.left <= 0:
-            raise FuelExhausted(f"sphere filling ran out of fuel while {what}")
-        self.left -= 1
-
-
-def fill_positive(cp, p_path, q_path, fuel=None):
+def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
     """Fill a sphere between parallel *positive* paths to a *normal* word.
 
     Follows the noetherian recursion of the coherence theorem: equal first
     steps peel off; differing first steps resolve through
     fill_local_branching plus a leftmost confluence path h, and the three
     sub-spheres are pasted vertically.  boundary3(result) = (p, q) exactly.
+    Each node and each step of h costs one unit of the one budget.
     """
-    fuel = fuel if isinstance(fuel, _Fuel) else _Fuel(DEFAULT_FUEL if fuel is None else fuel)
+    budget = Budget.of(fuel)
     if p_path.source != q_path.source or p_path.target != q_path.target:
         raise CompositionError(
             f"paths are not parallel: {p_path.source}->{p_path.target} "
             f"vs {q_path.source}->{q_path.target}"
         )
-    fuel.burn(f"filling between paths from '{p_path.source}'")
+    budget.charge()
 
     if not p_path.steps and not q_path.steps:
         return Id2(ZigZag(p_path.source))
@@ -371,20 +363,20 @@ def fill_positive(cp, p_path, q_path, fuel=None):
     p_rest = ZigZag(a.target_word, p_path.steps[1:])
     q_rest = ZigZag(b.target_word, q_path.steps[1:])
     if a == b:
-        inner = fill_positive(cp, p_rest, q_rest, fuel)
+        inner = fill_positive(cp, p_rest, q_rest, budget)
         return Comp1(ZigZag.of(a), inner, ZigZag(p_path.target))
 
     f1, g1, cell_expr = fill_local_branching(cp, a, b)
     join = f1.target
-    _, h = normalize(cp.base, join, "leftmost", fuel.left + 1, cp.pump_bound)
+    _, h = normalize(cp.base, join, "leftmost", budget, cp.pump_bound)
     assert h.target == p_path.target, (
         f"confluence path from '{join}' reaches '{h.target}', "
         f"not the sphere target '{p_path.target}'"
     )
-    top = Comp1(ZigZag.of(a), fill_positive(cp, p_rest, f1.then(h), fuel),
+    top = Comp1(ZigZag.of(a), fill_positive(cp, p_rest, f1.then(h), budget),
                 ZigZag(p_path.target))
     middle = Comp1(ZigZag(p_path.source), cell_expr, h)
-    bottom = Comp1(ZigZag.of(b), fill_positive(cp, g1.then(h), q_rest, fuel),
+    bottom = Comp1(ZigZag.of(b), fill_positive(cp, g1.then(h), q_rest, budget),
                    ZigZag(p_path.target))
     return Comp2(Comp2(top, middle), bottom)
 
@@ -395,7 +387,7 @@ def sigma_path(cp, w, fuel=DEFAULT_FUEL):
     return path
 
 
-def _sigma_step(cp, step, fuel):
+def _sigma_step(cp, step, budget):
     """An expression [step] ⋆₁ σ(target word) ⇛ σ(source word), for a step
     of either direction.
 
@@ -405,16 +397,16 @@ def _sigma_step(cp, step, fuel):
     carries an uncancelled [s][t] pair, which the reduction-aware joint
     check of Comp2 absorbs.
     """
-    sig_u = sigma_path(cp, step.source_word, fuel.left + 1)
-    sig_m = sigma_path(cp, step.target_word, fuel.left + 1)
+    sig_u = sigma_path(cp, step.source_word, budget)
+    sig_m = sigma_path(cp, step.target_word, budget)
     if step.forward:
-        return fill_positive(cp, ZigZag.of(step).then(sig_m), sig_u, fuel)
+        return fill_positive(cp, ZigZag.of(step).then(sig_m), sig_u, budget)
     fwd = step.inverse()  # the underlying forward step, target word -> source word
-    inner = fill_positive(cp, ZigZag.of(fwd).then(sig_u), sig_m, fuel)
+    inner = fill_positive(cp, ZigZag.of(fwd).then(sig_u), sig_m, budget)
     return Inv(Comp1(ZigZag.of(step), inner, ZigZag(sig_u.target)))
 
 
-def sigma_zigzag(cp, f, fuel):
+def sigma_zigzag(cp, f, budget):
     """An expression f ⇛ σ(source) ⋆₁ σ(target)⁻ — the segmentwise
     straightening of a zigzag onto its normalization square.
 
@@ -428,9 +420,9 @@ def sigma_zigzag(cp, f, fuel):
     step = f.steps[0]
     rest = ZigZag(step.target_word, f.steps[1:])
     v = f.target
-    sig_v_back = sigma_path(cp, v, fuel.left + 1).inverse()
-    top = Comp1(ZigZag.of(step), sigma_zigzag(cp, rest, fuel), ZigZag(v))
-    bottom = Comp1(ZigZag(u), _sigma_step(cp, step, fuel), sig_v_back)
+    sig_v_back = sigma_path(cp, v, budget).inverse()
+    top = Comp1(ZigZag.of(step), sigma_zigzag(cp, rest, budget), ZigZag(v))
+    bottom = Comp1(ZigZag(u), _sigma_step(cp, step, budget), sig_v_back)
     return Comp2(top, bottom)
 
 
@@ -440,17 +432,23 @@ def fill_sphere(cp, f, g, fuel=DEFAULT_FUEL):
 
     Positive parallel paths into a normal form take the direct noetherian
     recursion; general zigzags straighten each side onto the normalization
-    square (σ_f, σ_g) and paste the two straightenings.
+    square (σ_f, σ_g) and paste the two straightenings.  Filler nodes and
+    the normalizations inside the filler draw on one budget; FuelExhausted
+    names the sphere when it runs out or a pumped instance above the pump
+    bound is needed.
     """
     if f.source != g.source or f.target != g.target:
         raise CompositionError(
             f"not a 2-sphere: {f.source}->{f.target} vs {g.source}->{g.target}"
         )
-    gauge = _Fuel(fuel)
-    if f.positive and g.positive and not find_redexes(cp.base, f.target,
-                                                      max(cp.pump_bound, len(f.target))):
-        return fill_positive(cp, f, g, gauge)
-    return Comp2(sigma_zigzag(cp, f, gauge), Inv(sigma_zigzag(cp, g, gauge)))
+    budget = Budget.of(fuel)
+    try:
+        if f.positive and g.positive and not find_redexes(cp.base, f.target,
+                                                          max(cp.pump_bound, len(f.target))):
+            return fill_positive(cp, f, g, budget)
+        return Comp2(sigma_zigzag(cp, f, budget), Inv(sigma_zigzag(cp, g, budget)))
+    except FuelExhausted as exc:
+        raise FuelExhausted(f"filling a sphere from '{f.source}': {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -734,11 +732,12 @@ def extract_finite_subbasis(cp, deltas, fuel=DEFAULT_FUEL):
     Fills each (f, g) pair in deltas with fill_sphere and returns the cells
     (in declaration order) that occur in some filler.  No minimality claim:
     the filler takes its standard route, which may pass through cells a
-    cleverer homotopy would avoid.
+    cleverer homotopy would avoid.  All fillings draw on one budget.
     """
+    budget = Budget.of(fuel)
     used = set()
     for f, g in deltas:
-        used |= generating_cells(fill_sphere(cp, f, g, fuel))
+        used |= generating_cells(fill_sphere(cp, f, g, budget))
     return [c for c in cp.cells if c.name in used]
 
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 
 from .presentation import (
     DEFAULT_FUEL,
+    Budget,
     FuelExhausted,
+    Polygraph,
     PresentationError,
     RewriteStep,
     Rule,
@@ -46,24 +48,13 @@ class CompletionResult:
     status: str  # "Completed" | "FuelExhausted"
 
 
-class _Budget:
-    """A shared fuel pool across all normalizations of one run."""
-
-    def __init__(self, fuel):
-        self.left = fuel
-
-    def normalize(self, p, w, pump_bound=0):
-        nf, path = normalize(p, w, "leftmost", self.left, pump_bound)
-        self.left -= len(path)
-        return nf, path
-
-
 def knuth_bendix(p, order=None, max_rules=DEFAULT_MAX_RULES, fuel=DEFAULT_FUEL):
     """Complete p into a convergent system under a total deglex order.
 
     The branching queue is FIFO: the initial critical branchings in their
     enumeration order, then, after each added rule, the new branchings that
-    involve it.  ``max_rules`` caps the *total* number of rules.  The trace
+    involve it.  All normalizations draw on one budget (`fuel`, an int or a
+    shared Budget).  ``max_rules`` caps the *total* number of rules.  The trace
     records one entry per processed branching: the joint normal form pair
     and either "joined" or the added rule.
     """
@@ -79,7 +70,7 @@ def knuth_bendix(p, order=None, max_rules=DEFAULT_MAX_RULES, fuel=DEFAULT_FUEL):
     if p.gen_order != order:
         p = replace(p, gen_order=tuple(order))
 
-    budget = _Budget(fuel)
+    budget = Budget.of(fuel)
     queue = deque(enumerate_critical_branchings(p, 0))
     added = []
     trace = []
@@ -96,8 +87,8 @@ def knuth_bendix(p, order=None, max_rules=DEFAULT_MAX_RULES, fuel=DEFAULT_FUEL):
     while queue:
         b = queue.popleft()
         try:
-            nf1, _ = budget.normalize(p, b.step1.target_word)
-            nf2, _ = budget.normalize(p, b.step2.target_word)
+            nf1, _ = normalize(p, b.step1.target_word, "leftmost", budget)
+            nf2, _ = normalize(p, b.step2.target_word, "leftmost", budget)
         except FuelExhausted:
             trace.append({"action": "stopped: fuel exhausted", "source": str(b.source_word)})
             return CompletionResult(p, tuple(added), tuple(trace), "FuelExhausted")
@@ -176,15 +167,16 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
     Each removal/replacement is recorded in the trace together with a
     rewriting witness (checked here) showing the discarded boundary is still
     derivable — the soundness content of the corresponding Tietze moves.
+    The confluence check and every normalization draw on one budget.
     """
     if p.pumped:
         raise PresentationError("reduction over pumped rule families is unsupported")
     termination_evidence(p, cert, ack_sampled, 0)
-    confluent, _ = decide_confluence(p, fuel=fuel, pump_bound=0, assume_terminating=True)
+    budget = Budget.of(fuel)
+    confluent, _ = decide_confluence(p, fuel=budget, pump_bound=0, assume_terminating=True)
     if not confluent:
         raise PresentationError("reduction requires a confluent input system")
 
-    budget = _Budget(fuel)
     trace = []
 
     # pass 1: normalize right-hand sides (to fixpoint; the second sweep only
@@ -195,7 +187,7 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
         changed = False
         for i, rule in enumerate(rules):
             current = replace(p, rules=tuple(rules))
-            nf, path = budget.normalize(current, rule.rhs)
+            nf, path = normalize(current, rule.rhs, "leftmost", budget)
             if nf == rule.rhs:
                 continue
             witness = ZigZag.of(*(
@@ -240,7 +232,7 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
         if rule in survivors:
             continue
         inner = find_redexes(final, rule.lhs, 0)[0]
-        nf, path = budget.normalize(final, inner.target_word)
+        nf, path = normalize(final, inner.target_word, "leftmost", budget)
         witness = ZigZag.of(*((inner,) + path.steps))
         if witness.target != rule.rhs:
             raise AssertionError(

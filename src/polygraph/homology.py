@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 from .presentation import (
-    DEFAULT_FUEL,
     PresentationError,
     RewriteStep,
     Word,
     ZigZag,
     identity_word,
 )
-from .rewrite import DEFAULT_PUMP_BOUND, deglex_compare, normalize
+from .rewrite import deglex_compare, normalize
 from .coherence import (
     Comp1,
     Comp2,
@@ -104,21 +103,21 @@ class FreeResolution:
 
     The caller is responsible for having certified convergence (the CLI and
     squier_completion both gate on termination evidence); here we just consume
-    the coherent presentation and normalize freely.
+    the coherent presentation and normalize freely.  The pump bound is the
+    coherent presentation's.  Each ``nf`` cache miss, σ path and ``i3``
+    filling is a top-level call with a fresh budget of DEFAULT_FUEL.
     """
 
     coherent: CoherentPresentation
-    pump_bound: int = None
-    fuel: int = DEFAULT_FUEL
     _nf_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.pump_bound is None:
-            self.pump_bound = self.coherent.pump_bound
 
     @property
     def presentation(self):
         return self.coherent.base
+
+    @property
+    def pump_bound(self):
+        return self.coherent.pump_bound
 
     # -- normal forms ------------------------------------------------------
 
@@ -126,9 +125,7 @@ class FreeResolution:
         key = w.letters
         hit = self._nf_cache.get(key)
         if hit is None:
-            hit, _ = normalize(
-                self.presentation, w, "leftmost", self.fuel, self.pump_bound
-            )
+            hit, _ = normalize(self.presentation, w, "leftmost", pump_bound=self.pump_bound)
             self._nf_cache[key] = hit
         return hit
 
@@ -137,7 +134,7 @@ class FreeResolution:
         return self.nf(u.concat(v))
 
     def _sigma(self, w):
-        return sigma_path(self.coherent, w, self.fuel)
+        return sigma_path(self.coherent, w)
 
     def _act(self, u, elt):
         """Left action of the monoid element (normal form word) u on a module
@@ -267,7 +264,7 @@ class FreeResolution:
             step = RewriteStep(u, rule, identity_word(rule.lhs.target), True)
             f = ZigZag.of(step).then(self._sigma(step.target_word))
             g = self._sigma(step.source_word)
-            expr = fill_sphere(self.coherent, f, g, self.fuel)
+            expr = fill_sphere(self.coherent, f, g)
             add_into(out, self.bracket_3cell(expr), coef)
         return out
 

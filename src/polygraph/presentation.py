@@ -35,14 +35,41 @@ class CompositionError(ValueError):
 
 
 class FuelExhausted(RuntimeError):
-    """A rewriting process ran out of fuel (suspected non-termination).
+    """The fuel ran out (suspected non-termination), or a sphere needs a
+    pumped rule instance above the pump bound; the message names the phase.
 
-    Carries the partial trace computed so far in ``trace``.
+    ``trace`` holds the partial path of an exhausted ``normalize``, the
+    partial report of an exhausted ``decide_confluence``, and None otherwise.
     """
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+class Budget:
+    """The fuel of one top-level call, shared by everything that call runs.
+
+    ``normalize`` charges one unit per rewriting step and the sphere filler
+    one per node.  Every ``fuel=`` parameter takes an int, which starts a
+    fresh budget for that call, or a Budget, which the call charges in
+    place and hands on to everything it runs.
+    """
+
+    def __init__(self, fuel=DEFAULT_FUEL):
+        self.fuel = fuel
+        self.left = fuel
+
+    @classmethod
+    def of(cls, fuel):
+        """``fuel`` itself if it is a Budget, else a fresh budget of that size."""
+        return fuel if isinstance(fuel, Budget) else cls(fuel)
+
+    def charge(self):
+        """Spend one unit; FuelExhausted when none is left."""
+        if self.left <= 0:
+            raise FuelExhausted(f"the budget of {self.fuel} is spent")
+        self.left -= 1
 
 
 class NotCertified(RuntimeError):
@@ -562,18 +589,15 @@ def _logical_entries(text):
 
 
 def _split_affine(text, line):
+    """Parse an affine expression in n (`n`, `n+1`, `2*n+3`, `2n`, `0`) into
+    (p, q) meaning p*n + q."""
     text = text.replace(" ", "")
-    m = re.fullmatch(r"(?:(\d+)\*)?n(?:\+(\d+))?", text)
+    m = re.fullmatch(r"(?:(\d+)\*?)?n(?:\+(\d+))?", text)
     if m:
-        p = int(m.group(1)) if m.group(1) else 1
-        q = int(m.group(2)) if m.group(2) else 0
-    elif re.fullmatch(r"\d+", text):
-        p, q = 0, int(text)
-    else:
-        raise PresentationError(f"cannot parse affine exponent {text!r}", line)
-    if p not in (0, 1):
-        raise PresentationError(f"affine exponent must have n-coefficient 0 or 1, got {p}", line)
-    return p, q
+        return (int(m.group(1)) if m.group(1) else 1, int(m.group(2)) if m.group(2) else 0)
+    if re.fullmatch(r"\d+", text):
+        return 0, int(text)
+    raise PresentationError(f"cannot parse affine expression {text!r}", line)
 
 
 def parse_polygraph(text):
@@ -707,6 +731,10 @@ def parse_polygraph(text):
                 f"pumped rule {name}: pump letter {g1!r} is not an endo-generator", line
             )
         p_, q_ = _split_affine(affine, line)
+        if p_ not in (0, 1):
+            raise PresentationError(
+                f"affine exponent must have n-coefficient 0 or 1, got {p_}", line
+            )
         lhs_prefix = parse_word(lp, line, at=gen.source)
         lhs_suffix = parse_word(ls, line, at=gen.target)
         rhs_prefix = parse_word(rp, line, at=gen.source)

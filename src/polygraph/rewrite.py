@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .presentation import (
     DEFAULT_FUEL,
+    Budget,
     CompositionError,
     FuelExhausted,
     NotCertified,
@@ -22,6 +23,7 @@ from .presentation import (
     RewriteStep,
     TwoCellPath,
     ZigZag,
+    _split_affine,
 )
 
 __all__ = [
@@ -31,7 +33,6 @@ __all__ = [
     "TwoCellPath",
     "ZigZag",
     "find_redexes",
-    "apply_step",
     "leftmost_step",
     "rightmost_step",
     "normalize",
@@ -79,14 +80,6 @@ def find_redexes(p, w, pump_bound=DEFAULT_PUMP_BOUND):
     return out
 
 
-def apply_step(w, rule, position):
-    """Rewrite w with one rule application at the given position."""
-    if position not in w.occurrences(rule.lhs):
-        raise CompositionError(f"{rule.lhs} does not occur in {w} at position {position}")
-    step = RewriteStep(w.slice(0, position), rule, w.slice(position + len(rule.lhs), len(w)))
-    return step.target_word
-
-
 def leftmost_step(p, w, pump_bound=DEFAULT_PUMP_BOUND):
     """The leftmost-innermost redex: least position, first-declared rule."""
     redexes = find_redexes(p, w, pump_bound)
@@ -112,26 +105,25 @@ def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL, pump_bound=0):
 
     Deterministic given the strategy.  Pumped instances are enumerated up to
     max(pump_bound, current word length) at every step, which is exact.
-    Raises FuelExhausted (with the partial path in .trace) after `fuel`
-    steps — the signal for suspected non-termination.
+    Every step costs one unit of `fuel` (an int or a shared Budget); when it
+    runs out, FuelExhausted carries the partial path in .trace — the signal
+    for suspected non-termination.
     """
     try:
         pick = _STRATEGIES[strategy]
     except KeyError:
         raise ValueError(f"unknown strategy {strategy!r}") from None
+    budget = Budget.of(fuel)
     steps = []
     current = w
-    while True:
-        step = pick(p, current, max(pump_bound, len(current)))
-        if step is None:
-            return current, TwoCellPath(w, tuple(steps))
-        if len(steps) >= fuel:
-            raise FuelExhausted(
-                f"normalization of '{w}' did not finish within {fuel} steps",
-                trace=TwoCellPath(w, tuple(steps)),
-            )
-        steps.append(step)
-        current = step.target_word
+    try:
+        while (step := pick(p, current, max(pump_bound, len(current)))) is not None:
+            budget.charge()
+            steps.append(step)
+            current = step.target_word
+    except FuelExhausted as exc:
+        raise FuelExhausted(f"normalizing '{w}': {exc}", TwoCellPath(w, tuple(steps))) from None
+    return current, TwoCellPath(w, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +258,6 @@ class InterpretationCert:
         return all(g.name in self.star and g.name in self.der for g in p.generators)
 
 
-def _parse_affine_star(text, line):
-    text = text.replace(" ", "")
-    m = re.fullmatch(r"(?:(\d+)\*?)?n(?:\+(\d+))?", text)
-    if m:
-        return (int(m.group(1)) if m.group(1) else 1, int(m.group(2)) if m.group(2) else 0)
-    if re.fullmatch(r"\d+", text):
-        return (0, int(text))
-    raise PresentationError(f"cannot parse affine map {text!r}", line)
-
-
 def _parse_der(text, line):
     text = text.replace(" ", "")
     terms = []
@@ -307,7 +289,7 @@ def parse_certificate(text):
         name, star_txt, der_txt = m.group(1), m.group(2).strip(), m.group(3).strip()
         if name in star:
             raise PresentationError(f"duplicate certificate entry for {name!r}", lineno)
-        a, b = _parse_affine_star(star_txt, lineno)
+        a, b = _split_affine(star_txt, lineno)
         if a < 0:
             raise PresentationError(f"star map for {name!r} is not monotone", lineno)
         star[name] = (a, b)
@@ -418,8 +400,9 @@ def word_eq(p, u, v, fuel=DEFAULT_FUEL, pump_bound=DEFAULT_PUMP_BOUND,
     """
     if u.source != v.source or u.target != v.target:
         raise CompositionError(f"'{u}' and '{v}' are not parallel")
-    certify_convergent(p, fuel=fuel, pump_bound=pump_bound, cert=cert,
+    budget = Budget.of(fuel)
+    certify_convergent(p, fuel=budget, pump_bound=pump_bound, cert=cert,
                        ack_sampled=ack_sampled)
-    nf_u, _ = normalize(p, u, "leftmost", fuel, pump_bound)
-    nf_v, _ = normalize(p, v, "leftmost", fuel, pump_bound)
+    nf_u, _ = normalize(p, u, "leftmost", budget, pump_bound)
+    nf_v, _ = normalize(p, v, "leftmost", budget, pump_bound)
     return nf_u == nf_v

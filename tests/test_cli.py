@@ -118,6 +118,15 @@ def test_nf_fuel_exhaustion_is_partial(files):
     assert report.human[0].startswith("fuel exhausted:")
 
 
+def test_nf_fuel_exhaustion_json_carries_partial_path(files, capsys):
+    f = files(b3=B3_TEXT)
+    assert main(["nf", f["b3"], "s t s t s t", "--fuel", "1", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "PARTIAL"
+    assert doc["trace"] == "1*beta*s t s t"
+    assert "normalizing 's t s t s t'" in doc["error"]
+
+
 def test_eq_equal_and_not_equal(files):
     f = files(b3=B3_TEXT)
     code, report = run(["eq", f["b3"], "s t s", "t s t"])
@@ -364,6 +373,29 @@ def test_homology_export_infinite_monoid_is_partial(files, tmp_path):
     assert not report.sections["export"]["finite"]
     assert (out / "d2_symbolic.txt").exists()
     assert not (out / "d1.txt").exists()
+
+
+def test_homology_pump_bound_too_small_is_partial(files):
+    f = files(sq=SQ_TEXT, cert=SQ_CERT_TEXT)
+    code, report = run(["homology", f["sq"], "--cert", f["cert"],
+                        "--pump-bound", "2", "--samples", "4"])
+    assert code == 3
+    assert report.status == "PARTIAL"
+    assert "above the pump bound 2" in report.sections["error"]
+
+
+def test_homology_stale_declared_cells_is_usage_error(files):
+    # B3's Squier basis without conf0, the cell of the branching on s t a
+    stale = B3_TEXT + """\
+threecells:
+conf1: s a*beta*1 . 1*delta*1 === 1*gamma*t
+conf2: s a*gamma*1 . 1*delta*a . a a*alpha*1 === 1*gamma*a s
+conf3: s a*delta*1 . 1*delta*a t . a a*alpha*t . a a a*beta*1 === 1*gamma*a a
+"""
+    f = files(stale=stale)
+    code, report = run(["homology", f["stale"]])
+    assert code == 2
+    assert "stale coherent presentation" in report.sections["error"]
 
 
 def test_cert_pass_and_fail(files):

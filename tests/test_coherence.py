@@ -62,7 +62,8 @@ def test_cells_attach_to_presentation(xyx_done, cp_xyx):
 
 
 def test_squier_refuses_nonconfluent(xyx):
-    with pytest.raises(NotCertified, match="not confluent"):
+    with pytest.raises(NotCertified, match="cannot build a coherent presentation: "
+                                           "branching on 'x y x y x' is not confluent"):
         squier_completion(xyx)
 
 

@@ -1,7 +1,11 @@
 """Knuth–Bendix completion and the reduction of convergent presentations."""
 
+import dataclasses
+import typing
+
 import pytest
 
+import polygraph
 from polygraph import (
     PresentationError,
     decide_confluence,
@@ -103,3 +107,11 @@ def test_reduce_keeps_reduced_systems_unchanged(b3):
     result = metivier_squier_reduce(b3)
     assert result.final == b3
     assert result.trace == ()
+
+
+def test_public_dataclasses_resolve_type_hints():
+    classes = [obj for obj in vars(polygraph).values()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)]
+    assert polygraph.CompletionResult in classes and polygraph.FreeResolution in classes
+    for cls in classes:
+        typing.get_type_hints(cls)

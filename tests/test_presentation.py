@@ -100,6 +100,16 @@ def test_pumped_rule_mismatched_letters_rejected():
         parse_polygraph(text)
 
 
+def test_pumped_rule_exponent_coefficient_checked():
+    head = "monoid\ngenerators: a b t\npumped:\n"
+    fam = parse_polygraph(head + "f[n]: a ( t )^n b => ( t )^( 1*n+2 )\n").pumped[0]
+    assert (fam.rhs_p, fam.rhs_q) == (1, 2)
+    with pytest.raises(PresentationError, match="line 4: affine exponent must have"):
+        parse_polygraph(head + "f[n]: a ( t )^n b => ( t )^( 2*n )\n")
+    with pytest.raises(PresentationError, match="line 4: cannot parse affine"):
+        parse_polygraph(head + "f[n]: a ( t )^n b => ( t )^( n-1 )\n")
+
+
 def test_all_rule_instances_bound(sq):
     names = [r.name for r in sq.all_rule_instances(2)]
     assert names == ["beta", "gamma", "delta", "eps",

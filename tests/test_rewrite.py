@@ -121,6 +121,13 @@ def test_certificate_parse_and_evaluation(sq, sq_cert):
     assert sq_cert.covers(sq)
 
 
+def test_certificate_star_grammar():
+    cert = parse_certificate("a: star 2*n+3 ; der 0\nb: star 2n ; der 0\nc: star 4 ; der 0\n")
+    assert cert.star == {"a": (2, 3), "b": (2, 0), "c": (0, 4)}
+    with pytest.raises(PresentationError, match="line 2: cannot parse affine"):
+        parse_certificate("a: star n ; der 0\nb: star n-1 ; der 0\n")
+
+
 def test_certificate_passes_sampled_check(sq, sq_cert):
     rep = check_interpretation_certificate(sq, sq_cert, sample_bound=16)
     assert rep["passed"]
