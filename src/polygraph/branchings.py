@@ -193,8 +193,7 @@ class NotConfluent:
     status = "NotConfluent"
 
 
-def resolve_branching(p, b, strategy="leftmost", fuel=DEFAULT_FUEL,
-                      pump_bound=DEFAULT_PUMP_BOUND):
+def resolve_branching(p, b, strategy="leftmost", fuel=DEFAULT_FUEL):
     """Normalize both legs of a branching and compare the normal forms.
 
     Both legs draw on one budget (`fuel`, an int or a shared Budget);
@@ -202,8 +201,8 @@ def resolve_branching(p, b, strategy="leftmost", fuel=DEFAULT_FUEL,
     """
     budget = Budget.of(fuel)
     try:
-        nf1, f_prime = normalize(p, b.step1.target_word, strategy, budget, pump_bound)
-        nf2, g_prime = normalize(p, b.step2.target_word, strategy, budget, pump_bound)
+        nf1, f_prime = normalize(p, b.step1.target_word, strategy, budget)
+        nf2, g_prime = normalize(p, b.step2.target_word, strategy, budget)
     except FuelExhausted as exc:
         raise FuelExhausted(f"resolving branching {b.describe()}: {exc}") from None
     if nf1 == nf2:
@@ -234,7 +233,7 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
     confluent = True
     for b in branchings:
         try:
-            res = resolve_branching(p, b, "leftmost", budget, pump_bound)
+            res = resolve_branching(p, b, "leftmost", budget)
         except FuelExhausted as exc:
             exc.trace = {"branchings": entries, "truncated": bool(p.pumped)}
             raise

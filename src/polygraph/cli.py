@@ -167,7 +167,7 @@ def _cmd_check(args):
 def _cmd_nf(args):
     p = _load(args.file)
     w = p.word(args.word)
-    nf, path = normalize(p, w, args.strategy, args.fuel, args.pump_bound)
+    nf, path = normalize(p, w, args.strategy, args.fuel)
     sections = {
         "word": str(w),
         "normal_form": str(nf),
@@ -189,8 +189,8 @@ def _cmd_eq(args):
     certify_convergent(p, fuel=budget, pump_bound=args.pump_bound, cert=cert,
                        ack_sampled=cert is not None)
     u, v = p.word(args.word1), p.word(args.word2)
-    nf1, _ = normalize(p, u, "leftmost", budget, args.pump_bound)
-    nf2, _ = normalize(p, v, "leftmost", budget, args.pump_bound)
+    nf1, _ = normalize(p, u, "leftmost", budget)
+    nf2, _ = normalize(p, v, "leftmost", budget)
     equal = nf1 == nf2
     sections = {"word1": str(u), "word2": str(v), "equal": equal,
                 "nf1": str(nf1), "nf2": str(nf2)}
@@ -462,11 +462,22 @@ def _cmd_cert(args):
 # argument parsing and dispatch
 
 
+def _count(text):
+    """An argparse type for bounds and sizes: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output (deterministic JSON)")
-    common.add_argument("--pump-bound", type=int, default=DEFAULT_PUMP_BOUND,
+    common.add_argument("--pump-bound", type=_count, default=DEFAULT_PUMP_BOUND,
                         metavar="N", help="instantiate pumped rules up to index N")
     common.add_argument("--seed", type=int, default=0, metavar="N",
                         help="seed for sampled checks")
@@ -487,7 +498,7 @@ def build_parser():
     s.add_argument("word")
     s.add_argument("--strategy", choices=("leftmost", "rightmost"),
                    default="leftmost")
-    s.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N")
+    s.add_argument("--fuel", type=_count, default=DEFAULT_FUEL, metavar="N")
     s.set_defaults(handler=_cmd_nf)
 
     s = sub.add_parser("eq", parents=[common],
@@ -511,7 +522,7 @@ def build_parser():
     s = sub.add_parser("complete", parents=[common],
                        help="Knuth-Bendix completion under the declared deglex order")
     s.add_argument("file")
-    s.add_argument("--max-rules", type=int, default=256, metavar="N")
+    s.add_argument("--max-rules", type=_count, default=256, metavar="N")
     s.set_defaults(handler=_cmd_complete)
 
     s = sub.add_parser("reduce", parents=[common],
@@ -549,9 +560,9 @@ def build_parser():
                        help="build the length-3 resolution and verify its identities")
     s.add_argument("file")
     s.add_argument("--export", default=None, metavar="DIR")
-    s.add_argument("--bound", type=int, default=2000, metavar="N",
+    s.add_argument("--bound", type=_count, default=2000, metavar="N",
                    help="element-enumeration bound for integer matrices")
-    s.add_argument("--samples", type=int, default=16, metavar="N")
+    s.add_argument("--samples", type=_count, default=16, metavar="N")
     s.add_argument("--cert", default=None, metavar="CERTFILE")
     s.set_defaults(handler=_cmd_homology)
 
@@ -559,7 +570,7 @@ def build_parser():
                        help="check an interpretation termination certificate (sampled)")
     s.add_argument("file")
     s.add_argument("certfile")
-    s.add_argument("--sample-bound", type=int, default=16, metavar="N")
+    s.add_argument("--sample-bound", type=_count, default=16, metavar="N")
     s.set_defaults(handler=_cmd_cert)
 
     return parser

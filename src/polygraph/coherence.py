@@ -35,7 +35,7 @@ from .presentation import (
     ZigZag,
     identity_word,
 )
-from .rewrite import DEFAULT_PUMP_BOUND, find_redexes, normalize, termination_evidence
+from .rewrite import DEFAULT_PUMP_BOUND, normalize, termination_evidence
 from .branchings import (
     ASPHERICAL,
     PEIFFER,
@@ -267,7 +267,7 @@ def squier_completion(p, pump_bound=DEFAULT_PUMP_BOUND, fuel=DEFAULT_FUEL,
     budget = Budget.of(fuel)
     cells = []
     for i, b in enumerate(enumerate_critical_branchings(p, pump_bound)):
-        res = resolve_branching(p, b, "leftmost", budget, pump_bound)
+        res = resolve_branching(p, b, "leftmost", budget)
         if res.status == "NotConfluent":
             raise NotCertified(
                 f"cannot build a coherent presentation: branching on '{b.source_word}' "
@@ -368,7 +368,7 @@ def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
 
     f1, g1, cell_expr = fill_local_branching(cp, a, b)
     join = f1.target
-    _, h = normalize(cp.base, join, "leftmost", budget, cp.pump_bound)
+    _, h = normalize(cp.base, join, "leftmost", budget)
     assert h.target == p_path.target, (
         f"confluence path from '{join}' reaches '{h.target}', "
         f"not the sphere target '{p_path.target}'"
@@ -383,7 +383,7 @@ def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
 
 def sigma_path(cp, w, fuel=DEFAULT_FUEL):
     """The leftmost normalization path of w (the chosen section σ)."""
-    _, path = normalize(cp.base, w, "leftmost", fuel, cp.pump_bound)
+    _, path = normalize(cp.base, w, "leftmost", fuel)
     return path
 
 
@@ -443,8 +443,7 @@ def fill_sphere(cp, f, g, fuel=DEFAULT_FUEL):
         )
     budget = Budget.of(fuel)
     try:
-        if f.positive and g.positive and not find_redexes(cp.base, f.target,
-                                                          max(cp.pump_bound, len(f.target))):
+        if f.positive and g.positive and cp.base.matcher.is_normal(f.target):
             return fill_positive(cp, f, g, budget)
         return Comp2(sigma_zigzag(cp, f, budget), Inv(sigma_zigzag(cp, g, budget)))
     except FuelExhausted as exc:

@@ -125,7 +125,7 @@ class FreeResolution:
         key = w.letters
         hit = self._nf_cache.get(key)
         if hit is None:
-            hit, _ = normalize(self.presentation, w, "leftmost", pump_bound=self.pump_bound)
+            hit, _ = normalize(self.presentation, w, "leftmost")
             self._nf_cache[key] = hit
         return hit
 

@@ -406,6 +406,13 @@ class Polygraph:
     def pumped_index(self):
         return {r.name: i for i, r in enumerate(self.pumped)}
 
+    @cached_property
+    def matcher(self):
+        """The redex search behind ``normalize`` (see ``rewrite.Matcher``)."""
+        from .rewrite import Matcher  # rewrite builds on this module
+
+        return Matcher(self)
+
     def rule_key(self, rule):
         """Total declaration order on rule instances.
 

@@ -2,10 +2,12 @@
 order, termination checks, and the word problem for certified-convergent
 presentations.
 
-Pumped rule families are instantiated lazily.  A pumped left-hand side longer
-than the inspected word can never match, so instantiating up to
-max(word length, pump_bound) makes normalization *exact* on the infinite
-systems, not approximate.
+Pumped rule families are instantiated lazily.  ``find_redexes`` enumerates
+instances up to a bound; a pumped left-hand side longer than the inspected
+word can never match, so a bound of the word length is exact.
+``normalize`` enumerates none: its matcher reads the run of pump letters
+at a match, so its normal forms are exact on the infinite systems, not
+approximate.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ __all__ = [
     "TwoCellPath",
     "ZigZag",
     "find_redexes",
-    "leftmost_step",
-    "rightmost_step",
     "normalize",
     "deglex_compare",
     "orient",
@@ -80,47 +80,180 @@ def find_redexes(p, w, pump_bound=DEFAULT_PUMP_BOUND):
     return out
 
 
-def leftmost_step(p, w, pump_bound=DEFAULT_PUMP_BOUND):
-    """The leftmost-innermost redex: least position, first-declared rule."""
-    redexes = find_redexes(p, w, pump_bound)
-    return redexes[0] if redexes else None
+class Matcher:
+    """The redex search of one presentation, built once per presentation
+    (``Polygraph.matcher``).
+
+    Each letter is encoded as one character, so a word is a string and
+    ``re`` finds the next redex.  ``scans`` holds one search per strategy:
+    ``leftmost`` reads the word forward, ``rightmost`` reads it reversed,
+    where the least start is the greatest end in the word.
+    """
+
+    def __init__(self, p):
+        letters = [g.name for g in p.generators]
+        for rule in p.rules:  # a malformed presentation may use undeclared letters
+            letters += rule.lhs.letters + rule.rhs.letters
+        for fam in p.pumped:
+            letters.append(fam.pump)
+            for w in (fam.lhs_prefix, fam.lhs_suffix, fam.rhs_prefix, fam.rhs_suffix):
+                letters += w.letters
+        self.code = {}
+        for letter in letters:
+            self.code.setdefault(letter, chr(0x100 + len(self.code)))
+        self.scans = {"leftmost": _Scan(self, p, reverse=False),
+                      "rightmost": _Scan(self, p, reverse=True)}
+
+    def encode(self, w):
+        """w as a string, one character per letter ("\\0" for a letter no
+        rule mentions)."""
+        return "".join([self.code.get(letter, "\0") for letter in w.letters])
+
+    def is_normal(self, w):
+        """Is no rule instance a subword of w?"""
+        return self.scans["leftmost"].search(self.encode(w), 0) is None
 
 
-def rightmost_step(p, w, pump_bound=DEFAULT_PUMP_BOUND):
-    """The rightmost redex: greatest end position, tie broken by greatest
-    start position, then by declaration order."""
-    redexes = find_redexes(p, w, pump_bound)
-    if not redexes:
-        return None
-    best = max((s.span[1], s.span[0]) for s in redexes)
-    tied = [s for s in redexes if (s.span[1], s.span[0]) == best]
-    return min(tied, key=lambda s: p.rule_key(s.rule))
+class _Scan:
+    """The redex search in one reading direction of encoded words.
+
+    A dict maps each plain left-hand side to its first rule in ``rule_key``
+    order, and one pattern matches every left-hand side, pumped ones too.
+    ``search`` takes the redex that starts first in this direction; among
+    those, the forward scan takes the first rule, the reversed scan the
+    shortest left-hand side (the greatest start in the word), then the first
+    rule.  Pumped instances are never enumerated: the run of pump letters at
+    the match fixes the least n.
+    """
+
+    def __init__(self, matcher, p, reverse):
+        self.matcher = matcher
+        self.reverse = reverse
+        self.plain = {}  # lhs -> (rank, rule, rhs), the least rank per lhs
+        for decl, rule in enumerate(p.rules):
+            if not rule.lhs.is_identity:
+                lhs, rank = self.encode(rule.lhs), (p.rule_key(rule), decl)
+                if lhs not in self.plain or rank < self.plain[lhs][0]:
+                    self.plain[lhs] = (rank, rule, self.encode(rule.rhs))
+        self.lengths = sorted({len(lhs) for lhs in self.plain})
+        self.families = []
+        for decl, fam in enumerate(p.pumped, start=len(p.rules)):
+            head, tail = self.encode(fam.lhs_prefix), self.encode(fam.lhs_suffix)
+            if reverse:
+                head, tail = tail, head
+            key = p.rule_key(fam.instance(0))[0]
+            self.families.append(_Pumped(fam, head, matcher.code[fam.pump], tail, key, decl))
+        alternatives = [re.escape(lhs) for lhs in self.plain]
+        alternatives += [fam.regex for fam in self.families]
+        self.pattern = re.compile("|".join(alternatives)) if alternatives else None
+        # A redex that is new after a rewrite at x reaches past x, so it
+        # starts less than the longest fixed part (reach + 1) before x,
+        # unless its run of pump letters reaches back beyond that; then it
+        # starts at most the longest head (back) before the run.
+        fixed = [len(lhs) for lhs in self.plain] + [f.fixed for f in self.families]
+        self.reach = max(fixed + [1]) - 1
+        self.pumps = "".join(sorted({matcher.code[fam.pump] for fam in p.pumped}))
+        self.back = max((len(f.head) for f in self.families), default=0)
+
+    def encode(self, w):
+        text = self.matcher.encode(w)
+        return text[::-1] if self.reverse else text
+
+    def search(self, text, lo):
+        """The redex to take in text at or after lo, as (position in text,
+        rule, encoded rhs in this direction), or None."""
+        found = self.pattern.search(text, lo) if self.pattern else None
+        if found is None:
+            return None
+        x = found.start()
+        best = None  # (order, rule, rhs), or (order, family, n) until an instance is taken
+        for length in self.lengths:
+            hit = self.plain.get(text[x:x + length]) if x + length <= len(text) else None
+            if hit is not None:
+                rank, rule, rhs = hit
+                order = (length, rank) if self.reverse else rank
+                if best is None or order < best[0]:
+                    best = (order, rule, rhs)
+        for fam in self.families:
+            n = fam.least_n(text, x)
+            if n is not None:
+                rank = ((fam.key, n), fam.decl)
+                order = (fam.fixed + n, rank) if self.reverse else rank
+                if best is None or order < best[0]:
+                    best = (order, fam, n)
+        _, chosen, rhs = best
+        if isinstance(chosen, _Pumped):
+            rule = chosen.family.instance(rhs)
+            return x, rule, self.encode(rule.rhs)
+        return x, chosen, rhs
+
+    def rescan(self, text, x):
+        """Where to search again after a rewrite at x, given that no redex
+        started before x: no redex of the new text starts before it."""
+        lo = max(x - self.reach, 0)
+        if self.pumps:
+            lo = max(len(text[:lo].rstrip(self.pumps)) - self.back, 0)
+        return lo
 
 
-_STRATEGIES = {"leftmost": leftmost_step, "rightmost": rightmost_step}
+class _Pumped:
+    """A pumped family read in one direction: head . pump^n . tail."""
+
+    def __init__(self, family, head, pump, tail, key, decl):
+        self.family = family
+        self.head, self.tail = head, tail
+        self.key, self.decl = key, decl  # its rule_key stem and declaration index
+        self.fixed = len(head) + len(tail)
+        self.least = 0 if self.fixed else 1  # an empty lhs never matches
+        self.run = re.compile(re.escape(pump) + "*")
+        self.tail_pumps = len(tail) - len(tail.lstrip(pump))
+        self.regex = (re.escape(head) + re.escape(pump) + ("*" if self.fixed else "+")
+                      + re.escape(tail))
+
+    def least_n(self, text, x):
+        """The least n with an instance at x in text, or None."""
+        if not text.startswith(self.head, x):
+            return None
+        start = x + len(self.head)
+        pumps = self.run.match(text, start).end() - start
+        if self.tail_pumps == len(self.tail):  # the tail is pump letters only
+            return self.least if self.least + len(self.tail) <= pumps else None
+        n = pumps - self.tail_pumps  # the run stops inside the tail
+        return n if n >= 0 and text.startswith(self.tail, start + n) else None
 
 
-def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL, pump_bound=0):
+def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
     """Rewrite w to a normal form, returning (normal form, rewriting path).
 
-    Deterministic given the strategy.  Pumped instances are enumerated up to
-    max(pump_bound, current word length) at every step, which is exact.
-    Every step costs one unit of `fuel` (an int or a shared Budget); when it
-    runs out, FuelExhausted carries the partial path in .trace — the signal
-    for suspected non-termination.
+    Deterministic given the strategy.  ``leftmost`` takes the redex of least
+    start, then the first rule in ``rule_key`` order; ``rightmost`` takes
+    the greatest end, then the greatest start, then the first rule.  Every
+    pumped instance is considered, so normal forms are exact on pumped
+    systems.  After a rewrite the search resumes only where a new redex can
+    start.  Every step costs one unit of `fuel` (an int or a shared
+    Budget); when it runs out, FuelExhausted carries the partial path in
+    .trace — the signal for suspected non-termination.
     """
     try:
-        pick = _STRATEGIES[strategy]
+        scan = p.matcher.scans[strategy]
     except KeyError:
         raise ValueError(f"unknown strategy {strategy!r}") from None
     budget = Budget.of(fuel)
     steps = []
     current = w
+    text = scan.encode(w)
+    lo = 0
     try:
-        while (step := pick(p, current, max(pump_bound, len(current)))) is not None:
+        while (hit := scan.search(text, lo)) is not None:
+            x, rule, rhs = hit
             budget.charge()
+            k = len(rule.lhs)
+            i = len(text) - x - k if scan.reverse else x
+            step = RewriteStep(current.slice(0, i), rule, current.slice(i + k, len(current)))
             steps.append(step)
             current = step.target_word
+            text = text[:x] + rhs + text[x + k:]
+            lo = scan.rescan(text, x)
     except FuelExhausted as exc:
         raise FuelExhausted(f"normalizing '{w}': {exc}", TwoCellPath(w, tuple(steps))) from None
     return current, TwoCellPath(w, tuple(steps))
@@ -303,8 +436,11 @@ def check_interpretation_certificate(p, cert, sample_bound=16):
     Every rule (pumped instances included, pump index up to sample_bound) is
     tested at n = 0..sample_bound for the weak star inequality and the
     strict derivation inequality.  Returns a report dict; status is
-    "PASS(sampled)" or "FAIL" with the first witness.
+    "PASS(sampled)" or "FAIL" with the first witness.  A negative
+    sample_bound is a ValueError: it would check nothing and pass.
     """
+    if sample_bound < 0:
+        raise ValueError(f"sample_bound must be at least 0, got {sample_bound}")
     missing = [g.name for g in p.generators if g.name not in cert.star or g.name not in cert.der]
     if missing:
         raise PresentationError(f"certificate does not cover generators: {', '.join(missing)}")
@@ -403,6 +539,6 @@ def word_eq(p, u, v, fuel=DEFAULT_FUEL, pump_bound=DEFAULT_PUMP_BOUND,
     budget = Budget.of(fuel)
     certify_convergent(p, fuel=budget, pump_bound=pump_bound, cert=cert,
                        ack_sampled=ack_sampled)
-    nf_u, _ = normalize(p, u, "leftmost", budget, pump_bound)
-    nf_v, _ = normalize(p, v, "leftmost", budget, pump_bound)
+    nf_u, _ = normalize(p, u, "leftmost", budget)
+    nf_v, _ = normalize(p, v, "leftmost", budget)
     return nf_u == nf_v

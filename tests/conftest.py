@@ -124,6 +124,14 @@ alpha4: a t t t t t => c t t t t
 alpha5: a t t t t t t => c t t t t t
 """
 
+CATEGORY_TEXT = """\
+category
+objects: X Y
+generators: f: X -> Y ; g: Y -> X
+rules:
+rho: f g f => f
+"""
+
 Z2_TABLE = """\
 elements: e a
 unit: e

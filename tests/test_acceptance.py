@@ -184,7 +184,7 @@ def test_criterion_6_pumped_certificate(sq, sq_cert):
             assert b.step1.rule.name == "beta" and b.step1.position == 0
             assert str(b.step1.right) == ("t " * n + "b").strip()
             assert b.step2.rule.name == f"alpha[{n}]" and b.step2.position == 1
-            r = resolve_branching(sq, b, pump_bound=max(8, len(b.source_word)))
+            r = resolve_branching(sq, b)
             assert r.status == "Confluent" and str(r.join_word) == "x"
             names = [s.rule.name for s in r.f_prime.steps]
             assert names == ["gamma"] * n + ["delta", f"alpha[{n + 1}]"]

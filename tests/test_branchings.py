@@ -118,7 +118,7 @@ def test_pumped_family_resolution_legs(sq):
     family instance; the second leg is one sliding family."""
     for b in enumerate_critical_branchings(sq, pump_bound=4):
         n = int(b.step2.rule.name[6:-1])  # alpha[n]
-        res = resolve_branching(sq, b, pump_bound=6)
+        res = resolve_branching(sq, b)
         assert res.status == "Confluent"
         names = [s.rule.name for s in res.f_prime.steps]
         assert names == ["gamma"] * n + ["delta", f"alpha[{n + 1}]"]

@@ -429,6 +429,22 @@ def test_usage_errors_exit_two(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["nf", "{b3}", "s t", "--fuel", "-3"],
+    ["nf", "{b3}", "s t", "--pump-bound", "-1"],
+    ["complete", "{b3}", "--max-rules", "-1"],
+    ["homology", "{b3}", "--bound", "-1"],
+    ["homology", "{b3}", "--samples", "-2"],
+    ["cert", "{sq}", "{cert}", "--sample-bound", "-1"],
+])
+def test_negative_bounds_are_usage_errors(files, capsys, argv):
+    f = files(b3=B3_TEXT, sq=SQ_TEXT, cert=SQ_CERT_TEXT)
+    code, report = run([arg.format(**f) for arg in argv])
+    assert code == 2
+    assert report.sections == {"error": "usage"}
+    assert "must be at least 0" in capsys.readouterr().err
+
+
 def test_json_mode_is_deterministic(files, capsys):
     f = files(b3=B3_TEXT)
     argv = ["cp", f["b3"], "--json"]

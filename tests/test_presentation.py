@@ -21,13 +21,7 @@ from polygraph import (
     validate,
 )
 
-CATEGORY_TEXT = """\
-category
-objects: X Y
-generators: f: X -> Y ; g: Y -> X
-rules:
-rho: f g f => f
-"""
+from conftest import CATEGORY_TEXT
 
 
 def test_parse_monoid_basics(b3):

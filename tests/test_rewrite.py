@@ -152,6 +152,11 @@ def test_certificate_must_cover_generators(sq):
         check_interpretation_certificate(sq, cert)
 
 
+def test_certificate_rejects_negative_sample_bound(sq, sq_cert):
+    with pytest.raises(ValueError, match="sample_bound must be at least 0"):
+        check_interpretation_certificate(sq, sq_cert, sample_bound=-1)
+
+
 def test_termination_evidence_deglex(b3):
     assert termination_evidence(b3) == "deglex"
 
