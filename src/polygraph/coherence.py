@@ -345,39 +345,52 @@ def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
     sub-spheres are pasted vertically.  boundary3(result) = (p, q) exactly.
     Each node and each step of h costs one unit of the one budget.
     """
-    budget = Budget.of(fuel)
-    if p_path.source != q_path.source or p_path.target != q_path.target:
+    return _fill_positive(cp, p_path, 0, q_path, 0, Budget.of(fuel))
+
+
+def _source_at(path, i):
+    """The word before step i of a checked path (its target when i is the
+    path's length)."""
+    return path.steps[i - 1].target_word if i else path.source
+
+
+def _fill_positive(cp, p, i, q, j, budget):
+    """fill_positive on the sphere between p.steps[i:] and q.steps[j:].
+
+    Both paths are checked already, so a suffix is read by its index; it
+    is never rebuilt as a ZigZag, which would check it again.
+    """
+    p_source, q_source = _source_at(p, i), _source_at(q, j)
+    if p_source != q_source or p.target != q.target:
         raise CompositionError(
-            f"paths are not parallel: {p_path.source}->{p_path.target} "
-            f"vs {q_path.source}->{q_path.target}"
+            f"paths are not parallel: {p_source}->{p.target} "
+            f"vs {q_source}->{q.target}"
         )
     budget.charge()
 
-    if not p_path.steps and not q_path.steps:
-        return Id2(ZigZag(p_path.source))
-    assert p_path.steps and q_path.steps, (
+    if i == len(p.steps) and j == len(q.steps):
+        return Id2(ZigZag(p_source))
+    assert i < len(p.steps) and j < len(q.steps), (
         "one-sided sphere at a normal word is impossible: a positive path "
         "out of a normal form has no first step"
     )
-    a, b = p_path.steps[0], q_path.steps[0]
-    p_rest = ZigZag(a.target_word, p_path.steps[1:])
-    q_rest = ZigZag(b.target_word, q_path.steps[1:])
+    a, b = p.steps[i], q.steps[j]
     if a == b:
-        inner = fill_positive(cp, p_rest, q_rest, budget)
-        return Comp1(ZigZag.of(a), inner, ZigZag(p_path.target))
+        inner = _fill_positive(cp, p, i + 1, q, j + 1, budget)
+        return Comp1(ZigZag(p_source, (a,)), inner, ZigZag(p.target))
 
     f1, g1, cell_expr = fill_local_branching(cp, a, b)
     join = f1.target
     _, h = normalize(cp.base, join, "leftmost", budget)
-    assert h.target == p_path.target, (
+    assert h.target == p.target, (
         f"confluence path from '{join}' reaches '{h.target}', "
-        f"not the sphere target '{p_path.target}'"
+        f"not the sphere target '{p.target}'"
     )
-    top = Comp1(ZigZag.of(a), fill_positive(cp, p_rest, f1.then(h), budget),
-                ZigZag(p_path.target))
-    middle = Comp1(ZigZag(p_path.source), cell_expr, h)
-    bottom = Comp1(ZigZag.of(b), fill_positive(cp, g1.then(h), q_rest, budget),
-                   ZigZag(p_path.target))
+    top = Comp1(ZigZag(p_source, (a,)), _fill_positive(cp, p, i + 1, f1.then(h), 0, budget),
+                ZigZag(p.target))
+    middle = Comp1(ZigZag(p_source), cell_expr, h)
+    bottom = Comp1(ZigZag(q_source, (b,)), _fill_positive(cp, g1.then(h), 0, q, j + 1, budget),
+                   ZigZag(p.target))
     return Comp2(Comp2(top, middle), bottom)
 
 
@@ -414,14 +427,18 @@ def sigma_zigzag(cp, f, budget):
     normalization square up to step/inverse cancellation (exact when f is
     positive).
     """
-    u = f.source
-    if not f.steps:
+    return _sigma_zigzag(cp, f, 0, budget)
+
+
+def _sigma_zigzag(cp, f, i, budget):
+    """sigma_zigzag on the suffix f.steps[i:] of a checked zigzag."""
+    u = _source_at(f, i)
+    if i == len(f.steps):
         return Id2(ZigZag(u))
-    step = f.steps[0]
-    rest = ZigZag(step.target_word, f.steps[1:])
+    step = f.steps[i]
     v = f.target
     sig_v_back = sigma_path(cp, v, budget).inverse()
-    top = Comp1(ZigZag.of(step), sigma_zigzag(cp, rest, budget), ZigZag(v))
+    top = Comp1(ZigZag(u, (step,)), _sigma_zigzag(cp, f, i + 1, budget), ZigZag(v))
     bottom = Comp1(ZigZag(u), _sigma_step(cp, step, budget), sig_v_back)
     return Comp2(top, bottom)
 

@@ -180,13 +180,14 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
     trace = []
 
     # pass 1: normalize right-hand sides (to fixpoint; the second sweep only
-    # verifies nothing changes, see the docstring)
+    # verifies nothing changes, see the docstring).  The polygraph, and so
+    # its matcher, is rebuilt only when a right-hand side changes.
     rules = list(p.rules)
+    current = p
     changed = True
     while changed:
         changed = False
         for i, rule in enumerate(rules):
-            current = replace(p, rules=tuple(rules))
             nf, path = normalize(current, rule.rhs, "leftmost", budget)
             if nf == rule.rhs:
                 continue
@@ -199,8 +200,9 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
                 "witness": str(witness),
             })
             rules[i] = Rule(rule.name, rule.lhs, nf, origin=rule.origin)
+            current = replace(p, rules=tuple(rules))
             changed = True
-    p = replace(p, rules=tuple(rules))
+    p = current
 
     # pass 2: duplicate boundaries — keep the first declared
     seen = {}

@@ -289,15 +289,35 @@ class ZigZag:
     target: Word = field(init=False, compare=False)
 
     def __post_init__(self):
-        word = self.source
+        # The running word is kept as its two tuples; a step matches when
+        # its left context, input side and right context are the running
+        # word's slices, letters and junction objects both, which is
+        # exactly ``step.source_word == word`` without building either.
+        letters, nodes = self.source.letters, self.source.nodes
         for i, step in enumerate(self.steps):
-            if step.source_word != word:
+            left, right = step.left, step.right
+            rule = step.rule
+            inner, outer = (rule.lhs, rule.rhs) if step.forward else (rule.rhs, rule.lhs)
+            a = len(left.letters)
+            b = a + len(inner.letters)
+            if not (
+                letters[:a] == left.letters
+                and letters[a:b] == inner.letters
+                and letters[b:] == right.letters
+                and nodes[: a + 1] == left.nodes
+                and nodes[a : b + 1] == inner.nodes
+                and nodes[b:] == right.nodes
+            ):
                 raise CompositionError(
                     f"step {i} ({step}) rewrites {step.source_word}, "
-                    f"but the running word is {word}"
+                    f"but the running word is {Word(letters, nodes)}"
                 )
-            word = step.target_word
-        object.__setattr__(self, "target", word)
+            if outer.nodes[0] != nodes[a] or outer.nodes[-1] != nodes[b]:
+                left.concat(outer, right)  # a non-parallel rule: concat raises
+            letters = left.letters + outer.letters + right.letters
+            nodes = left.nodes + outer.nodes[1:] + right.nodes[1:]
+        target = Word(letters, nodes) if self.steps else self.source
+        object.__setattr__(self, "target", target)
 
     @classmethod
     def of(cls, *steps):

@@ -12,6 +12,8 @@ import pytest
 from polygraph import (
     RewriteStep,
     ZigZag,
+    knuth_bendix,
+    metivier_squier_reduce,
     parse_certificate,
     parse_polygraph,
 )
@@ -124,6 +126,24 @@ alpha4: a t t t t t => c t t t t
 alpha5: a t t t t t t => c t t t t t
 """
 
+# the Coxeter presentation of the symmetric group S5
+A4_TEXT = """\
+monoid
+generators: s1 s2 s3 s4
+order: s1 < s2 < s3 < s4
+rules:
+r1: s1 s1 => 1
+r2: s2 s2 => 1
+r3: s3 s3 => 1
+r4: s4 s4 => 1
+r5: s2 s1 s2 => s1 s2 s1
+r6: s3 s1 => s1 s3
+r7: s4 s1 => s1 s4
+r8: s3 s2 s3 => s2 s3 s2
+r9: s4 s2 => s2 s4
+r10: s4 s3 s4 => s3 s4 s3
+"""
+
 CATEGORY_TEXT = """\
 category
 objects: X Y
@@ -202,6 +222,12 @@ def lp():
 @pytest.fixture(scope="session")
 def family():
     return parse_polygraph(FAMILY_TEXT)
+
+
+@pytest.fixture(scope="session")
+def a4_done():
+    """A4 completed by knuth_bendix and reduced, as the benchmark builds it."""
+    return metivier_squier_reduce(knuth_bendix(parse_polygraph(A4_TEXT)).final).final
 
 
 # --------------------------------------------------------------------------

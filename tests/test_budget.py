@@ -58,14 +58,15 @@ def test_fill_sphere_charges_nested_normalizations(b3, cp_b3, monkeypatch):
     _, f = normalize(b3, w, "leftmost")
     _, g = normalize(b3, w, "rightmost")
     nodes = 0
-    original = coherence.fill_positive
+    original = coherence._fill_positive
 
     def counting(*args):
         nonlocal nodes
         nodes += 1
         return original(*args)
 
-    monkeypatch.setattr(coherence, "fill_positive", counting)
+    # every filler node, not only the top-level call
+    monkeypatch.setattr(coherence, "_fill_positive", counting)
     budget = Budget()
     fill_sphere(cp_b3, f, g, budget)
     assert nodes > 0

@@ -14,6 +14,9 @@ from polygraph import (
     metivier_squier_reduce,
     parse_polygraph,
 )
+from polygraph.rewrite import Matcher
+
+from conftest import A4_TEXT
 
 
 def test_self_overlap_completes_in_one_rule(xyx):
@@ -107,6 +110,49 @@ def test_reduce_keeps_reduced_systems_unchanged(b3):
     result = metivier_squier_reduce(b3)
     assert result.final == b3
     assert result.trace == ()
+
+
+@pytest.fixture
+def matchers_built(monkeypatch):
+    """The polygraphs a matcher is built for while the test runs."""
+    built = []
+    original = Matcher.__init__
+
+    def counting(self, p):
+        built.append(p)
+        original(self, p)
+
+    monkeypatch.setattr(Matcher, "__init__", counting)
+    return built
+
+
+def test_reduce_builds_a_matcher_only_when_a_rule_changes(matchers_built):
+    done = knuth_bendix(parse_polygraph(A4_TEXT)).final
+    fresh = dataclasses.replace(done)  # no matcher cached yet
+    matchers_built.clear()
+    result = metivier_squier_reduce(fresh)
+    # completed A4 has no right-hand side to change and nothing to drop:
+    # the confluence check and pass 1 share the input's one matcher
+    assert result.trace == ()
+    assert result.final == done
+    assert matchers_built == [fresh]
+
+
+def test_reduce_rebuilds_after_each_changed_right_hand_side(matchers_built):
+    p = parse_polygraph(
+        "monoid\ngenerators: a b c d\norder: a < b < c < d\nrules:\n"
+        "r1: d => c\nr2: c => b\nr3: b => a\n"
+    )
+    result = metivier_squier_reduce(p)
+    assert result.trace == (
+        {"pass": 1, "rule": "r1", "old": "c", "new": "a",
+         "witness": "1*r1*1 . 1*r2*1 . 1*r3*1"},
+        {"pass": 1, "rule": "r2", "old": "b", "new": "a",
+         "witness": "1*r2*1 . 1*r3*1"},
+    )
+    assert [str(r) for r in result.final.rules] == ["r1: d => a", "r2: c => a", "r3: b => a"]
+    # the input's matcher, then one after each of the two changes
+    assert len(matchers_built) == 3
 
 
 def test_public_dataclasses_resolve_type_hints():

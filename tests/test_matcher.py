@@ -18,24 +18,7 @@ from polygraph import (
     parse_polygraph,
 )
 
-from conftest import B3_TEXT, CATEGORY_TEXT, FAMILY_TEXT, LP_TEXT, SQ_TEXT
-
-A4_TEXT = """\
-monoid
-generators: s1 s2 s3 s4
-order: s1 < s2 < s3 < s4
-rules:
-r1: s1 s1 => 1
-r2: s2 s2 => 1
-r3: s3 s3 => 1
-r4: s4 s4 => 1
-r5: s2 s1 s2 => s1 s2 s1
-r6: s3 s1 => s1 s3
-r7: s4 s1 => s1 s4
-r8: s3 s2 s3 => s2 s3 s2
-r9: s4 s2 => s2 s4
-r10: s4 s3 s4 => s3 s4 s3
-"""
+from conftest import A4_TEXT, B3_TEXT, CATEGORY_TEXT, FAMILY_TEXT, LP_TEXT, SQ_TEXT
 
 # a family with no fixed letters: every run of t is a redex
 EMPTY_FAMILY_TEXT = """\
