@@ -106,10 +106,14 @@ class FreeResolution:
     the coherent presentation and normalize freely.  The pump bound is the
     coherent presentation's.  Each ``nf`` cache miss, σ path and ``i3``
     filling is a top-level call with a fresh budget of DEFAULT_FUEL.
+
+    ``d2`` and ``d3`` compute the image of each basis element at the identity
+    once and act on it by the coefficient word: d(u[b]) = u·d([b]).
     """
 
     coherent: CoherentPresentation
     _nf_cache: dict = field(default_factory=dict, repr=False)
+    _images: dict = field(default_factory=dict, repr=False)
 
     @property
     def presentation(self):
@@ -181,10 +185,7 @@ class FreeResolution:
         """ZM[rules] -> ZM[generators]:  u[alpha] |-> u*(fox lhs - fox rhs)."""
         out = {}
         for (u, rule_name), coef in melt.items():
-            rule = self.presentation.lookup_rule(rule_name)
-            delta = self.fox_bracket(rule.lhs)
-            add_into(delta, self.fox_bracket(rule.rhs), -1)
-            add_into(out, self._act(u, delta), coef)
+            add_into(out, self._act(u, self._image(2, rule_name)), coef)
         return out
 
     def bracket_2cell(self, path):
@@ -200,11 +201,26 @@ class FreeResolution:
         """ZM[cells] -> ZM[rules]: u[gamma] |-> u*(bracket2(src) - bracket2(tgt))."""
         out = {}
         for (u, cell_name), coef in melt.items():
-            cell = self.coherent.cell_by_name[cell_name]
-            delta = self.bracket_2cell(cell.source2)
-            add_into(delta, self.bracket_2cell(cell.target2), -1)
-            add_into(out, self._act(u, delta), coef)
+            add_into(out, self._act(u, self._image(3, cell_name)), coef)
         return out
+
+    def _image(self, degree, name):
+        """d2 or d3 of the basis element [name] at the identity, computed on
+        first use.  Keyed by degree too: a rule and a 3-cell may share a name.
+        Callers only read it (``_act`` builds a new element)."""
+        key = (degree, name)
+        image = self._images.get(key)
+        if image is None:
+            if degree == 2:
+                rule = self.presentation.lookup_rule(name)
+                image = self.fox_bracket(rule.lhs)
+                add_into(image, self.fox_bracket(rule.rhs), -1)
+            else:
+                cell = self.coherent.cell_by_name[name]
+                image = self.bracket_2cell(cell.source2)
+                add_into(image, self.bracket_2cell(cell.target2), -1)
+            self._images[key] = image
+        return image
 
     def bracket_3cell(self, expr):
         """Cell content of a 3-cell expression.
@@ -427,6 +443,32 @@ def _basis_labels(p, res):
     return [""], gens, rules, cells
 
 
+def _sparse_differentials(res, elements):
+    """The three differentials over the Z-basis of ``integer_matrices``, one
+    at a time, as (name, row count, columns): column j maps the row index of
+    each nonzero coefficient of the j-th source basis vector's image to it."""
+    p = res.presentation
+    idx = {w.letters: i for i, w in enumerate(elements)}
+    n = len(elements)
+    _, gens, rules, cells = _basis_labels(p, res)
+
+    yield "d1", n, [
+        {idx[w.letters]: coef for w, coef in res.d1({(u, g): 1}).items()}
+        for g in gens
+        for u in elements
+    ]
+    for name, d, sources, targets in (
+        ("d2", res.d2, rules, gens),
+        ("d3", res.d3, cells, rules),
+    ):
+        offset = {label: k * n for k, label in enumerate(targets)}
+        yield name, len(targets) * n, [
+            {offset[b] + idx[w.letters]: coef for (w, b), coef in d({(u, s): 1}).items()}
+            for s in sources
+            for u in elements
+        ]
+
+
 def integer_matrices(res, elements):
     """The three differentials as integer matrices over the Z-basis.
 
@@ -435,45 +477,14 @@ def integer_matrices(res, elements):
     the source; column j holds the differential of the j-th source basis
     vector.
     """
-    p = res.presentation
-    idx = {w.letters: i for i, w in enumerate(elements)}
-    n = len(elements)
-    deg0, deg1, deg2, deg3 = _basis_labels(p, res)
-
-    def ring_column(relt, rows):
-        col = [0] * rows
-        for w, coef in relt.items():
-            col[idx[w.letters]] = coef
-        return col
-
-    def module_column(melt, labels, rows):
-        col = [0] * rows
-        pos = {label: k for k, label in enumerate(labels)}
-        for (w, basis), coef in melt.items():
-            col[pos[basis] * n + idx[w.letters]] = coef
-        return col
-
-    def assemble(columns, rows):
-        return [[col[i] for col in columns] for i in range(rows)]
-
-    d1_cols = [
-        ring_column(res.d1({(u, g): 1}), n) for g in deg1 for u in elements
-    ]
-    d2_cols = [
-        module_column(res.d2({(u, r): 1}), deg1, len(deg1) * n)
-        for r in deg2
-        for u in elements
-    ]
-    d3_cols = [
-        module_column(res.d3({(u, c): 1}), deg2, len(deg2) * n)
-        for c in deg3
-        for u in elements
-    ]
-    return {
-        "d1": assemble(d1_cols, n),
-        "d2": assemble(d2_cols, len(deg1) * n),
-        "d3": assemble(d3_cols, len(deg2) * n),
-    }
+    mats = {}
+    for name, rows, columns in _sparse_differentials(res, elements):
+        dense = [[0] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, coef in col.items():
+                dense[i][j] = coef
+        mats[name] = dense
+    return mats
 
 
 def symbolic_matrices(res):
@@ -508,15 +519,29 @@ def symbolic_matrices(res):
     }
 
 
-def _write_int_matrix(path, name, matrix, row_desc, col_desc):
-    lines = [
-        f"# {name} (integer matrix over the Z-basis; rows = target, cols = source)",
-        f"# rows: {row_desc}",
-        f"# cols: {col_desc}",
-    ]
-    for row in matrix:
-        lines.append(" ".join(str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_int_matrix(path, name, rows, columns, row_desc, col_desc):
+    """Write the dense text form of a sparse matrix, one row at a time."""
+    by_row = {}
+    for j, col in enumerate(columns):
+        for i, coef in col.items():
+            by_row.setdefault(i, []).append((j, str(coef)))
+    zeros = ["0"] * len(columns)
+    zero_line = " ".join(zeros) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"# {name} (integer matrix over the Z-basis; rows = target, cols = source)\n"
+            f"# rows: {row_desc}\n"
+            f"# cols: {col_desc}\n"
+        )
+        for i in range(rows):
+            entries = by_row.get(i)
+            if entries is None:
+                fh.write(zero_line)
+                continue
+            line = zeros.copy()
+            for j, text in entries:
+                line[j] = text
+            fh.write(" ".join(line) + "\n")
 
 
 def _write_sym_matrix(path, name, matrix, row_labels, col_labels):
@@ -527,7 +552,7 @@ def _write_sym_matrix(path, name, matrix, row_labels, col_labels):
     ]
     for row in matrix:
         lines.append(" ; ".join(row) if row else "")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_matrices(res, out_dir, bound=2000):
@@ -572,9 +597,8 @@ def write_matrices(res, out_dir, bound=2000):
     report["finite"] = True
     report["elements"] = len(elements)
     (out / "elements.txt").write_text(
-        "\n".join(str(w) for w in elements) + "\n"
+        "\n".join(str(w) for w in elements) + "\n", encoding="utf-8"
     )
-    mats = integer_matrices(res, elements)
     elt_desc = ", ".join(str(w) for w in elements)
 
     def basis_desc(labels):
@@ -582,8 +606,11 @@ def write_matrices(res, out_dir, bound=2000):
             return elt_desc
         return ", ".join(f"{w}[{lab}]" for lab in labels for w in elements)
 
-    _write_int_matrix(out / "d1.txt", "d1", mats["d1"], basis_desc([""]), basis_desc(gens))
-    _write_int_matrix(out / "d2.txt", "d2", mats["d2"], basis_desc(gens), basis_desc(rules))
-    _write_int_matrix(out / "d3.txt", "d3", mats["d3"], basis_desc(rules), basis_desc(cells))
+    labels = {"d1": ([""], gens), "d2": (gens, rules), "d3": (rules, cells)}
+    for name, rows, columns in _sparse_differentials(res, elements):
+        targets, sources = labels[name]
+        _write_int_matrix(
+            out / f"{name}.txt", name, rows, columns, basis_desc(targets), basis_desc(sources)
+        )
     report["integer"] = ["elements.txt", "d1.txt", "d2.txt", "d3.txt"]
     return report

@@ -144,6 +144,63 @@ r9: s4 s2 => s2 s4
 r10: s4 s3 s4 => s3 s4 s3
 """
 
+# the Coxeter presentations of S4 (A3, 24 elements) and of the hyperoctahedral
+# group of order 48 (B3); neither is confluent as written
+COXETER_A3_TEXT = """\
+monoid
+generators: s1 s2 s3
+order: s1 < s2 < s3
+rules:
+r1: s1 s1 => 1
+r2: s2 s2 => 1
+r3: s3 s3 => 1
+r4: s2 s1 s2 => s1 s2 s1
+r5: s3 s1 => s1 s3
+r6: s3 s2 s3 => s2 s3 s2
+"""
+
+COXETER_B3_TEXT = """\
+monoid
+generators: s1 s2 s3
+order: s1 < s2 < s3
+rules:
+r1: s1 s1 => 1
+r2: s2 s2 => 1
+r3: s3 s3 => 1
+r4: s2 s1 s2 s1 => s1 s2 s1 s2
+r5: s3 s1 => s1 s3
+r6: s3 s2 s3 => s2 s3 s2
+"""
+
+# the trivial monoid: no critical branching, so Squier completion adds no 3-cell
+A_ONE_TEXT = """\
+monoid
+generators: a
+order: a
+rules:
+alpha: a => 1
+"""
+
+# a rule named like the first 3-cell of squier_completion
+CONF0_TEXT = """\
+monoid
+generators: a
+order: a
+rules:
+conf0: a a => a
+"""
+
+# two commuting idempotents, with generator names outside ASCII
+SIGMA_TEXT = """\
+monoid
+generators: σ τ
+order: σ < τ
+rules:
+i: σ σ => σ
+j: τ τ => τ
+k: τ σ => σ τ
+"""
+
 CATEGORY_TEXT = """\
 category
 objects: X Y
@@ -228,6 +285,12 @@ def family():
 def a4_done():
     """A4 completed by knuth_bendix and reduced, as the benchmark builds it."""
     return metivier_squier_reduce(knuth_bendix(parse_polygraph(A4_TEXT)).final).final
+
+
+@pytest.fixture(scope="session")
+def a3_done():
+    """Coxeter A3 completed by knuth_bendix and reduced."""
+    return metivier_squier_reduce(knuth_bendix(parse_polygraph(COXETER_A3_TEXT)).final).final
 
 
 # --------------------------------------------------------------------------

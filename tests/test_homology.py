@@ -1,15 +1,25 @@
 """The length-3 free resolution over the monoid ring: ring arithmetic,
 boundary maps, brackets, contracting homotopies, and matrix export."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
+from conftest import CONF0_TEXT, COXETER_B3_TEXT, SIGMA_TEXT
 from polygraph import (
     FreeResolution,
     PresentationError,
     enumerate_elements,
     format_ring,
     integer_matrices,
+    knuth_bendix,
+    metivier_squier_reduce,
     parse_path,
+    parse_polygraph,
     squier_completion,
     symbolic_matrices,
     try_enumerate,
@@ -17,6 +27,9 @@ from polygraph import (
     write_matrices,
 )
 from polygraph.coherence import Gen
+from polygraph.homology import add_into
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +215,69 @@ def test_rule_family_has_constant_jacobian_column(res_family, family):
         lhs_tail = res_family.nf(family.word("a " + " ".join(["t"] * (n + 1))))
         rhs_tail = res_family.nf(family.word("c " + " ".join(["t"] * n)))
         assert lhs_tail == rhs_tail
+
+
+def test_images_are_keyed_by_degree():
+    """The rule conf0 and the first 3-cell conf0 share a name; d2 and d3 of
+    [conf0] stay the Fox and boundary differences in either call order, and
+    mutating a result does not reach the stored image."""
+    p = parse_polygraph(CONF0_TEXT)
+    cp = squier_completion(p)
+    assert cp.cells[0].name == "conf0"
+    one = p.word("1")
+    basis = {(one, "conf0"): 1}
+    direct = FreeResolution(cp)
+    rule, cell = p.lookup_rule("conf0"), cp.cells[0]
+    fox = add_into(direct.fox_bracket(rule.lhs), direct.fox_bracket(rule.rhs), -1)
+    boundary = add_into(
+        direct.bracket_2cell(cell.source2), direct.bracket_2cell(cell.target2), -1
+    )
+    assert fox != boundary
+    for order in (("d2", "d3"), ("d3", "d2")):
+        res = FreeResolution(cp)
+        want = {"d2": fox, "d3": boundary}
+        for name in order:
+            got = getattr(res, name)(basis)
+            assert got == want[name]
+            got[(one, "a")] = 99
+            assert getattr(res, name)(basis) == want[name]
+
+
+def test_export_memory_follows_nonzeros(tmp_path):
+    """Coxeter B3 (48 elements): d3 is 384 x 1248, whose dense table of
+    pointers alone is 3.8 MB; the export stays below it."""
+    p = metivier_squier_reduce(knuth_bendix(parse_polygraph(COXETER_B3_TEXT)).final).final
+    res = FreeResolution(squier_completion(p))
+    tracemalloc.start()
+    try:
+        report = write_matrices(res, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["elements"] == 48
+    rows = (tmp_path / "d3.txt").read_text(encoding="utf-8").splitlines()[3:]
+    assert len(rows) == 384 and {len(r.split()) for r in rows} == {1248}
+    assert peak < 384 * 1248 * 8
+
+
+def test_export_files_are_utf8(tmp_path):
+    """Every export write names its encoding: a σ τ export raises no
+    EncodingWarning and every file decodes as UTF-8."""
+    src = tmp_path / "sigma.txt"
+    src.write_text(SIGMA_TEXT, encoding="utf-8")
+    out = tmp_path / "mats"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", "import sys; from polygraph.cli import main; sys.exit(main())",
+         "homology", str(src), "--export", str(out)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    names = sorted(f.name for f in out.iterdir())
+    assert names == ["d1.txt", "d1_symbolic.txt", "d2.txt", "d2_symbolic.txt",
+                     "d3.txt", "d3_symbolic.txt", "elements.txt"]
+    texts = {name: (out / name).read_bytes().decode("utf-8") for name in names}
+    assert texts["elements.txt"] == "1\nσ\nτ\nσ τ\n"
+    assert "σ τ[k]" in texts["d3.txt"]
+    assert "# cols: σ | τ" in texts["d1_symbolic.txt"]
