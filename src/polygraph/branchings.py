@@ -12,6 +12,7 @@ every other overlap is a whiskered copy of a critical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .presentation import (
     DEFAULT_FUEL,
@@ -22,7 +23,7 @@ from .presentation import (
     TwoCellPath,
     Word,
 )
-from .rewrite import DEFAULT_PUMP_BOUND, normalize
+from .rewrite import DEFAULT_PUMP_BOUND, normalize, termination_evidence
 
 ASPHERICAL = "aspherical"
 PEIFFER = "peiffer"
@@ -72,7 +73,7 @@ def make_local_branching(p, step1, step2):
 
 
 @dataclass(frozen=True)
-class CriticalBranching:
+class CriticalBranching(LocalBranching):
     """An overlapping branching whose source word is exactly the union of
     the two redex spans (the minimal representative of its whisker class).
 
@@ -81,25 +82,7 @@ class CriticalBranching:
     are reported once, with their instances enumerated up to the pump bound.
     """
 
-    branching: LocalBranching
-    minimal: bool = True
     family: tuple | None = None
-
-    @property
-    def source_word(self):
-        return self.branching.source_word
-
-    @property
-    def step1(self):
-        return self.branching.step1
-
-    @property
-    def step2(self):
-        return self.branching.step2
-
-    @property
-    def offset(self):
-        return self.branching.offset
 
     def describe(self):
         return (
@@ -112,60 +95,56 @@ def _family_name(rule):
     return f"{rule.origin[0]}[n]" if rule.origin else rule.name
 
 
-def enumerate_critical_branchings(p, pump_bound=DEFAULT_PUMP_BOUND):
-    """All critical branchings, pumped instances enumerated for n <= pump_bound.
-
-    Two shapes exist.  Proper overlap: a suffix of one lhs is a prefix of the
-    other, the source being the amalgam.  Inclusion: one lhs occurs inside
-    the other (identical lhs of distinct rules being the degenerate case).
-    Self-overlaps (same rule against itself at offset > 0) count; the same
-    rule at offset 0 is aspherical, not critical.
-
-    Deduplicated as unordered pairs; sorted by declaration order of the two
+def _critical_branchings(p, pairs):
+    """The critical branchings of ordered rule pairs (r1, r2), r1 at
+    position 0 and r2 at offset k; sorted by declaration order of the two
     rules, then offset.
+
+    Two shapes exist.  Inclusion: r2's lhs occurs inside r1's at k
+    (identical lhs of distinct rules being the degenerate case, counted
+    once, from the rule declared first).  Proper overlap: a suffix of r1's
+    lhs is a prefix of r2's, with k >= 1.  Self-overlaps (same rule against
+    itself at k > 0) count; the same rule at k = 0 is aspherical, not
+    critical.  So each unordered branching comes from one ordered pair, and
+    a caller passing both orders of a pair gets it once.  At k = 0 the steps
+    are ordered by declaration.
     """
-    instances = p.all_rule_instances(pump_bound)
-    found = {}
-    for r1 in instances:
-        len1 = len(r1.lhs)
-        if len1 == 0:
-            continue
-        for r2 in instances:
-            len2 = len(r2.lhs)
-            if len2 == 0:
-                continue
-            for k in range(0, len1):
-                if r1 == r2 and k == 0:
-                    continue  # aspherical
-                if k + len2 <= len1:
-                    # inclusion: r2's lhs sits inside r1's
-                    if r1.lhs.letters[k : k + len2] != r2.lhs.letters:
-                        continue
-                    source = r1.lhs
-                else:
-                    # proper overlap: suffix of r1 meets prefix of r2
-                    if r1.lhs.letters[k:] != r2.lhs.letters[: len1 - k]:
-                        continue
-                    source = r1.lhs.concat(r2.lhs.slice(len1 - k, len2))
-                step1 = RewriteStep(source.slice(0, 0), r1, source.slice(len1, len(source)))
-                step2 = RewriteStep(source.slice(0, k), r2, source.slice(k + len2, len(source)))
-                b = make_local_branching(p, step1, step2)
-                if b.kind != OVERLAPPING:
+    out = []
+    for r1, r2 in pairs:
+        w1, w2 = r1.lhs.letters, r2.lhs.letters
+        len1, len2 = len(w1), len(w2)
+        if len2 == 0:
+            continue  # an empty lhs never matches
+        swap = p.rule_key(r2) < p.rule_key(r1)
+        for k in range(len1):
+            if k + len2 <= len1:
+                if w1[k : k + len2] != w2:
                     continue
-                sig = (
-                    source.letters,
-                    tuple(sorted([(p.rule_key(step1.rule), 0), (p.rule_key(step2.rule), k)])),
-                )
-                if sig in found:
+                if k == 0 and (r1 is r2 or (len1 == len2 and swap)):
                     continue
-                family = None
-                if step1.rule.origin or step2.rule.origin:
-                    family = (_family_name(b.step1.rule), _family_name(b.step2.rule), b.offset)
-                found[sig] = CriticalBranching(b, family=family)
+                source = r1.lhs
+            else:
+                if k == 0 or w1[k:] != w2[: len1 - k]:
+                    continue
+                source = r1.lhs.concat(r2.lhs.slice(len1 - k, len2))
+            step1 = RewriteStep(source.slice(0, 0), r1, source.slice(len1, len(source)))
+            step2 = RewriteStep(source.slice(0, k), r2, source.slice(k + len2, len(source)))
+            if k == 0 and swap:
+                step1, step2 = step2, step1
+            family = None
+            if r1.origin or r2.origin:
+                family = (_family_name(step1.rule), _family_name(step2.rule), k)
+            out.append(CriticalBranching(source, step1, step2, OVERLAPPING, family))
     return sorted(
-        found.values(),
-        key=lambda c: (p.rule_key(c.step1.rule), p.rule_key(c.step2.rule), c.offset),
+        out, key=lambda c: (p.rule_key(c.step1.rule), p.rule_key(c.step2.rule), c.offset)
     )
+
+
+def enumerate_critical_branchings(p, pump_bound=DEFAULT_PUMP_BOUND):
+    """All critical branchings, pumped instances enumerated for n <= pump_bound,
+    in the order of _critical_branchings."""
+    instances = p.all_rule_instances(pump_bound)
+    return _critical_branchings(p, product(instances, repeat=2))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +204,7 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
     honest "cannot answer", distinct from a negative answer.
     """
     if not assume_terminating:
-        _require_termination(p, cert, ack_sampled, pump_bound)
+        termination_evidence(p, cert, ack_sampled, pump_bound)
 
     budget = Budget.of(fuel)
     branchings = enumerate_critical_branchings(p, pump_bound)
@@ -263,8 +242,3 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
     }
     return confluent, report
 
-
-def _require_termination(p, cert, ack_sampled, pump_bound):
-    from .rewrite import termination_evidence  # late import; rewrite calls us back
-
-    termination_evidence(p, cert, ack_sampled, pump_bound)

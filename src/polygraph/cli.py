@@ -47,7 +47,7 @@ from .rewrite import (
     termination_evidence,
 )
 from .branchings import decide_confluence, enumerate_critical_branchings
-from .completion import knuth_bendix, metivier_squier_reduce
+from .completion import DEFAULT_MAX_RULES, knuth_bendix, metivier_squier_reduce
 from .coherence import (
     CoherentPresentation,
     Comp1,
@@ -522,7 +522,7 @@ def build_parser():
     s = sub.add_parser("complete", parents=[common],
                        help="Knuth-Bendix completion under the declared deglex order")
     s.add_argument("file")
-    s.add_argument("--max-rules", type=_count, default=256, metavar="N")
+    s.add_argument("--max-rules", type=_count, default=DEFAULT_MAX_RULES, metavar="N")
     s.set_defaults(handler=_cmd_complete)
 
     s = sub.add_parser("reduce", parents=[common],

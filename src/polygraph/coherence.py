@@ -427,18 +427,20 @@ def sigma_zigzag(cp, f, budget):
     normalization square up to step/inverse cancellation (exact when f is
     positive).
     """
-    return _sigma_zigzag(cp, f, 0, budget)
+    if not f.steps:
+        return Id2(ZigZag(f.source))
+    return _sigma_zigzag(cp, f, 0, sigma_path(cp, f.target, budget).inverse(), budget)
 
 
-def _sigma_zigzag(cp, f, i, budget):
-    """sigma_zigzag on the suffix f.steps[i:] of a checked zigzag."""
+def _sigma_zigzag(cp, f, i, sig_v_back, budget):
+    """sigma_zigzag on the suffix f.steps[i:] of a checked zigzag, given
+    σ(target)⁻, which every level shares."""
     u = _source_at(f, i)
     if i == len(f.steps):
         return Id2(ZigZag(u))
     step = f.steps[i]
     v = f.target
-    sig_v_back = sigma_path(cp, v, budget).inverse()
-    top = Comp1(ZigZag(u, (step,)), _sigma_zigzag(cp, f, i + 1, budget), ZigZag(v))
+    top = Comp1(ZigZag(u, (step,)), _sigma_zigzag(cp, f, i + 1, sig_v_back, budget), ZigZag(v))
     bottom = Comp1(ZigZag(u), _sigma_step(cp, step, budget), sig_v_back)
     return Comp2(top, bottom)
 

@@ -35,7 +35,7 @@ from .rewrite import (
     orient,
     termination_evidence,
 )
-from .branchings import decide_confluence, enumerate_critical_branchings
+from .branchings import _critical_branchings, decide_confluence, enumerate_critical_branchings
 
 DEFAULT_MAX_RULES = 256
 
@@ -114,9 +114,8 @@ def knuth_bendix(p, order=None, max_rules=DEFAULT_MAX_RULES, fuel=DEFAULT_FUEL):
         trace.append(entry)
         added.append(rule)
         p = replace(p, rules=p.rules + (rule,))
-        for c in enumerate_critical_branchings(p, 0):
-            if c.step1.rule == rule or c.step2.rule == rule:
-                queue.append(c)
+        pairs = [(rule, r) for r in p.rules] + [(r, rule) for r in p.rules[:-1]]
+        queue.extend(_critical_branchings(p, pairs))
 
     return CompletionResult(p, tuple(added), tuple(trace), "Completed")
 

@@ -77,14 +77,19 @@ def ref_sigma_step(cp, step, budget):
 
 
 def ref_sigma_zigzag(cp, f, budget):
+    if not f.steps:
+        return Id2(ZigZag(f.source))
+    return ref_sigma_suffix(cp, f, sigma_path(cp, f.target, budget).inverse(), budget)
+
+
+def ref_sigma_suffix(cp, f, sig_v_back, budget):
     u = f.source
     if not f.steps:
         return Id2(ZigZag(u))
     step = f.steps[0]
     rest = ZigZag(step.target_word, f.steps[1:])
     v = f.target
-    sig_v_back = sigma_path(cp, v, budget).inverse()
-    top = Comp1(ZigZag.of(step), ref_sigma_zigzag(cp, rest, budget), ZigZag(v))
+    top = Comp1(ZigZag.of(step), ref_sigma_suffix(cp, rest, sig_v_back, budget), ZigZag(v))
     bottom = Comp1(ZigZag(u), ref_sigma_step(cp, step, budget), sig_v_back)
     return Comp2(top, bottom)
 
