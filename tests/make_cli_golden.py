@@ -1,0 +1,175 @@
+"""The CLI golden file: one line per ``polygraph`` invocation over the texts
+of ``conftest``, holding the argv, the exit code and the sha256 of the
+``--json`` standard output.
+
+    PYTHONPATH=src python tests/make_cli_golden.py
+
+rewrites ``tests/cli_golden.txt``; ``test_cli_golden.py`` compares the live
+output with it.  Every invocation runs in-process through ``cli.main``.  The
+files it reads are written to a temporary directory, whose path is replaced
+by ``{tmp}`` in the argv and in the output before hashing.
+
+The invocations cover ``nf`` (both strategies, and ``--fuel 2`` partial
+paths), ``eq``, ``cp``, ``cp --resolve``, ``cohere``, ``reduce``,
+``complete``, ``homology``, ``fill`` (positive, zigzag and non-composing
+paths), ``std`` and ``cert``.  Words and paths are drawn from
+``random.Random(<text name>)`` and built with the library, so the argv list
+itself is part of what the file pins.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from polygraph import ZigZag, normalize, parse_polygraph
+from polygraph.cli import main
+
+import conftest as texts
+
+GOLDEN = Path(__file__).with_name("cli_golden.txt")
+
+PRESENTATIONS = {
+    "b3": texts.B3_TEXT,
+    "xyx": texts.XYX_TEXT,
+    "xyx_done": texts.XYX_DONE_TEXT,
+    "mu": texts.MU_TEXT,
+    "sq": texts.SQ_TEXT,
+    "stq": texts.STQ_TEXT,
+    "lp": texts.LP_TEXT,
+    "family": texts.FAMILY_TEXT,
+    "a4": texts.A4_TEXT,
+    "coxeter_a3": texts.COXETER_A3_TEXT,
+    "coxeter_b3": texts.COXETER_B3_TEXT,
+    "a_one": texts.A_ONE_TEXT,
+    "conf0": texts.CONF0_TEXT,
+    "sigma": texts.SIGMA_TEXT,
+    "category": texts.CATEGORY_TEXT,
+    # with a generator order, so that the category's spheres can be filled
+    "category_ordered": texts.CATEGORY_TEXT + "order: f < g\n",
+}
+OTHER_FILES = {
+    "z2": texts.Z2_TABLE,
+    "trivial": texts.TRIVIAL_TABLE,
+    "nonassoc": texts.NONASSOC_TABLE,
+    "sq_cert": texts.SQ_CERT_TEXT,
+    "sq_bad_cert": texts.SQ_BAD_CERT_TEXT,
+}
+WORD_LENGTHS = (4, 7, 11)
+
+
+def random_word(rng, p, length):
+    """A composable word: a walk along the generators from a random object."""
+    obj = rng.choice(p.objects)
+    letters = []
+    for _ in range(length):
+        out = [g.name for g in p.generators if g.source == obj]
+        if not out:
+            break
+        name = rng.choice(out)
+        letters.append(name)
+        obj = p.generator_map[name].target
+    return p.word_from_letters(letters, at=obj)
+
+
+def fill_pairs(p, w):
+    """Parallel pairs of paths out of w: the leftmost against the rightmost
+    normalization path, a zigzag against the identity, and a partial
+    leftmost path against a zigzag through the normal form; then pairs
+    whose first path does not compose."""
+    _, left = normalize(p, w, "leftmost")
+    _, right = normalize(p, w, "rightmost")
+    pairs = [(left, right), (left.then(right.inverse()), ZigZag(w))]
+    k = len(left) // 2
+    if k:
+        head, tail = ZigZag(w, left.steps[:k]), ZigZag(left.steps[k].source_word, left.steps[k:])
+        pairs.append((head, right.then(tail.inverse())))
+    pairs = [(str(f), str(g)) for f, g in pairs]
+    if len(left) >= 2:
+        swapped = [str(s) for s in left.steps]
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        pairs.append((" . ".join(swapped), str(right)))
+        pairs.append((" . ".join([str(left.steps[0])] * 2), str(right)))
+    return pairs
+
+
+def invocations():
+    """Every argv, with file names as ``{tmp}/<name>.txt``."""
+    out = []
+
+    def f(name):
+        return "{tmp}/" + name + ".txt"
+
+    for name, text in PRESENTATIONS.items():
+        p = parse_polygraph(text)
+        rng = random.Random(name)
+        words = [random_word(rng, p, n) for n in WORD_LENGTHS]
+        for w in words:
+            for strategy in ("leftmost", "rightmost"):
+                out.append(["nf", f(name), str(w), "--strategy", strategy])
+            out.append(["nf", f(name), str(w), "--fuel", "2"])
+        if p.is_monoid:
+            out.append(["eq", f(name), str(words[0]), str(words[1])])
+            out.append(["eq", f(name), str(words[2]), str(words[2])])
+        out += [["cp", f(name)], ["cp", f(name), "--resolve"], ["cohere", f(name)],
+                ["reduce", f(name)], ["homology", f(name)]]
+        caps = (6, 24, 48) if name == "lp" else (None,)
+        for cap in caps:
+            out.append(["complete", f(name)] + (["--max-rules", str(cap)] if cap else []))
+        for w in words[:2]:
+            for zz1, zz2 in fill_pairs(p, w):
+                out.append(["fill", f(name), zz1, zz2])
+    # a step whose context does not compose with the rule; then the same
+    # after a step that does not rewrite the running word: the first of
+    # the two failures is reported
+    cat = f("category_ordered")
+    out.append(["fill", cat, "f*rho*1", "id(f f g f)"])
+    out.append(["fill", cat, "1*rho*g f . 1*rho*g f . f*rho*1", "id(f g f g f)"])
+    sq = f("sq")
+    out += [
+        ["cp", sq, "--cert", f("sq_cert")],
+        ["cohere", sq, "--cert", f("sq_cert")],
+        ["homology", sq, "--cert", f("sq_cert"), "--samples", "4"],
+        ["cert", sq, f("sq_cert")],
+        ["cert", sq, f("sq_bad_cert")],
+        ["cert", f("b3"), f("sq_cert")],
+        ["eq", sq, "x a t b y", "1", "--cert", f("sq_cert")],
+        ["homology", f("mu"), "--export", "{tmp}/out"],
+        ["std", f("z2")],
+        ["std", f("trivial")],
+        ["std", f("nonassoc")],
+    ]
+    return [argv + ["--json"] for argv in out]
+
+
+def run_one(argv, tmp):
+    """(exit code, --json standard output) of one invocation, with the
+    temporary directory written as ``{tmp}``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([a.replace("{tmp}", tmp) for a in argv])
+    return code, stdout.getvalue().replace(tmp, "{tmp}")
+
+
+def golden_runs():
+    """(line, output) per invocation; a line is the JSON of
+    [argv, exit code, sha256 of the output]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in {**PRESENTATIONS, **OTHER_FILES}.items():
+            Path(tmp, name + ".txt").write_text(text, encoding="utf-8")
+        out = []
+        for argv in invocations():
+            code, stdout = run_one(argv, tmp)
+            digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+            out.append((json.dumps([argv, code, digest]), stdout))
+        return out
+
+
+if __name__ == "__main__":
+    lines = [line for line, _ in golden_runs()]
+    GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(lines)} invocations to {GOLDEN}", file=sys.stderr)
