@@ -127,8 +127,8 @@ def _critical_branchings(p, pairs):
                 if k == 0 or w1[k:] != w2[: len1 - k]:
                     continue
                 source = r1.lhs.concat(r2.lhs.slice(len1 - k, len2))
-            step1 = RewriteStep(source.slice(0, 0), r1, source.slice(len1, len(source)))
-            step2 = RewriteStep(source.slice(0, k), r2, source.slice(k + len2, len(source)))
+            step1 = RewriteStep(source, 0, r1)
+            step2 = RewriteStep(source, k, r2)
             if k == 0 and swap:
                 step1, step2 = step2, step1
             family = None
@@ -172,16 +172,17 @@ class NotConfluent:
     status = "NotConfluent"
 
 
-def resolve_branching(p, b, strategy="leftmost", fuel=DEFAULT_FUEL):
-    """Normalize both legs of a branching and compare the normal forms.
+def resolve_branching(p, b, fuel=DEFAULT_FUEL):
+    """Normalize both legs of a branching leftmost and compare the normal
+    forms.
 
     Both legs draw on one budget (`fuel`, an int or a shared Budget);
     FuelExhausted names the branching when it runs out.
     """
     budget = Budget.of(fuel)
     try:
-        nf1, f_prime = normalize(p, b.step1.target_word, strategy, budget)
-        nf2, g_prime = normalize(p, b.step2.target_word, strategy, budget)
+        nf1, f_prime = normalize(p, b.step1.target_word, "leftmost", budget)
+        nf2, g_prime = normalize(p, b.step2.target_word, "leftmost", budget)
     except FuelExhausted as exc:
         raise FuelExhausted(f"resolving branching {b.describe()}: {exc}") from None
     if nf1 == nf2:
@@ -212,7 +213,7 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
     confluent = True
     for b in branchings:
         try:
-            res = resolve_branching(p, b, "leftmost", budget)
+            res = resolve_branching(p, b, budget)
         except FuelExhausted as exc:
             exc.trace = {"branchings": entries, "truncated": bool(p.pumped)}
             raise

@@ -145,12 +145,8 @@ def transported(a, b):
     if not (j1 <= i2 or j2 <= i1):
         raise CompositionError("cannot transport across overlapping spans")
     w = a.target_word
-    if j1 <= i2:
-        pos = i2 + (len(a.target_word) - len(a.source_word))
-    else:
-        pos = i2
-    inner = len(b.rule.lhs) if b.forward else len(b.rule.rhs)
-    return RewriteStep(w.slice(0, pos), b.rule, w.slice(pos + inner, len(w)), b.forward)
+    pos = i2 + (len(w) - len(a.source_word)) if j1 <= i2 else i2
+    return RewriteStep(w, pos, b.rule, b.forward)
 
 
 def boundary3(e):
@@ -267,7 +263,7 @@ def squier_completion(p, pump_bound=DEFAULT_PUMP_BOUND, fuel=DEFAULT_FUEL,
     budget = Budget.of(fuel)
     cells = []
     for i, b in enumerate(enumerate_critical_branchings(p, pump_bound)):
-        res = resolve_branching(p, b, "leftmost", budget)
+        res = resolve_branching(p, b, budget)
         if res.status == "NotConfluent":
             raise NotCertified(
                 f"cannot build a coherent presentation: branching on '{b.source_word}' "
@@ -310,12 +306,9 @@ def fill_local_branching(cp, f, g):
     start = h.position
     end = max(h.span[1], k.span[1])
     u, v = w.slice(0, start), w.slice(end, len(w))
-    h_core = RewriteStep(
-        w.slice(start, h.position), h.rule, w.slice(h.span[1], end), h.forward
-    )
-    k_core = RewriteStep(
-        w.slice(start, k.position), k.rule, w.slice(k.span[1], end), k.forward
-    )
+    core = w.slice(start, end)
+    h_core = RewriteStep(core, 0, h.rule, h.forward)
+    k_core = RewriteStep(core, k.position - start, k.rule, k.forward)
     cell = cp.branching_index.get(_branching_key(h_core, k_core))
     if cell is None:
         core = (f"the critical branching ({h.rule.name} @ {h.position}, "
@@ -349,9 +342,9 @@ def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
 
 
 def _source_at(path, i):
-    """The word before step i of a checked path (its target when i is the
-    path's length)."""
-    return path.steps[i - 1].target_word if i else path.source
+    """The word before step i of a path (its target when i is the path's
+    length)."""
+    return path.steps[i].source_word if i < len(path.steps) else path.target
 
 
 def _fill_positive(cp, p, i, q, j, budget):
@@ -400,9 +393,10 @@ def sigma_path(cp, w, fuel=DEFAULT_FUEL):
     return path
 
 
-def _sigma_step(cp, step, budget):
+def _sigma_step(cp, step, sig_u, sig_m, budget):
     """An expression [step] ⋆₁ σ(target word) ⇛ σ(source word), for a step
-    of either direction.
+    of either direction, given sig_u = σ(source word) and sig_m = σ(target
+    word).
 
     Forward steps fill directly (both sides are positive paths to the
     normal form).  A backward step s = t⁻ instead fills the sphere
@@ -410,8 +404,6 @@ def _sigma_step(cp, step, budget):
     carries an uncancelled [s][t] pair, which the reduction-aware joint
     check of Comp2 absorbs.
     """
-    sig_u = sigma_path(cp, step.source_word, budget)
-    sig_m = sigma_path(cp, step.target_word, budget)
     if step.forward:
         return fill_positive(cp, ZigZag.of(step).then(sig_m), sig_u, budget)
     fwd = step.inverse()  # the underlying forward step, target word -> source word
@@ -425,24 +417,23 @@ def sigma_zigzag(cp, f, budget):
 
     The source boundary is exactly f; the target boundary is the
     normalization square up to step/inverse cancellation (exact when f is
-    positive).
+    positive).  The steps are straightened from the last to the first, and
+    each word of f is normalized once.
     """
-    if not f.steps:
-        return Id2(ZigZag(f.source))
-    return _sigma_zigzag(cp, f, 0, sigma_path(cp, f.target, budget).inverse(), budget)
-
-
-def _sigma_zigzag(cp, f, i, sig_v_back, budget):
-    """sigma_zigzag on the suffix f.steps[i:] of a checked zigzag, given
-    σ(target)⁻, which every level shares."""
-    u = _source_at(f, i)
-    if i == len(f.steps):
-        return Id2(ZigZag(u))
-    step = f.steps[i]
     v = f.target
-    top = Comp1(ZigZag(u, (step,)), _sigma_zigzag(cp, f, i + 1, sig_v_back, budget), ZigZag(v))
-    bottom = Comp1(ZigZag(u), _sigma_step(cp, step, budget), sig_v_back)
-    return Comp2(top, bottom)
+    if not f.steps:
+        return Id2(ZigZag(v))
+    sig_m = sigma_path(cp, v, budget)
+    sig_v_back = sig_m.inverse()
+    expr = Id2(ZigZag(v))
+    for step in reversed(f.steps):
+        u = step.source_word
+        sig_u = sigma_path(cp, u, budget)
+        top = Comp1(ZigZag(u, (step,)), expr, ZigZag(v))
+        bottom = Comp1(ZigZag(u), _sigma_step(cp, step, sig_u, sig_m, budget), sig_v_back)
+        expr = Comp2(top, bottom)
+        sig_m = sig_u
+    return expr
 
 
 def fill_sphere(cp, f, g, fuel=DEFAULT_FUEL):
@@ -581,8 +572,8 @@ def standard_coherent_presentation(table):
     iota = Rule("i", identity_word(), gword(table.unit))
     rules.append(iota)
 
-    def step(rule, left=None, right=None):
-        return RewriteStep(left or identity_word(), rule, right or identity_word())
+    def step(rule, left=identity_word(), right=identity_word()):
+        return RewriteStep(left.concat(rule.lhs, right), len(left), rule)
 
     one = table.unit
     cells = []
@@ -729,8 +720,7 @@ def transfer_homotopy_basis(sigma, xi, F, G, tau_gen, gamma,
         assert out.parallel, f"transferred cell {out.name} has a non-parallel boundary"
         cells.append(out)
     for rule in xi.all_rule_instances(pump_bound):
-        alpha = ZigZag.of(RewriteStep(identity_word(rule.lhs.source), rule,
-                                      identity_word(rule.lhs.target)))
+        alpha = ZigZag.of(RewriteStep(rule.lhs, 0, rule))
         fg_alpha = F.zigzag(G.zigzag(alpha))
         source2 = fg_alpha.then(tau_word(F, G, tau_gen, rule.rhs))
         target2 = tau_word(F, G, tau_gen, rule.lhs).then(alpha)

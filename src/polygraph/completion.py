@@ -25,7 +25,6 @@ from .presentation import (
     RewriteStep,
     Rule,
     ZigZag,
-    identity_word,
 )
 from .rewrite import (
     DEFAULT_PUMP_BOUND,
@@ -190,9 +189,7 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
             nf, path = normalize(current, rule.rhs, "leftmost", budget)
             if nf == rule.rhs:
                 continue
-            witness = ZigZag.of(*(
-                (rule_step(rule),) + path.steps
-            ))
+            witness = ZigZag.of(RewriteStep(rule.lhs, 0, rule), *path.steps)
             trace.append({
                 "pass": 1, "rule": rule.name,
                 "old": str(rule.rhs), "new": str(nf),
@@ -210,7 +207,7 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
         key = (rule.lhs.letters, rule.rhs.letters)
         if key in seen:
             keeper = seen[key]
-            witness = ZigZag.of(rule_step(keeper))
+            witness = ZigZag.of(RewriteStep(keeper.lhs, 0, keeper))
             trace.append({
                 "pass": 2, "removed": rule.name, "kept": keeper.name,
                 "witness": str(witness),
@@ -249,9 +246,3 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
     assert ok, f"reduction left violations: {violations}"
     return ReductionResult(final, tuple(trace))
 
-
-def rule_step(rule, forward=True):
-    """The whisker-free rewriting step of a rule at its own lhs."""
-    return RewriteStep(
-        identity_word(rule.lhs.source), rule, identity_word(rule.lhs.target), forward
-    )

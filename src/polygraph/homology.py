@@ -28,7 +28,6 @@ from functools import cmp_to_key
 from .presentation import (
     PresentationError,
     RewriteStep,
-    Word,
     ZigZag,
     identity_word,
 )
@@ -136,9 +135,6 @@ class FreeResolution:
     def mult(self, u, v):
         """Product in the monoid: normal form of the concatenation."""
         return self.nf(u.concat(v))
-
-    def _sigma(self, w):
-        return sigma_path(self.coherent, w)
 
     def _act(self, u, elt):
         """Left action of the monoid element (normal form word) u on a module
@@ -266,7 +262,7 @@ class FreeResolution:
         out = {}
         for (u, gen), coef in melt.items():
             x = self.presentation.word_from_letters((gen,))
-            path = self._sigma(u.concat(x))
+            path = sigma_path(self.coherent, u.concat(x))
             add_into(out, self.bracket_2cell(path), coef)
         return out
 
@@ -277,9 +273,9 @@ class FreeResolution:
         out = {}
         for (u, rule_name), coef in melt.items():
             rule = self.presentation.lookup_rule(rule_name)
-            step = RewriteStep(u, rule, identity_word(rule.lhs.target), True)
-            f = ZigZag.of(step).then(self._sigma(step.target_word))
-            g = self._sigma(step.source_word)
+            step = RewriteStep(u.concat(rule.lhs), len(u), rule)
+            f = ZigZag.of(step).then(sigma_path(self.coherent, step.target_word))
+            g = sigma_path(self.coherent, step.source_word)
             expr = fill_sphere(self.coherent, f, g)
             add_into(out, self.bracket_3cell(expr), coef)
         return out

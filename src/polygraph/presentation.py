@@ -235,40 +235,64 @@ class PumpedRule:
 
 @dataclass(frozen=True)
 class RewriteStep:
-    """One rule application inside a context: left . lhs . right.
+    """One rule application inside a context: the word left . lhs . right,
+    recorded as that source word and the position of the lhs in it.
 
-    ``forward=False`` is the formal inverse (rewriting right-to-left); such
-    steps only appear inside zigzags.
+    ``forward=False`` is the formal inverse (rewriting right-to-left, so
+    the rhs sits at ``position``); such steps only appear inside zigzags.
+    The input side must occur at ``position``, letters and junction objects
+    both, so every step is a redex occurrence.  The contexts ``left`` and
+    ``right`` are built when asked for.
     """
 
-    left: Word
+    source_word: Word
+    position: int
     rule: Rule
-    right: Word
     forward: bool = True
 
+    def __post_init__(self):
+        inner = self.rule.lhs if self.forward else self.rule.rhs
+        a, w = self.position, self.source_word
+        b = a + len(inner.letters)
+        if not (a >= 0 and w.letters[a:b] == inner.letters and w.nodes[a : b + 1] == inner.nodes):
+            side = "lhs" if self.forward else "rhs"
+            raise CompositionError(
+                f"rule {self.rule.name}: its {side} {inner} does not occur at {a} in {w}"
+            )
+
     @property
-    def position(self):
-        return len(self.left)
+    def left(self):
+        return self.source_word.slice(0, self.position)
+
+    @property
+    def right(self):
+        inner = self.rule.lhs if self.forward else self.rule.rhs
+        return self.source_word.slice(self.position + len(inner), len(self.source_word))
 
     @property
     def span(self):
         return (self.position, self.position + len(self.rule.lhs))
 
     @property
-    def source_word(self):
-        inner = self.rule.lhs if self.forward else self.rule.rhs
-        return self.left.concat(inner, self.right)
-
-    @property
     def target_word(self):
-        inner = self.rule.rhs if self.forward else self.rule.lhs
-        return self.left.concat(inner, self.right)
+        rule = self.rule
+        inner, outer = (rule.lhs, rule.rhs) if self.forward else (rule.rhs, rule.lhs)
+        letters, nodes = self.source_word.letters, self.source_word.nodes
+        a = self.position
+        b = a + len(inner.letters)
+        if outer.nodes[0] != nodes[a] or outer.nodes[-1] != nodes[b]:
+            self.left.concat(outer, self.right)  # a rule that is not parallel: concat raises
+        return Word(
+            letters[:a] + outer.letters + letters[b:], nodes[:a] + outer.nodes + nodes[b + 1 :]
+        )
 
     def inverse(self):
-        return replace(self, forward=not self.forward)
+        return RewriteStep(self.target_word, self.position, self.rule, not self.forward)
 
     def whisker(self, left, right):
-        return replace(self, left=left.concat(self.left), right=self.right.concat(right))
+        return RewriteStep(
+            left.concat(self.source_word, right), len(left) + self.position, self.rule, self.forward
+        )
 
     def __str__(self):
         name = self.rule.name if self.forward else self.rule.name + "-"
@@ -281,7 +305,8 @@ class ZigZag:
 
     With all steps forward this is a positive rewriting path (exported under
     the alias TwoCellPath); in general it is a 2-cell of the free
-    (2,1)-category. Composability is checked on construction.
+    (2,1)-category. Composability is checked on construction: each step
+    must rewrite the word the steps before it reached.
     """
 
     source: Word
@@ -289,35 +314,15 @@ class ZigZag:
     target: Word = field(init=False, compare=False)
 
     def __post_init__(self):
-        # The running word is kept as its two tuples; a step matches when
-        # its left context, input side and right context are the running
-        # word's slices, letters and junction objects both, which is
-        # exactly ``step.source_word == word`` without building either.
-        letters, nodes = self.source.letters, self.source.nodes
+        word = self.source
         for i, step in enumerate(self.steps):
-            left, right = step.left, step.right
-            rule = step.rule
-            inner, outer = (rule.lhs, rule.rhs) if step.forward else (rule.rhs, rule.lhs)
-            a = len(left.letters)
-            b = a + len(inner.letters)
-            if not (
-                letters[:a] == left.letters
-                and letters[a:b] == inner.letters
-                and letters[b:] == right.letters
-                and nodes[: a + 1] == left.nodes
-                and nodes[a : b + 1] == inner.nodes
-                and nodes[b:] == right.nodes
-            ):
+            if step.source_word != word:
                 raise CompositionError(
                     f"step {i} ({step}) rewrites {step.source_word}, "
-                    f"but the running word is {Word(letters, nodes)}"
+                    f"but the running word is {word}"
                 )
-            if outer.nodes[0] != nodes[a] or outer.nodes[-1] != nodes[b]:
-                left.concat(outer, right)  # a non-parallel rule: concat raises
-            letters = left.letters + outer.letters + right.letters
-            nodes = left.nodes + outer.nodes[1:] + right.nodes[1:]
-        target = Word(letters, nodes) if self.steps else self.source
-        object.__setattr__(self, "target", target)
+            word = step.target_word
+        object.__setattr__(self, "target", word)
 
     @classmethod
     def of(cls, *steps):
@@ -820,7 +825,7 @@ def parse_path(p, text, line=None):
     if m:
         w = p.word(m.group(1)) if m.group(1) else p.word("1")
         return ZigZag(w)
-    steps = []
+    pieces = []
     for chunk in text.split("."):
         chunk = chunk.strip()
         parts = [s.strip() for s in chunk.split("*")]
@@ -835,9 +840,17 @@ def parse_path(p, text, line=None):
         inner = rule.lhs if forward else rule.rhs
         left = p.word(left_txt, at=inner.source)
         right = p.word(right_txt, at=inner.target)
-        steps.append(RewriteStep(left, rule, right, forward=forward))
+        pieces.append((left, inner, right, rule, forward))
     try:
-        return ZigZag.of(*steps)
+        # in path order, so that the first step that fails is reported:
+        # by not composing, or by not rewriting the running word
+        steps = []
+        for left, inner, right, rule, forward in pieces:
+            step = RewriteStep(left.concat(inner, right), len(left), rule, forward)
+            steps.append(step)
+            if len(steps) > 1 and step.source_word != steps[-2].target_word:
+                break
+        return ZigZag(steps[0].source_word, tuple(steps))
     except CompositionError as exc:
         raise PresentationError(f"path does not compose: {exc}", line) from None
 
@@ -965,8 +978,7 @@ def tietze_apply(p, move):
             mentioned = any(
                 x in z.source.letters
                 or any(
-                    x in s.left.letters
-                    or x in s.right.letters
+                    x in s.source_word.letters
                     or x in s.rule.lhs.letters
                     or x in s.rule.rhs.letters
                     for s in z.steps

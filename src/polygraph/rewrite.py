@@ -73,9 +73,7 @@ def find_redexes(p, w, pump_bound=DEFAULT_PUMP_BOUND):
         if rule.lhs.is_identity:
             continue
         for pos in w.occurrences(rule.lhs):
-            out.append(
-                RewriteStep(w.slice(0, pos), rule, w.slice(pos + len(rule.lhs), len(w)))
-            )
+            out.append(RewriteStep(w, pos, rule))
     out.sort(key=lambda s: (s.position, p.rule_key(s.rule)))
     return out
 
@@ -249,7 +247,7 @@ def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
             budget.charge()
             k = len(rule.lhs)
             i = len(text) - x - k if scan.reverse else x
-            step = RewriteStep(current.slice(0, i), rule, current.slice(i + k, len(current)))
+            step = RewriteStep(current, i, rule)
             steps.append(step)
             current = step.target_word
             text = text[:x] + rhs + text[x + k:]

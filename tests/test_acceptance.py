@@ -21,7 +21,6 @@ import pytest
 
 from polygraph import (
     FreeResolution,
-    RewriteStep,
     TwoCellPath,
     TwoFunctor,
     ZigZag,
@@ -45,7 +44,7 @@ from polygraph import (
 )
 from polygraph.homology import _acc, add_into
 
-from conftest import f_path, pi_alpha
+from conftest import f_path, pi_alpha, rstep
 
 DEFAULT_FUEL = 10_000
 
@@ -337,7 +336,7 @@ def test_criterion_9_family_spheres_and_transfer(sq, stq, sq_cert):
 
     # transfer the basis to the finite presentation of the same monoid
     def own_step(p, name):
-        return ZigZag.of(RewriteStep(p.word("1"), p.lookup_rule(name), p.word("1")))
+        return ZigZag.of(rstep(p.word("1"), p.lookup_rule(name), p.word("1")))
 
     fixed = ("beta", "gamma", "delta", "eps")
     F_rules = {name: own_step(stq, name) for name in fixed}
@@ -347,7 +346,7 @@ def test_criterion_9_family_spheres_and_transfer(sq, stq, sq_cert):
 
     G_rules = {name: own_step(sq, name) for name in fixed}
     G_rules["alpha0"] = ZigZag.of(
-        RewriteStep(sq.word("1"), sq.pumped[0].instance(0), sq.word("1"))
+        rstep(sq.word("1"), sq.pumped[0].instance(0), sq.word("1"))
     )
     G = TwoFunctor(stq, sq, {g: sq.word(g) for g in stq.generator_map}, G_rules)
 

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 from polygraph import (
     NotCertified,
-    RewriteStep,
     classify_local_branching,
     decide_confluence,
     enumerate_critical_branchings,
@@ -14,18 +13,20 @@ from polygraph import (
 )
 from polygraph.branchings import ASPHERICAL, OVERLAPPING, PEIFFER
 
+from conftest import rstep
+
 
 def test_classification(b3):
     beta = b3.lookup_rule("beta")
     alpha = b3.lookup_rule("alpha")
     # on s t s t: two disjoint copies of the s t redex
-    s_beta0 = RewriteStep(b3.word("1"), beta, b3.word("s t"))
-    s_beta2 = RewriteStep(b3.word("s t"), beta, b3.word("1"))
+    s_beta0 = rstep(b3.word("1"), beta, b3.word("s t"))
+    s_beta2 = rstep(b3.word("s t"), beta, b3.word("1"))
     assert classify_local_branching(s_beta0, s_beta0) == ASPHERICAL
     assert classify_local_branching(s_beta0, s_beta2) == PEIFFER
     # on s t a: the redexes s t and t a share the middle letter
-    s_beta = RewriteStep(b3.word("1"), beta, b3.word("a"))
-    s_alpha = RewriteStep(b3.word("s"), alpha, b3.word("1"))
+    s_beta = rstep(b3.word("1"), beta, b3.word("a"))
+    s_alpha = rstep(b3.word("s"), alpha, b3.word("1"))
     assert classify_local_branching(s_beta, s_alpha) == OVERLAPPING
     b = make_local_branching(b3, s_alpha, s_beta)
     assert b.step1 == s_beta  # canonical order: by position first

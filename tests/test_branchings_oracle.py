@@ -31,6 +31,7 @@ from conftest import (
     STQ_TEXT,
     XYX_DONE_TEXT,
     XYX_TEXT,
+    rstep,
 )
 from polygraph import (
     DEFAULT_FUEL,
@@ -38,7 +39,6 @@ from polygraph import (
     CriticalBranching,
     FuelExhausted,
     PresentationError,
-    RewriteStep,
     Rule,
     check_deglex_termination,
     completion,
@@ -97,8 +97,8 @@ def ref_enumerate_critical_branchings(p, pump_bound):
                     if r1.lhs.letters[k:] != r2.lhs.letters[: len1 - k]:
                         continue
                     source = r1.lhs.concat(r2.lhs.slice(len1 - k, len2))
-                step1 = RewriteStep(source.slice(0, 0), r1, source.slice(len1, len(source)))
-                step2 = RewriteStep(source.slice(0, k), r2, source.slice(k + len2, len(source)))
+                step1 = rstep(source.slice(0, 0), r1, source.slice(len1, len(source)))
+                step2 = rstep(source.slice(0, k), r2, source.slice(k + len2, len(source)))
                 b = make_local_branching(p, step1, step2)
                 if b.kind != OVERLAPPING:
                     continue

@@ -8,7 +8,6 @@ from polygraph import (
     CompositionError,
     NotCertified,
     PresentationError,
-    RewriteStep,
     TwoFunctor,
     ZigZag,
     boundary3,

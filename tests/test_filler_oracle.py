@@ -66,9 +66,7 @@ def ref_fill_positive(cp, p_path, q_path, budget):
     return Comp2(Comp2(top, middle), bottom)
 
 
-def ref_sigma_step(cp, step, budget):
-    sig_u = sigma_path(cp, step.source_word, budget)
-    sig_m = sigma_path(cp, step.target_word, budget)
+def ref_sigma_step(cp, step, sig_u, sig_m, budget):
     if step.forward:
         return ref_fill_positive(cp, ZigZag.of(step).then(sig_m), sig_u, budget)
     fwd = step.inverse()
@@ -79,19 +77,23 @@ def ref_sigma_step(cp, step, budget):
 def ref_sigma_zigzag(cp, f, budget):
     if not f.steps:
         return Id2(ZigZag(f.source))
-    return ref_sigma_suffix(cp, f, sigma_path(cp, f.target, budget).inverse(), budget)
+    return ref_sigma_suffix(cp, f, sigma_path(cp, f.target, budget), budget)[0]
 
 
-def ref_sigma_suffix(cp, f, sig_v_back, budget):
+def ref_sigma_suffix(cp, f, sig_v, budget):
+    """The expression for the zigzag f, which ends where the whole one
+    does, and σ(f.source); each word is normalized once, after the words
+    that follow it."""
     u = f.source
     if not f.steps:
-        return Id2(ZigZag(u))
+        return Id2(ZigZag(u)), sig_v
     step = f.steps[0]
     rest = ZigZag(step.target_word, f.steps[1:])
-    v = f.target
-    top = Comp1(ZigZag.of(step), ref_sigma_suffix(cp, rest, sig_v_back, budget), ZigZag(v))
-    bottom = Comp1(ZigZag(u), ref_sigma_step(cp, step, budget), sig_v_back)
-    return Comp2(top, bottom)
+    inner, sig_m = ref_sigma_suffix(cp, rest, sig_v, budget)
+    sig_u = sigma_path(cp, u, budget)
+    top = Comp1(ZigZag.of(step), inner, ZigZag(f.target))
+    bottom = Comp1(ZigZag(u), ref_sigma_step(cp, step, sig_u, sig_m, budget), sig_v.inverse())
+    return Comp2(top, bottom), sig_u
 
 
 def ref_fill_sphere(cp, f, g, budget):

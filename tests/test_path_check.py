@@ -1,20 +1,19 @@
 """The composability check of ZigZag against the word-building check.
 
-The oracle builds each step's source and target words, as the check did
-before it compared tuple slices.  Seeded valid paths must reach the same
-target; seeded mutations of them must be refused with the oracle's exact
-message, or, where a mutation happens to stay valid, be accepted with the
-oracle's target.
+A step is given by its parts (left context, rule, right context, forward).
+The oracle builds each step's source and target words from the parts; the
+library builds a RewriteStep from the same parts and checks the ZigZag.
+Seeded valid paths must reach the same target; seeded mutations of them
+must be refused with the oracle's exact message, or, where a mutation
+happens to stay valid, be accepted with the oracle's target.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from polygraph import (
     CompositionError,
-    RewriteStep,
     Rule,
     Word,
     ZigZag,
@@ -25,34 +24,41 @@ from polygraph import (
 )
 from polygraph.coherence import standard_coherent_presentation
 
-from conftest import B3_TEXT, CATEGORY_TEXT, SQ_TEXT, Z2_TABLE, TRIVIAL_TABLE
+from conftest import B3_TEXT, CATEGORY_TEXT, SQ_TEXT, Z2_TABLE, TRIVIAL_TABLE, rstep
 
 
-def oracle_target(source, steps):
+def oracle_target(source, parts):
     word = source
-    for i, step in enumerate(steps):
-        if step.source_word != word:
+    for i, (left, rule, right, forward) in enumerate(parts):
+        inner, outer = (rule.lhs, rule.rhs) if forward else (rule.rhs, rule.lhs)
+        step_source = left.concat(inner, right)
+        if step_source != word:
+            name = rule.name if forward else rule.name + "-"
             raise CompositionError(
-                f"step {i} ({step}) rewrites {step.source_word}, "
+                f"step {i} ({left}*{name}*{right}) rewrites {step_source}, "
                 f"but the running word is {word}"
             )
-        word = step.target_word
+        word = left.concat(outer, right)
     return word
 
 
-def outcome(check, source, steps):
+def outcome(check, source, parts):
     try:
-        return "ok", check(source, steps)
+        return "ok", check(source, parts)
     except CompositionError as exc:
         return "refused", str(exc)
 
 
-def library_target(source, steps):
-    return ZigZag(source, steps).target
+def library_target(source, parts):
+    return ZigZag(source, tuple(rstep(*step) for step in parts)).target
 
 
-def inner_len(step):
-    return len(step.rule.lhs if step.forward else step.rule.rhs)
+def parts_of(path):
+    return tuple((s.left, s.rule, s.right, s.forward) for s in path.steps)
+
+
+def inner_of(rule, forward):
+    return rule.lhs if forward else rule.rhs
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +99,17 @@ def unit_paths(table, p, rng, count, length):
         source, steps = w, []
         for _ in range(rng.randint(1, 6)):
             n = len(w)
-            moves = [RewriteStep(w.slice(0, k), rules["i"], w.slice(k, n)) for k in range(n + 1)]
+            moves = [rstep(w.slice(0, k), rules["i"], w.slice(k, n)) for k in range(n + 1)]
             for k in range(n):
                 a = w.letters[k][2:]
                 if k + 1 < n:
                     b = w.letters[k + 1][2:]
-                    moves.append(RewriteStep(w.slice(0, k), rules[f"m_{a}_{b}"], w.slice(k + 2, n)))
+                    moves.append(rstep(w.slice(0, k), rules[f"m_{a}_{b}"], w.slice(k + 2, n)))
                 if w.letters[k] == unit:
-                    moves.append(RewriteStep(w.slice(0, k), rules["i"], w.slice(k + 1, n), False))
+                    moves.append(rstep(w.slice(0, k), rules["i"], w.slice(k + 1, n), False))
                 for (u, v), z in table.product.items():
                     if z == a:
-                        moves.append(RewriteStep(
+                        moves.append(rstep(
                             w.slice(0, k), rules[f"m_{u}_{v}"], w.slice(k + 1, n), False))
             step = rng.choice(moves)
             steps.append(step)
@@ -113,34 +119,37 @@ def unit_paths(table, p, rng, count, length):
 
 
 # ---------------------------------------------------------------------------
-# mutations of one step
+# mutations of the parts of one step
 
 
-def shift(step, rng):
+def shift(parts, rng):
     """Slide the redex one letter left or right in the same source word,
     or drop the first letter of the left context."""
-    w = step.source_word
-    pos, k = step.position, inner_len(step)
+    left, rule, right, forward = parts
+    inner = inner_of(rule, forward)
+    w = left.concat(inner, right)
+    pos, k = len(left), len(inner)
     moves = []
     for d in (-1, 1):
         if 0 <= pos + d and pos + d + k <= len(w):
-            moves.append(replace(step, left=w.slice(0, pos + d),
-                                 right=w.slice(pos + d + k, len(w))))
-    if step.left.letters:
-        moves.append(replace(step, left=step.left.slice(1, len(step.left))))
+            moves.append((w.slice(0, pos + d), rule, w.slice(pos + d + k, len(w)), forward))
+    if left.letters:
+        moves.append((left.slice(1, len(left)), rule, right, forward))
     return rng.choice(moves) if moves else None
 
 
-def other_rule(step, rng, rules):
-    choices = [r for r in rules if r != step.rule]
-    return replace(step, rule=rng.choice(choices))
+def other_rule(parts, rng, rules):
+    left, rule, right, forward = parts
+    choices = [r for r in rules if r != rule]
+    return left, rng.choice(choices), right, forward
 
 
-def flip(step, rng):
-    return step.inverse()
+def flip(parts, rng):
+    left, rule, right, forward = parts
+    return left, rule, right, not forward
 
 
-def other_object(step, rng, objects):
+def other_object(parts, rng, objects):
     """Keep the letters of a context but move its objects: an empty context
     on the other object, or every node of a non-empty one renamed."""
     def moved(word):
@@ -149,8 +158,10 @@ def other_object(step, rng, objects):
         swap = {objects[0]: objects[1], objects[1]: objects[0]}
         return Word(word.letters, tuple(swap[n] for n in word.nodes))
 
-    side = rng.choice(("left", "right"))
-    return replace(step, **{side: moved(getattr(step, side))})
+    left, rule, right, forward = parts
+    if rng.choice(("left", "right")) == "left":
+        return moved(left), rule, right, forward
+    return left, rule, moved(right), forward
 
 
 def check_mutations(paths, mutations, rng, rounds=3):
@@ -158,17 +169,19 @@ def check_mutations(paths, mutations, rng, rounds=3):
     its steps gets the oracle's outcome.  Returns refusals per mutation."""
     refused = {name: 0 for name in mutations}
     for path in paths:
-        assert outcome(library_target, path.source, path.steps) == (
-            "ok", oracle_target(path.source, path.steps))
-        if not path.steps:
+        parts = parts_of(path)
+        assert outcome(library_target, path.source, parts) == (
+            "ok", oracle_target(path.source, parts))
+        assert oracle_target(path.source, parts) == path.target
+        if not parts:
             continue
         for name, mutate in mutations.items():
             for _ in range(rounds):
-                i = rng.randrange(len(path.steps))
-                step = mutate(path.steps[i], rng)
+                i = rng.randrange(len(parts))
+                step = mutate(parts[i], rng)
                 if step is None:
                     continue
-                steps = path.steps[:i] + (step,) + path.steps[i + 1:]
+                steps = parts[:i] + (step,) + parts[i + 1:]
                 want = outcome(oracle_target, path.source, steps)
                 assert outcome(library_target, path.source, steps) == want, (name, str(path))
                 refused[name] += want[0] == "refused"
@@ -214,9 +227,9 @@ def test_context_objects_are_checked_in_a_category():
     _, path = normalize(p, fgf)
     for nodes in (("Y", "X", "Y", "X"), ("X", "X", "X", "Y")):
         moved = Word(fgf.letters, nodes)
-        want = outcome(oracle_target, moved, path.steps)
+        want = outcome(oracle_target, moved, parts_of(path))
         assert want[0] == "refused"
-        assert outcome(library_target, moved, path.steps) == want
+        assert outcome(library_target, moved, parts_of(path)) == want
 
 
 def test_a_rule_that_is_not_parallel_fails_like_the_oracle():
@@ -225,7 +238,7 @@ def test_a_rule_that_is_not_parallel_fails_like_the_oracle():
     # f g f : X -> Y rewritten to g : Y -> X; the source matches, the
     # target does not compose
     bad = Rule("bad", fgf, p.word("g"))
-    step = RewriteStep(identity_word("X"), bad, identity_word("Y"))
+    step = (identity_word("X"), bad, identity_word("Y"), True)
     want = outcome(oracle_target, fgf, (step,))
     assert want == ("refused", "cannot compose 1 (ends at X) with g (starts at Y)")
     assert outcome(library_target, fgf, (step,)) == want

@@ -1,6 +1,8 @@
 """Words, rules, zigzags, 3-cells: construction, parsing, serialization,
 and the Tietze moves."""
 
+import random
+
 import pytest
 
 from polygraph import (
@@ -12,8 +14,10 @@ from polygraph import (
     RemoveRule,
     RewriteStep,
     ThreeCell,
+    Word,
     ZigZag,
     identity_word,
+    normalize,
     parse_path,
     parse_polygraph,
     serialize_polygraph,
@@ -21,7 +25,7 @@ from polygraph import (
     validate,
 )
 
-from conftest import CATEGORY_TEXT
+from conftest import B3_TEXT, CATEGORY_TEXT, SQ_TEXT, rstep
 
 
 def test_parse_monoid_basics(b3):
@@ -117,20 +121,78 @@ def test_serialization_round_trip(b3, sq, xyx_done):
 
 def test_rewrite_step_words(b3):
     beta = b3.lookup_rule("beta")
-    step = RewriteStep(b3.word("1"), beta, b3.word("s"))
+    step = rstep(b3.word("1"), beta, b3.word("s"))
     assert str(step.source_word) == "s t s"
     assert str(step.target_word) == "a s"
     assert step.position == 0
-    back = RewriteStep(b3.word("1"), beta, b3.word("s"), forward=False)
+    back = rstep(b3.word("1"), beta, b3.word("s"), forward=False)
     assert back.source_word == step.target_word
     assert back.target_word == step.source_word
+
+
+def test_rewrite_step_input_side_must_be_at_its_position(b3):
+    beta, alpha = b3.lookup_rule("beta"), b3.lookup_rule("alpha")
+    w = b3.word("a s t s s")  # beta's lhs s t sits at 1
+    assert RewriteStep(w, 1, beta).left == b3.word("a")
+    assert RewriteStep(w, 1, beta).right == b3.word("s s")
+    for position, rule, forward in (
+        (2, beta, True),  # slid one letter right
+        (0, beta, True),  # slid one letter left
+        (1, alpha, True),  # another rule
+        (-1, beta, True),  # negative positions; -4 is the redex counted
+        (-4, beta, True),  # from the end
+        (4, beta, True),  # past the end
+        (6, beta, True),
+        (1, beta, False),  # backward: beta's rhs a is not at 1
+    ):
+        with pytest.raises(CompositionError, match="does not occur at"):
+            RewriteStep(w, position, rule, forward)
+    assert RewriteStep(w, 0, beta, False).target_word == b3.word("s t s t s s")
+
+
+def test_rewrite_step_checks_the_objects_inside_the_redex():
+    p = parse_polygraph(CATEGORY_TEXT)
+    rho = p.lookup_rule("rho")  # f g f : X -> Y
+    w = p.word("g f g f")  # Y -> X -> Y -> X -> Y
+    assert RewriteStep(w, 1, rho).target_word == p.word("g f")
+    # the same letters, one junction object inside the redex moved
+    moved = Word(w.letters, ("Y", "X", "X", "X", "Y"))
+    with pytest.raises(CompositionError, match="does not occur at"):
+        RewriteStep(moved, 1, rho)
+
+
+def category_word(p, rng, length):
+    letters = ("f", "g") if rng.random() < 0.5 else ("g", "f")
+    start = "X" if letters[0] == "f" else "Y"
+    return p.word_from_letters([letters[i % 2] for i in range(length)], at=start)
+
+
+def plain_word(p, rng, length):
+    return p.word_from_letters(rng.choice([g.name for g in p.generators]) for _ in range(length))
+
+
+@pytest.mark.parametrize("text, word", [
+    (B3_TEXT, plain_word), (SQ_TEXT, plain_word), (CATEGORY_TEXT, category_word),
+], ids=["b3", "sq", "category"])
+def test_parse_path_round_trips_seeded_paths(text, word):
+    p = parse_polygraph(text)
+    rng = random.Random(13)
+    paths = 0
+    for _ in range(15):
+        w = word(p, rng, rng.randint(1, 12))
+        _, left = normalize(p, w, "leftmost")
+        _, right = normalize(p, w, "rightmost")
+        for path in (left, right, left.then(right.inverse()), right.inverse().then(left)):
+            assert parse_path(p, str(path)) == path, str(path)
+            paths += bool(path.steps)
+    assert paths >= 30
 
 
 def test_zigzag_composition_and_inverse(b3):
     beta = b3.lookup_rule("beta")
     alpha = b3.lookup_rule("alpha")
     z = ZigZag.of(
-        RewriteStep(b3.word("1"), beta, b3.word("s")),
+        rstep(b3.word("1"), beta, b3.word("s")),
     ).then(ZigZag(b3.word("a s")))
     assert str(z.source) == "s t s" and str(z.target) == "a s"
     assert len(z.steps) == 1
@@ -141,14 +203,14 @@ def test_zigzag_composition_and_inverse(b3):
     assert z.then(inv).reduced() == ZigZag(z.source)
     with pytest.raises(CompositionError):
         ZigZag.of(
-            RewriteStep(b3.word("1"), beta, b3.word("s")),
-            RewriteStep(b3.word("1"), alpha, b3.word("1")),
+            rstep(b3.word("1"), beta, b3.word("s")),
+            rstep(b3.word("1"), alpha, b3.word("1")),
         )
 
 
 def test_zigzag_whisker(b3):
     beta = b3.lookup_rule("beta")
-    z = ZigZag.of(RewriteStep(b3.word("1"), beta, b3.word("1")))
+    z = ZigZag.of(rstep(b3.word("1"), beta, b3.word("1")))
     w = z.whisker(b3.word("a"), b3.word("t a"))
     assert str(w.source) == "a s t t a"
     assert str(w.target) == "a a t a"
