@@ -306,9 +306,9 @@ def fill_local_branching(cp, f, g):
     start = h.position
     end = max(h.span[1], k.span[1])
     u, v = w.slice(0, start), w.slice(end, len(w))
-    core = w.slice(start, end)
-    h_core = RewriteStep(core, 0, h.rule, h.forward)
-    k_core = RewriteStep(core, k.position - start, k.rule, k.forward)
+    core_word = w.slice(start, end)
+    h_core = RewriteStep(core_word, 0, h.rule, h.forward)
+    k_core = RewriteStep(core_word, k.position - start, k.rule, k.forward)
     cell = cp.branching_index.get(_branching_key(h_core, k_core))
     if cell is None:
         core = (f"the critical branching ({h.rule.name} @ {h.position}, "

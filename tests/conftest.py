@@ -309,33 +309,29 @@ def rstep(left, rule, right, forward=True):
     return RewriteStep(left.concat(inner, right), len(left), rule, forward)
 
 
-def _text_step(p, left, rule, right):
-    return rstep(p.word(left), p.lookup_rule(rule), p.word(right))
-
-
 def gamma_path(p, n):
     """x t^n => t^n x by sliding x to the right one letter at a time."""
     if n == 0:
         return ZigZag(p.word("x"))
-    return ZigZag.of(_text_step(p, "1", "gamma", ts(n - 1))).then(
+    return ZigZag.of(rstep(p.word("1"), p.lookup_rule("gamma"), p.word(ts(n - 1)))).then(
         gamma_path(p, n - 1).whisker(p.word("t"), p.word("1"))
     )
 
 
 def f_path(p, n):
     """x a t^n b => a t^(n+1) b x: push x through a, then the t block, then b."""
-    first = _text_step(p, "1", "beta", (ts(n) + " b") if n else "b")
+    first = rstep(p.word("1"), p.lookup_rule("beta"), p.word((ts(n) + " b") if n else "b"))
     return (
         ZigZag.of(first)
         .then(gamma_path(p, n).whisker(p.word("a t"), p.word("b")))
-        .then(ZigZag.of(_text_step(p, "a " + ts(n + 1), "delta", "1")))
+        .then(ZigZag.of(rstep(p.word("a " + ts(n + 1)), p.lookup_rule("delta"), p.word("1"))))
     )
 
 
 def g_path(p, n):
     """x a t^n b y => a t^(n+1) b: f_path with y on the right, then cancel xy."""
     return f_path(p, n).whisker(p.word("1"), p.word("y")).then(
-        ZigZag.of(_text_step(p, "a " + ts(n + 1) + " b", "eps", "1"))
+        ZigZag.of(rstep(p.word("a " + ts(n + 1) + " b"), p.lookup_rule("eps"), p.word("1")))
     )
 
 
@@ -343,12 +339,12 @@ def pi_alpha(p, n, a0name="alpha[0]"):
     """a t^n b => 1 using only alpha at n = 0 — the projection of the n-th
     family instance through the recursive confluence diagrams."""
     if n == 0:
-        return ZigZag.of(_text_step(p, "1", a0name, "1"))
+        return ZigZag.of(rstep(p.word("1"), p.lookup_rule(a0name), p.word("1")))
     return (
         g_path(p, n - 1)
         .inverse()
         .then(pi_alpha(p, n - 1, a0name).whisker(p.word("x"), p.word("y")))
-        .then(ZigZag.of(_text_step(p, "1", "eps", "1")))
+        .then(ZigZag.of(rstep(p.word("1"), p.lookup_rule("eps"), p.word("1"))))
     )
 
 

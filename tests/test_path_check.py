@@ -57,10 +57,6 @@ def parts_of(path):
     return tuple((s.left, s.rule, s.right, s.forward) for s in path.steps)
 
 
-def inner_of(rule, forward):
-    return rule.lhs if forward else rule.rhs
-
-
 # ---------------------------------------------------------------------------
 # valid paths
 
@@ -126,7 +122,7 @@ def shift(parts, rng):
     """Slide the redex one letter left or right in the same source word,
     or drop the first letter of the left context."""
     left, rule, right, forward = parts
-    inner = inner_of(rule, forward)
+    inner = rule.lhs if forward else rule.rhs
     w = left.concat(inner, right)
     pos, k = len(left), len(inner)
     moves = []
