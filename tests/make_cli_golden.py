@@ -14,7 +14,9 @@ paths), ``eq``, ``cp``, ``cp --resolve``, ``cohere``, ``reduce``,
 ``complete``, ``homology``, ``fill`` (positive, zigzag and non-composing
 paths), ``std`` and ``cert``.  Words and paths are drawn from
 ``random.Random(<text name>)`` and built with the library, so the argv list
-itself is part of what the file pins.
+itself is part of what the file pins.  Deep ``fill`` spheres (the leftmost
+against the rightmost path of words of length 14 to 16, over B3+ and the
+completed A4) are drawn from ``random.Random(<text name>/deep)``.
 """
 
 import contextlib
@@ -26,7 +28,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from polygraph import ZigZag, normalize, parse_polygraph
+from polygraph import (
+    ZigZag,
+    knuth_bendix,
+    metivier_squier_reduce,
+    normalize,
+    parse_polygraph,
+    serialize_polygraph,
+)
 from polygraph.cli import main
 
 import conftest as texts
@@ -52,7 +61,12 @@ PRESENTATIONS = {
     # with a generator order, so that the category's spheres can be filled
     "category_ordered": texts.CATEGORY_TEXT + "order: f < g\n",
 }
+# A4 completed by knuth_bendix and reduced, as the benchmark builds it
+A4_DONE_TEXT = serialize_polygraph(
+    metivier_squier_reduce(knuth_bendix(parse_polygraph(texts.A4_TEXT)).final).final
+)
 OTHER_FILES = {
+    "a4_done": A4_DONE_TEXT,
     "z2": texts.Z2_TABLE,
     "trivial": texts.TRIVIAL_TABLE,
     "nonassoc": texts.NONASSOC_TABLE,
@@ -60,6 +74,8 @@ OTHER_FILES = {
     "sq_bad_cert": texts.SQ_BAD_CERT_TEXT,
 }
 WORD_LENGTHS = (4, 7, 11)
+DEEP_FILL_LENGTHS = (14, 15, 16)
+DEEP_FILLS = 4
 
 
 def random_word(rng, p, length):
@@ -143,6 +159,15 @@ def invocations():
         ["std", f("trivial")],
         ["std", f("nonassoc")],
     ]
+    # deep spheres: the leftmost against the rightmost path of longer words
+    for name, text in (("b3", texts.B3_TEXT), ("a4_done", A4_DONE_TEXT)):
+        p = parse_polygraph(text)
+        rng = random.Random(name + "/deep")
+        for _ in range(DEEP_FILLS):
+            w = random_word(rng, p, rng.choice(DEEP_FILL_LENGTHS))
+            _, left = normalize(p, w, "leftmost")
+            _, right = normalize(p, w, "rightmost")
+            out.append(["fill", f(name), str(left), str(right)])
     return [argv + ["--json"] for argv in out]
 
 
