@@ -317,8 +317,8 @@ def fill_local_branching(cp, f, g):
         if over:
             raise FuelExhausted(f"{core} needs {over[0]}, above the pump bound {cp.pump_bound}")
         raise PresentationError(f"no generating 3-cell for {core} — stale coherent presentation")
-    h_rest = ZigZag(cell.target2.steps[0].target_word, cell.target2.steps[1:])
-    k_rest = ZigZag(cell.source2.steps[0].target_word, cell.source2.steps[1:])
+    h_rest = _rest(cell.target2)
+    k_rest = _rest(cell.source2)
     if f is h or (f.rule == h.rule and f.position == h.position):
         # f runs along the cell's target side, so invert the cell
         f_prime = h_rest.whisker(u, v)
@@ -336,9 +336,15 @@ def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
     steps peel off; differing first steps resolve through
     fill_local_branching plus a leftmost confluence path h, and the three
     sub-spheres are pasted vertically.  boundary3(result) = (p, q) exactly.
-    Each node and each step of h costs one unit of the one budget.
+    The recursion meets the same sub-sphere many times; a memo that lives
+    for this one call fills each distinct sub-sphere once and shares its
+    expression, so the result is a DAG with the value of the tree.  Each
+    sub-sphere filled and each step of its h costs one unit of the one
+    budget; a sub-sphere met again costs nothing.
     """
-    return _fill_positive(cp, p_path, 0, q_path, 0, Budget.of(fuel))
+    return _fill_positive(
+        cp, p_path, _step_keys(p_path), 0, q_path, _step_keys(q_path), 0, Budget.of(fuel), {}
+    )
 
 
 def _source_at(path, i):
@@ -347,13 +353,30 @@ def _source_at(path, i):
     return path.steps[i].source_word if i < len(path.steps) else path.target
 
 
-def _fill_positive(cp, p, i, q, j, budget):
+def _rest(path):
+    """The path without its first step."""
+    return ZigZag._chained(_source_at(path, 1), path.steps[1:], path.target)
+
+
+def _step_keys(path):
+    """Each step of a path as (position, rule name, direction): with the
+    source word, these name the path in the filler's memo."""
+    return tuple((s.position, s.rule.name, s.forward) for s in path.steps)
+
+
+def _fill_positive(cp, p, p_keys, i, q, q_keys, j, budget, memo):
     """fill_positive on the sphere between p.steps[i:] and q.steps[j:].
 
     Both paths are checked already, so a suffix is read by its index; it
-    is never rebuilt as a ZigZag, which would check it again.
+    is never rebuilt as a ZigZag, which would check it again.  ``p_keys``
+    and ``q_keys`` are the paths' step keys, and ``memo`` maps each
+    sphere filled in this call to its expression.
     """
     p_source, q_source = _source_at(p, i), _source_at(q, j)
+    key = (p_source.letters, p_source.nodes, p_keys[i:], q_keys[j:])
+    known = memo.get(key)
+    if known is not None:
+        return known
     if p_source != q_source or p.target != q.target:
         raise CompositionError(
             f"paths are not parallel: {p_source}->{p.target} "
@@ -362,15 +385,20 @@ def _fill_positive(cp, p, i, q, j, budget):
     budget.charge()
 
     if i == len(p.steps) and j == len(q.steps):
-        return Id2(ZigZag(p_source))
+        memo[key] = expr = Id2(ZigZag(p_source))
+        return expr
     assert i < len(p.steps) and j < len(q.steps), (
         "one-sided sphere at a normal word is impossible: a positive path "
         "out of a normal form has no first step"
     )
     a, b = p.steps[i], q.steps[j]
-    if a == b:
-        inner = _fill_positive(cp, p, i + 1, q, j + 1, budget)
-        return Comp1(ZigZag(p_source, (a,)), inner, ZigZag(p.target))
+    a_path = ZigZag._chained(p_source, (a,), _source_at(p, i + 1))
+    end = ZigZag(p.target)
+    # the source words are equal, so the first steps are equal when these are
+    if p_keys[i] == q_keys[j]:
+        inner = _fill_positive(cp, p, p_keys, i + 1, q, q_keys, j + 1, budget, memo)
+        memo[key] = expr = Comp1(a_path, inner, end)
+        return expr
 
     f1, g1, cell_expr = fill_local_branching(cp, a, b)
     join = f1.target
@@ -379,12 +407,22 @@ def _fill_positive(cp, p, i, q, j, budget):
         f"confluence path from '{join}' reaches '{h.target}', "
         f"not the sphere target '{p.target}'"
     )
-    top = Comp1(ZigZag(p_source, (a,)), _fill_positive(cp, p, i + 1, f1.then(h), 0, budget),
-                ZigZag(p.target))
+    h_keys = _step_keys(h)
+    top = Comp1(
+        a_path,
+        _fill_positive(cp, p, p_keys, i + 1, f1.then(h), _step_keys(f1) + h_keys, 0,
+                       budget, memo),
+        end,
+    )
     middle = Comp1(ZigZag(p_source), cell_expr, h)
-    bottom = Comp1(ZigZag(q_source, (b,)), _fill_positive(cp, g1.then(h), 0, q, j + 1, budget),
-                   ZigZag(p.target))
-    return Comp2(Comp2(top, middle), bottom)
+    bottom = Comp1(
+        ZigZag._chained(q_source, (b,), _source_at(q, j + 1)),
+        _fill_positive(cp, g1.then(h), _step_keys(g1) + h_keys, 0, q, q_keys, j + 1,
+                       budget, memo),
+        end,
+    )
+    memo[key] = expr = Comp2(Comp2(top, middle), bottom)
+    return expr
 
 
 def sigma_path(cp, w, fuel=DEFAULT_FUEL):

@@ -51,9 +51,9 @@ class Budget:
     """The fuel of one top-level call, shared by everything that call runs.
 
     ``normalize`` charges one unit per rewriting step and the sphere filler
-    one per node.  Every ``fuel=`` parameter takes an int, which starts a
-    fresh budget for that call, or a Budget, which the call charges in
-    place and hands on to everything it runs.
+    one per distinct sub-sphere it fills.  Every ``fuel=`` parameter takes
+    an int, which starts a fresh budget for that call, or a Budget, which
+    the call charges in place and hands on to everything it runs.
     """
 
     def __init__(self, fuel=DEFAULT_FUEL):
@@ -306,7 +306,10 @@ class ZigZag:
     With all steps forward this is a positive rewriting path (exported under
     the alias TwoCellPath); in general it is a 2-cell of the free
     (2,1)-category. Composability is checked on construction: each step
-    must rewrite the word the steps before it reached.
+    must rewrite the word the steps before it reached.  A path the library
+    builds from paths it has checked (``then``, ``inverse``, ``whisker``,
+    ``reduced``, the path ``normalize`` returns) is chained at its
+    junctions and not walked again.
     """
 
     source: Word
@@ -323,6 +326,16 @@ class ZigZag:
                 )
             word = step.target_word
         object.__setattr__(self, "target", word)
+
+    @classmethod
+    def _chained(cls, source, steps, target):
+        """The path of steps already known to chain from source to target,
+        built without walking them again."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "source", source)
+        object.__setattr__(path, "steps", steps)
+        object.__setattr__(path, "target", target)
+        return path
 
     @classmethod
     def of(cls, *steps):
@@ -345,15 +358,18 @@ class ZigZag:
                 )
             steps = steps + other.steps
             tail = other.target
-        return ZigZag(self.source, steps)
+        return ZigZag._chained(self.source, steps, tail)
 
     def inverse(self):
-        return ZigZag(self.target, tuple(s.inverse() for s in reversed(self.steps)))
+        return ZigZag._chained(
+            self.target, tuple(s.inverse() for s in reversed(self.steps)), self.source
+        )
 
     def whisker(self, left, right):
-        return ZigZag(
+        return ZigZag._chained(
             left.concat(self.source, right),
             tuple(s.whisker(left, right) for s in self.steps),
+            left.concat(self.target, right),
         )
 
     def reduced(self):
@@ -361,15 +377,21 @@ class ZigZag:
 
         This is the free-groupoid reduction on the step sequence; it does NOT
         apply exchange relations.  Used to decide composability of vertical
-        composites of 3-cell expressions.
+        composites of 3-cell expressions.  The steps chain, so a step
+        cancels the one before it exactly when both apply the same rule at
+        the same position in opposite directions.
         """
         stack = []
         for step in self.steps:
-            if stack and stack[-1] == step.inverse():
+            if stack and (
+                (top := stack[-1]).position == step.position
+                and top.forward != step.forward
+                and top.rule == step.rule
+            ):
                 stack.pop()
             else:
                 stack.append(step)
-        return ZigZag(self.source, tuple(stack))
+        return ZigZag._chained(self.source, tuple(stack), self.target)
 
     def __str__(self):
         if not self.steps:

@@ -253,8 +253,9 @@ def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
             text = text[:x] + rhs + text[x + k:]
             lo = scan.rescan(text, x)
     except FuelExhausted as exc:
-        raise FuelExhausted(f"normalizing '{w}': {exc}", TwoCellPath(w, tuple(steps))) from None
-    return current, TwoCellPath(w, tuple(steps))
+        partial = TwoCellPath._chained(w, tuple(steps), current)
+        raise FuelExhausted(f"normalizing '{w}': {exc}", partial) from None
+    return current, TwoCellPath._chained(w, tuple(steps), current)
 
 
 # ---------------------------------------------------------------------------

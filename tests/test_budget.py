@@ -2,6 +2,8 @@
 Budget passed in is charged in place by everything the call runs, and every
 exhaustion names its phase."""
 
+import sys
+
 import pytest
 
 import polygraph
@@ -53,22 +55,28 @@ def cp_b3(b3):
     return squier_completion(b3)
 
 
-def test_fill_sphere_charges_nested_normalizations(b3, cp_b3, monkeypatch):
+class NodeCounting(Budget):
+    """A budget that also counts the units filler nodes charge: one per
+    sub-sphere actually filled, none for one met again."""
+
+    def __init__(self, fuel=polygraph.DEFAULT_FUEL):
+        super().__init__(fuel)
+        self.nodes = 0
+
+    def charge(self):
+        super().charge()
+        if sys._getframe(1).f_code is coherence._fill_positive.__code__:
+            self.nodes += 1
+
+
+def test_fill_sphere_charges_nested_normalizations(b3, cp_b3):
     w = b3.word("s t s a s t")
     _, f = normalize(b3, w, "leftmost")
     _, g = normalize(b3, w, "rightmost")
-    nodes = 0
-    original = coherence._fill_positive
-
-    def counting(*args):
-        nonlocal nodes
-        nodes += 1
-        return original(*args)
-
-    # every filler node, not only the top-level call
-    monkeypatch.setattr(coherence, "_fill_positive", counting)
-    budget = Budget()
+    # every filled node, not only the top-level call
+    budget = NodeCounting()
     fill_sphere(cp_b3, f, g, budget)
+    nodes = budget.nodes
     assert nodes > 0
     # filler nodes alone do not cover it: the confluence paths cost too
     assert spent(budget) > nodes

@@ -2,11 +2,16 @@
 
 The reference below rebuilds the rest of both paths as a new ZigZag at
 every node (and so re-checks every remaining step); the library walks the
-checked paths by index.  On seeded positive and σ spheres both must return
-equal expressions, charge the budget in the same order, and run out of a
-short budget at the same point with the same message.
+checked paths by index and fills each distinct sub-sphere once per
+``fill_positive`` call.  On seeded positive and σ spheres both must return
+equal expressions.  The charges are compared with the reference run with
+its own per-call memo, keyed by the suffix ZigZags: both must charge the
+budget in the same order, and run out of a short budget at the same point
+with the same message.  The library never charges more than the reference
+without a memo.
 """
 
+import functools
 import random
 import sys
 
@@ -37,7 +42,18 @@ SQ_PUMP_BOUND = 8
 # the reference: the filler with a suffix ZigZag per node
 
 
-def ref_fill_positive(cp, p_path, q_path, budget):
+def ref_fill_positive(cp, p_path, q_path, budget, memo=None):
+    """The filler; with a memo (a dict for one top-level call), each pair
+    of suffix paths is filled once and met again for free."""
+    if memo is None:
+        return ref_fill_node(cp, p_path, q_path, budget, None)
+    key = (p_path, q_path)
+    if key not in memo:
+        memo[key] = ref_fill_node(cp, p_path, q_path, budget, memo)
+    return memo[key]
+
+
+def ref_fill_node(cp, p_path, q_path, budget, memo):
     if p_path.source != q_path.source or p_path.target != q_path.target:
         raise CompositionError(
             f"paths are not parallel: {p_path.source}->{p_path.target} "
@@ -52,35 +68,36 @@ def ref_fill_positive(cp, p_path, q_path, budget):
     p_rest = ZigZag(a.target_word, p_path.steps[1:])
     q_rest = ZigZag(b.target_word, q_path.steps[1:])
     if a == b:
-        inner = ref_fill_positive(cp, p_rest, q_rest, budget)
+        inner = ref_fill_positive(cp, p_rest, q_rest, budget, memo)
         return Comp1(ZigZag.of(a), inner, ZigZag(p_path.target))
 
     f1, g1, cell_expr = fill_local_branching(cp, a, b)
     _, h = normalize(cp.base, f1.target, "leftmost", budget)
     assert h.target == p_path.target
-    top = Comp1(ZigZag.of(a), ref_fill_positive(cp, p_rest, f1.then(h), budget),
+    top = Comp1(ZigZag.of(a), ref_fill_positive(cp, p_rest, f1.then(h), budget, memo),
                 ZigZag(p_path.target))
     middle = Comp1(ZigZag(p_path.source), cell_expr, h)
-    bottom = Comp1(ZigZag.of(b), ref_fill_positive(cp, g1.then(h), q_rest, budget),
+    bottom = Comp1(ZigZag.of(b), ref_fill_positive(cp, g1.then(h), q_rest, budget, memo),
                    ZigZag(p_path.target))
     return Comp2(Comp2(top, middle), bottom)
 
 
-def ref_sigma_step(cp, step, sig_u, sig_m, budget):
+def ref_sigma_step(cp, step, sig_u, sig_m, budget, memoized):
+    memo = {} if memoized else None
     if step.forward:
-        return ref_fill_positive(cp, ZigZag.of(step).then(sig_m), sig_u, budget)
+        return ref_fill_positive(cp, ZigZag.of(step).then(sig_m), sig_u, budget, memo)
     fwd = step.inverse()
-    inner = ref_fill_positive(cp, ZigZag.of(fwd).then(sig_u), sig_m, budget)
+    inner = ref_fill_positive(cp, ZigZag.of(fwd).then(sig_u), sig_m, budget, memo)
     return Inv(Comp1(ZigZag.of(step), inner, ZigZag(sig_u.target)))
 
 
-def ref_sigma_zigzag(cp, f, budget):
+def ref_sigma_zigzag(cp, f, budget, memoized):
     if not f.steps:
         return Id2(ZigZag(f.source))
-    return ref_sigma_suffix(cp, f, sigma_path(cp, f.target, budget), budget)[0]
+    return ref_sigma_suffix(cp, f, sigma_path(cp, f.target, budget), budget, memoized)[0]
 
 
-def ref_sigma_suffix(cp, f, sig_v, budget):
+def ref_sigma_suffix(cp, f, sig_v, budget, memoized):
     """The expression for the zigzag f, which ends where the whole one
     does, and σ(f.source); each word is normalized once, after the words
     that follow it."""
@@ -89,20 +106,27 @@ def ref_sigma_suffix(cp, f, sig_v, budget):
         return Id2(ZigZag(u)), sig_v
     step = f.steps[0]
     rest = ZigZag(step.target_word, f.steps[1:])
-    inner, sig_m = ref_sigma_suffix(cp, rest, sig_v, budget)
+    inner, sig_m = ref_sigma_suffix(cp, rest, sig_v, budget, memoized)
     sig_u = sigma_path(cp, u, budget)
     top = Comp1(ZigZag.of(step), inner, ZigZag(f.target))
-    bottom = Comp1(ZigZag(u), ref_sigma_step(cp, step, sig_u, sig_m, budget), sig_v.inverse())
+    bottom = Comp1(ZigZag(u), ref_sigma_step(cp, step, sig_u, sig_m, budget, memoized),
+                   sig_v.inverse())
     return Comp2(top, bottom), sig_u
 
 
-def ref_fill_sphere(cp, f, g, budget):
+def ref_fill_sphere(cp, f, g, budget, memoized=False):
+    """The reference fill_sphere; ``memoized`` gives each filler call a
+    memo of its own, as the library does."""
     try:
         if f.positive and g.positive and cp.base.matcher.is_normal(f.target):
-            return ref_fill_positive(cp, f, g, budget)
-        return Comp2(ref_sigma_zigzag(cp, f, budget), Inv(ref_sigma_zigzag(cp, g, budget)))
+            return ref_fill_positive(cp, f, g, budget, {} if memoized else None)
+        return Comp2(ref_sigma_zigzag(cp, f, budget, memoized),
+                     Inv(ref_sigma_zigzag(cp, g, budget, memoized)))
     except FuelExhausted as exc:
         raise FuelExhausted(f"filling a sphere from '{f.source}': {exc}") from None
+
+
+ref_fill_sphere_memoized = functools.partial(ref_fill_sphere, memoized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +144,10 @@ class Recording(Budget):
         caller = sys._getframe(1).f_code.co_name
         super().charge()
         self.log.append("step" if caller == "normalize" else "node")
+
+
+def spent(budget):
+    return budget.fuel - budget.left
 
 
 def run(fill, cp, f, g, fuel):
@@ -189,24 +217,48 @@ def cases(b3, a4_done, xyx_done, sq, sq_cert):
 
 def test_fill_sphere_matches_the_suffix_zigzag_recursion(cases):
     nontrivial = 0
+    shared = 0
     for label, cp, f, g in cases:
         got, got_log = run(fill_sphere, cp, f, g, 10**6)
-        want, want_log = run(ref_fill_sphere, cp, f, g, 10**6)
-        assert got[0] == want[0] == "filled", label
-        assert got[1] == want[1], label
+        want, tree_log = run(ref_fill_sphere, cp, f, g, 10**6)
+        memo_want, want_log = run(ref_fill_sphere_memoized, cp, f, g, 10**6)
+        assert got[0] == want[0] == memo_want[0] == "filled", label
+        assert got[1] == want[1] == memo_want[1], label
         assert got_log == want_log, label
+        assert len(got_log) <= len(tree_log), label
         spent = len(want_log)
         nontrivial += "step" in want_log
+        shared += spent < len(tree_log)
         # one unit short, and about half the budget: the same point, the
         # same message
         for fuel in (spent - 1, spent // 2):
             short, short_log = run(fill_sphere, cp, f, g, fuel)
-            ref_short, ref_short_log = run(ref_fill_sphere, cp, f, g, fuel)
+            ref_short, ref_short_log = run(ref_fill_sphere_memoized, cp, f, g, fuel)
             assert short[0] == "exhausted", (label, fuel)
             assert short == ref_short, (label, fuel)
             assert short_log == ref_short_log == want_log[:fuel], (label, fuel)
-    # the spheres are not all peeled off step by step
+    # the spheres are not all peeled off step by step, and some meet a
+    # sub-sphere twice
     assert nontrivial >= len(cases) // 2
+    assert shared > 0
+
+
+def test_fill_sphere_fills_a_deep_sphere_at_under_0_6_of_the_tree_charge(b3):
+    """On a B3+ sphere of 20 against 84 steps, the memo saves more than
+    40% of the units the tree-shaped recursion charges, and the expression
+    keeps its value."""
+    cp = squier_completion(b3)
+    rng = random.Random(7)
+    for _ in range(2):
+        w = random_word(rng, b3, rng.randint(24, 40))
+    _, f = normalize(b3, w, "leftmost")
+    _, g = normalize(b3, w, "rightmost")
+    assert (len(w), len(f), len(g)) == (25, 20, 84)
+    budget, ref_budget = Budget(), Budget()
+    got = fill_sphere(cp, f, g, budget)
+    want = ref_fill_sphere(cp, f, g, ref_budget)
+    assert got == want
+    assert spent(budget) < 0.6 * spent(ref_budget)
 
 
 def test_fill_sphere_rejects_a_non_sphere_like_the_reference(b3):
