@@ -59,8 +59,8 @@ class NodeCounting(Budget):
     """A budget that also counts the units filler nodes charge: one per
     sub-sphere actually filled, none for one met again."""
 
-    def __init__(self, fuel=polygraph.DEFAULT_FUEL):
-        super().__init__(fuel)
+    def __init__(self):
+        super().__init__()
         self.nodes = 0
 
     def charge(self):
