@@ -16,7 +16,11 @@ paths), ``std`` and ``cert``.  Words and paths are drawn from
 ``random.Random(<text name>)`` and built with the library, so the argv list
 itself is part of what the file pins.  Deep ``fill`` spheres (the leftmost
 against the rightmost path of words of length 14 to 16, over B3+ and the
-completed A4) are drawn from ``random.Random(<text name>/deep)``.
+completed A4) are drawn from ``random.Random(<text name>/deep)``.  Long
+σ-route ``fill`` spheres over B3+ repeat the leftmost path of a word and
+the inverse of its rightmost path 100 to 300 steps deep, against the
+identity, and then once more followed by the rightmost path against the
+rightmost path; their words are drawn from ``random.Random("b3/sigma")``.
 """
 
 import contextlib
@@ -76,6 +80,9 @@ OTHER_FILES = {
 WORD_LENGTHS = (4, 7, 11)
 DEEP_FILL_LENGTHS = (14, 15, 16)
 DEEP_FILLS = 4
+SIGMA_FILL_LENGTHS = (6, 7, 8)
+SIGMA_FILL_STEPS = (100, 300)
+SIGMA_FILLS = 4
 
 
 def random_word(rng, p, length):
@@ -168,6 +175,23 @@ def invocations():
             _, left = normalize(p, w, "leftmost")
             _, right = normalize(p, w, "rightmost")
             out.append(["fill", f(name), str(left), str(right)])
+    # long zigzags, filled through the normal forms of their words
+    p = parse_polygraph(texts.B3_TEXT)
+    rng = random.Random("b3/sigma")
+    for _ in range(SIGMA_FILLS):
+        while True:
+            w = random_word(rng, p, rng.choice(SIGMA_FILL_LENGTHS))
+            _, left = normalize(p, w, "leftmost")
+            _, right = normalize(p, w, "rightmost")
+            loop = left.then(right.inverse())
+            if len(loop) >= 2:
+                break
+        low, high = SIGMA_FILL_STEPS
+        zigzag = ZigZag(w)
+        for _ in range(rng.randint(-(-low // len(loop)), high // len(loop))):
+            zigzag = zigzag.then(loop)
+        out.append(["fill", f("b3"), str(zigzag), f"id({w})"])
+        out.append(["fill", f("b3"), str(zigzag.then(right)), str(right)])
     return [argv + ["--json"] for argv in out]
 
 
