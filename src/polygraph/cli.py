@@ -50,12 +50,6 @@ from .branchings import decide_confluence, enumerate_critical_branchings
 from .completion import DEFAULT_MAX_RULES, knuth_bendix, metivier_squier_reduce
 from .coherence import (
     CoherentPresentation,
-    Comp1,
-    Comp2,
-    Gen,
-    Id2,
-    Inv,
-    Whisker,
     fill_sphere,
     generating_cells,
     parse_multiplication_table,
@@ -115,29 +109,6 @@ def _coherent_from(p, args, cert=None):
 
 def _plural(n, noun):
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
-
-
-def _expr_str(e):
-    """Compact display form of a 3-cell expression (not parsed back)."""
-    if isinstance(e, Gen):
-        return e.cell.name
-    if isinstance(e, Inv):
-        return f"inv({_expr_str(e.expr)})"
-    if isinstance(e, Whisker):
-        return f"({e.left} * {_expr_str(e.expr)} * {e.right})"
-    if isinstance(e, Comp1):
-        parts = []
-        if e.pre.steps:
-            parts.append(f"[{e.pre}]")
-        parts.append(_expr_str(e.expr))
-        if e.post.steps:
-            parts.append(f"[{e.post}]")
-        return " . ".join(parts)
-    if isinstance(e, Comp2):
-        return f"({_expr_str(e.first)} ; {_expr_str(e.second)})"
-    if isinstance(e, Id2):
-        return f"id2({e.path})"
-    return f"exchange({e.step1} | {e.step2})"
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +293,7 @@ def _cmd_fill(args):
         "source": str(f),
         "target": str(g),
         "cells_used": used,
-        "expression": _expr_str(expr),
+        "expression": str(expr),
     }
     lines = [
         f"filled sphere with cells: {', '.join(used) if used else '(none)'}",

@@ -49,74 +49,88 @@ from .branchings import (
 # 3-cell expressions
 
 
+class _Node:
+    """The base of the seven kinds of node."""
+
+    def __str__(self):
+        """The text ``polygraph fill`` prints (not parsed back), written as a
+        tree from a stack of nodes and literal pieces still to write."""
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Comp1):
+                stack += (f" . [{item.post}]" if item.post.steps else "", item.expr,
+                          f"[{item.pre}] . " if item.pre.steps else "")
+            elif isinstance(item, Comp2):
+                stack += (")", item.second, " ; ", item.first, "(")
+            elif isinstance(item, Gen):
+                out.append(item.cell.name)
+            elif isinstance(item, Inv):
+                stack += (")", item.expr, "inv(")
+            elif isinstance(item, Whisker):
+                stack += (f" * {item.right})", item.expr, f"({item.left} * ")
+            elif isinstance(item, Id2):
+                out.append(f"id2({item.path})")
+            elif isinstance(item, Exchange):
+                out.append(f"exchange({item.step1} | {item.step2})")
+            else:
+                raise TypeError(f"not a 3-cell expression: {item!r}")
+        return "".join(out)
+
+
 @dataclass(frozen=True)
-class Gen:
+class Gen(_Node):
     """A generating 3-cell, used as declared."""
 
     cell: ThreeCell
 
-    def __str__(self):
-        return self.cell.name
-
 
 @dataclass(frozen=True)
-class Inv:
+class Inv(_Node):
     """The ⋆₂-inverse: swaps the boundary."""
 
     expr: "ThreeCellExpr"
 
-    def __str__(self):
-        return f"inv({self.expr})"
-
 
 @dataclass(frozen=True)
-class Whisker:
+class Whisker(_Node):
     """0-composition with words on both sides."""
 
     left: Word
     expr: "ThreeCellExpr"
     right: Word
 
-    def __str__(self):
-        return f"{self.left} * ({self.expr}) * {self.right}"
-
 
 @dataclass(frozen=True)
-class Comp1:
+class Comp1(_Node):
     """1-composition with zigzags before and after."""
 
     pre: ZigZag
     expr: "ThreeCellExpr"
     post: ZigZag
 
-    def __str__(self):
-        return f"{self.pre} . ({self.expr}) . {self.post}"
-
 
 @dataclass(frozen=True)
-class Comp2:
+class Comp2(_Node):
     """Vertical composition; the joint must match up to free-groupoid
     reduction of the step sequences."""
 
     first: "ThreeCellExpr"
     second: "ThreeCellExpr"
 
-    def __str__(self):
-        return f"({self.first}) ; ({self.second})"
-
 
 @dataclass(frozen=True)
-class Id2:
+class Id2(_Node):
     """The identity 3-cell on a 2-cell (zigzag)."""
 
     path: ZigZag
 
-    def __str__(self):
-        return f"id2({self.path})"
-
 
 @dataclass(frozen=True)
-class Exchange:
+class Exchange(_Node):
     """The interchange filler of a Peiffer branching: two steps with
     disjoint redex spans applied in either order.  Its boundary is
     (step1 then transported step2, step2 then transported step1); its
@@ -132,9 +146,6 @@ class Exchange:
                 "Exchange needs two steps with disjoint spans on one word"
             )
 
-    def __str__(self):
-        return f"exch({self.step1} , {self.step2})"
-
 
 ThreeCellExpr = Gen | Inv | Whisker | Comp1 | Comp2 | Id2 | Exchange
 
@@ -149,60 +160,74 @@ def transported(a, b):
     return RewriteStep(w, pos, b.rule, b.forward)
 
 
-def boundary3(e):
-    """The (source 2-cell, target 2-cell) boundary, computed structurally.
-
-    Composability is validated lazily here, not at construction; an
-    ill-composed node raises CompositionError naming the path to it.
+def _fold(e, rule):
+    """Apply rule(node, *values of its children) to each distinct node of
+    e (by identity, so a subexpression shared in a DAG is read once),
+    children first and the first child first; return the value at e.  The
+    walk keeps its own stack: e may nest deeper than the recursion limit.
     """
-    return _boundary(e, "e")
+    values = {}
+    stack = [(e, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            values[id(node)] = rule(node, *[values[id(k)] for k in kids])
+        elif id(node) in values:
+            continue
+        elif isinstance(node, (Comp1, Inv, Whisker)):
+            stack += ((node, (node.expr,)), (node.expr, None))
+        elif isinstance(node, Comp2):
+            stack += ((node, (node.first, node.second)), (node.second, None), (node.first, None))
+        elif isinstance(node, (Gen, Id2, Exchange)):
+            values[id(node)] = rule(node)
+        else:
+            raise TypeError(f"not a 3-cell expression: {node!r}")
+    return values[id(e)]
 
 
-def _boundary(e, at):
-    if isinstance(e, Gen):
-        return e.cell.source2, e.cell.target2
-    if isinstance(e, Inv):
-        s, t = _boundary(e.expr, at + ".inv")
-        return t, s
-    if isinstance(e, Id2):
-        return e.path, e.path
-    if isinstance(e, Exchange):
-        first = ZigZag.of(e.step1, transported(e.step1, e.step2))
-        second = ZigZag.of(e.step2, transported(e.step2, e.step1))
-        return first, second
-    if isinstance(e, Whisker):
-        s, t = _boundary(e.expr, at + ".whisker")
-        try:
-            return s.whisker(e.left, e.right), t.whisker(e.left, e.right)
-        except CompositionError as exc:
-            raise CompositionError(f"at {at}.whisker: {exc}") from None
+def _node_boundary(e, inner=None, second=None):
+    """The boundary of one node, given its children's: ``inner`` is the
+    first (or only) child's, ``second`` a vertical composite's second."""
     if isinstance(e, Comp1):
-        s, t = _boundary(e.expr, at + ".comp1")
-        try:
-            return e.pre.then(s, e.post), e.pre.then(t, e.post)
-        except CompositionError as exc:
-            raise CompositionError(f"at {at}.comp1: {exc}") from None
+        s, t = inner
+        return e.pre.then(s, e.post), e.pre.then(t, e.post)
     if isinstance(e, Comp2):
-        s1, t1 = _boundary(e.first, at + ".first")
-        s2, t2 = _boundary(e.second, at + ".second")
+        (s1, t1), (s2, t2) = inner, second
         if t1.reduced() != s2.reduced():
             raise CompositionError(
-                f"at {at}: vertical composite joint mismatch — first ends with "
-                f"[{t1}] but second starts with [{s2}] (compared after reduction)"
+                f"vertical composite joint mismatch — first ends with [{t1}] but "
+                f"second starts with [{s2}] (compared after reduction)"
             )
         return s1, t2
-    raise TypeError(f"not a 3-cell expression: {e!r}")
+    if isinstance(e, Inv):
+        return inner[1], inner[0]
+    if isinstance(e, Whisker):
+        s, t = inner
+        return s.whisker(e.left, e.right), t.whisker(e.left, e.right)
+    if isinstance(e, Gen):
+        return e.cell.source2, e.cell.target2
+    if isinstance(e, Id2):
+        return e.path, e.path
+    first = ZigZag.of(e.step1, transported(e.step1, e.step2))
+    return first, ZigZag.of(e.step2, transported(e.step2, e.step1))
+
+
+def boundary3(e):
+    """The (source 2-cell, target 2-cell) boundary, computed structurally:
+    once per distinct node, from its children's, without recursion.
+
+    Composability is validated lazily here, not at construction; an
+    ill-composed node raises the CompositionError of the composition that
+    fails (a node shared in a DAG has no one path to name).
+    """
+    return _fold(e, _node_boundary)
 
 
 def generating_cells(e):
     """The set of generating 3-cell names used anywhere in the expression."""
-    if isinstance(e, Gen):
-        return {e.cell.name}
-    if isinstance(e, (Inv, Whisker, Comp1)):
-        return generating_cells(e.expr)
-    if isinstance(e, Comp2):
-        return generating_cells(e.first) | generating_cells(e.second)
-    return set()
+    names = set()
+    _fold(e, lambda node, *_: isinstance(node, Gen) and names.add(node.cell.name))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +367,12 @@ def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
     sub-sphere filled and each step of its h costs one unit of the one
     budget; a sub-sphere met again costs nothing.
     """
-    return _fill_positive(
-        cp, p_path, _step_keys(p_path), 0, q_path, _step_keys(q_path), 0, Budget.of(fuel), {}
-    )
+    return _fill(cp, p_path, q_path, Budget.of(fuel), {})
+
+
+def _fill(cp, p, q, budget, memo):
+    """fill_positive on the caller's budget and memo."""
+    return _fill_positive(cp, p, _step_keys(p), 0, q, _step_keys(q), 0, budget, memo)
 
 
 def _source_at(path, i):
@@ -431,7 +459,7 @@ def sigma_path(cp, w, fuel=DEFAULT_FUEL):
     return path
 
 
-def _sigma_step(cp, step, sig_u, sig_m, budget):
+def _sigma_step(cp, step, sig_u, sig_m, budget, memo):
     """An expression [step] ⋆₁ σ(target word) ⇛ σ(source word), for a step
     of either direction, given sig_u = σ(source word) and sig_m = σ(target
     word).
@@ -443,20 +471,21 @@ def _sigma_step(cp, step, sig_u, sig_m, budget):
     check of Comp2 absorbs.
     """
     if step.forward:
-        return fill_positive(cp, ZigZag.of(step).then(sig_m), sig_u, budget)
+        return _fill(cp, ZigZag.of(step).then(sig_m), sig_u, budget, memo)
     fwd = step.inverse()  # the underlying forward step, target word -> source word
-    inner = fill_positive(cp, ZigZag.of(fwd).then(sig_u), sig_m, budget)
+    inner = _fill(cp, ZigZag.of(fwd).then(sig_u), sig_m, budget, memo)
     return Inv(Comp1(ZigZag.of(step), inner, ZigZag(sig_u.target)))
 
 
-def sigma_zigzag(cp, f, budget):
+def sigma_zigzag(cp, f, budget, memo):
     """An expression f ⇛ σ(source) ⋆₁ σ(target)⁻ — the segmentwise
     straightening of a zigzag onto its normalization square.
 
     The source boundary is exactly f; the target boundary is the
     normalization square up to step/inverse cancellation (exact when f is
-    positive).  The steps are straightened from the last to the first, and
-    each word of f is normalized once.
+    positive).  The steps are straightened from the last to the first,
+    each word of f is normalized once, and each step's sphere is filled
+    with the filler memo ``memo``.
     """
     v = f.target
     if not f.steps:
@@ -468,7 +497,7 @@ def sigma_zigzag(cp, f, budget):
         u = step.source_word
         sig_u = sigma_path(cp, u, budget)
         top = Comp1(ZigZag(u, (step,)), expr, ZigZag(v))
-        bottom = Comp1(ZigZag(u), _sigma_step(cp, step, sig_u, sig_m, budget), sig_v_back)
+        bottom = Comp1(ZigZag(u), _sigma_step(cp, step, sig_u, sig_m, budget, memo), sig_v_back)
         expr = Comp2(top, bottom)
         sig_m = sig_u
     return expr
@@ -480,10 +509,10 @@ def fill_sphere(cp, f, g, fuel=DEFAULT_FUEL):
 
     Positive parallel paths into a normal form take the direct noetherian
     recursion; general zigzags straighten each side onto the normalization
-    square (σ_f, σ_g) and paste the two straightenings.  Filler nodes and
-    the normalizations inside the filler draw on one budget; FuelExhausted
-    names the sphere when it runs out or a pumped instance above the pump
-    bound is needed.
+    square (σ_f, σ_g) and paste the two straightenings; a sub-sphere met
+    twice in one call is filled once.  Filler nodes and the normalizations
+    inside the filler draw on one budget; FuelExhausted names the sphere
+    when it runs out or a pumped instance above the pump bound is needed.
     """
     if f.source != g.source or f.target != g.target:
         raise CompositionError(
@@ -493,7 +522,8 @@ def fill_sphere(cp, f, g, fuel=DEFAULT_FUEL):
     try:
         if f.positive and g.positive and cp.base.matcher.is_normal(f.target):
             return fill_positive(cp, f, g, budget)
-        return Comp2(sigma_zigzag(cp, f, budget), Inv(sigma_zigzag(cp, g, budget)))
+        memo = {}
+        return Comp2(sigma_zigzag(cp, f, budget, memo), Inv(sigma_zigzag(cp, g, budget, memo)))
     except FuelExhausted as exc:
         raise FuelExhausted(f"filling a sphere from '{f.source}': {exc}") from None
 

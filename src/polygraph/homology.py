@@ -224,28 +224,27 @@ class FreeResolution:
         Generators count once with the normal form of the accumulated left
         whiskering as coefficient; inverses negate; horizontal and vertical
         composition are additive; identities and exchange cells are invisible
-        (exchange permutes disjoint steps, no cell is consumed).
+        (exchange permutes disjoint steps, no cell is consumed).  Walked top
+        down on a stack of (node, left whiskering, sign), the first child
+        first; a node shared in a DAG is read once per path to it.
         """
         out = {}
-        self._bracket3_into(expr, identity_word(self.presentation.objects[0]), 1, out)
+        stack = [(expr, identity_word(self.presentation.objects[0]), 1)]
+        while stack:
+            node, left, sign = stack.pop()
+            while isinstance(node, Comp1):
+                node = node.expr
+            if isinstance(node, Comp2):
+                stack += ((node.second, left, sign), (node.first, left, sign))
+            elif isinstance(node, Gen):
+                _acc(out, (self.nf(left), node.cell.name), sign)
+            elif isinstance(node, Inv):
+                stack.append((node.expr, left, -sign))
+            elif isinstance(node, Whisker):
+                stack.append((node.expr, self.nf(left.concat(node.left)), sign))
+            elif not isinstance(node, (Id2, Exchange)):
+                raise TypeError(f"not a 3-cell expression: {node!r}")
         return out
-
-    def _bracket3_into(self, expr, left, sign, out):
-        if isinstance(expr, Gen):
-            _acc(out, (self.nf(left), expr.cell.name), sign)
-        elif isinstance(expr, Inv):
-            self._bracket3_into(expr.expr, left, -sign, out)
-        elif isinstance(expr, Whisker):
-            self._bracket3_into(expr.expr, self.nf(left.concat(expr.left)), sign, out)
-        elif isinstance(expr, Comp1):
-            self._bracket3_into(expr.expr, left, sign, out)
-        elif isinstance(expr, Comp2):
-            self._bracket3_into(expr.first, left, sign, out)
-            self._bracket3_into(expr.second, left, sign, out)
-        elif isinstance(expr, (Id2, Exchange)):
-            pass
-        else:
-            raise TypeError(f"not a 3-cell expression: {expr!r}")
 
     # -- contracting homotopy -------------------------------------------------
 

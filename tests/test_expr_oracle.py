@@ -1,0 +1,284 @@
+"""Walks over 3-cell expressions against the recursions they replaced.
+
+The references below are the recursive walkers the library had: the
+boundary, the generating cells, the cell content (``bracket_3cell``) and
+the printer, each walking an expression as a tree.  The library walks with
+stacks of its own and reads the boundary and the cells once per distinct
+node.  On the spheres of ``test_filler_oracle`` and on hand-built
+expressions holding every kind of node, both must give equal values, in
+the same order where order shows.  A zigzag far deeper than the
+interpreter's recursion limit must still fill, check, linearize and print.
+"""
+
+import sys
+
+import pytest
+
+from polygraph import (
+    CompositionError,
+    FreeResolution,
+    ZigZag,
+    boundary3,
+    fill_sphere,
+    find_redexes,
+    generating_cells,
+    normalize,
+    parse_path,
+    parse_polygraph,
+    squier_completion,
+)
+from polygraph.cli import run
+from polygraph.coherence import (
+    Comp1,
+    Comp2,
+    Exchange,
+    Gen,
+    Id2,
+    Inv,
+    Whisker,
+    fill_local_branching,
+    transported,
+)
+from polygraph.homology import _acc, add_into
+from polygraph.presentation import identity_word
+
+import conftest as texts
+from test_filler_oracle import cases  # noqa: F401  (the spheres, as a fixture)
+
+# ---------------------------------------------------------------------------
+# the references: one recursion per walk
+
+
+def ref_boundary(e, at="e"):
+    if isinstance(e, Gen):
+        return e.cell.source2, e.cell.target2
+    if isinstance(e, Inv):
+        s, t = ref_boundary(e.expr, at + ".inv")
+        return t, s
+    if isinstance(e, Id2):
+        return e.path, e.path
+    if isinstance(e, Exchange):
+        first = ZigZag.of(e.step1, transported(e.step1, e.step2))
+        second = ZigZag.of(e.step2, transported(e.step2, e.step1))
+        return first, second
+    if isinstance(e, Whisker):
+        s, t = ref_boundary(e.expr, at + ".whisker")
+        try:
+            return s.whisker(e.left, e.right), t.whisker(e.left, e.right)
+        except CompositionError as exc:
+            raise CompositionError(f"at {at}.whisker: {exc}") from None
+    if isinstance(e, Comp1):
+        s, t = ref_boundary(e.expr, at + ".comp1")
+        try:
+            return e.pre.then(s, e.post), e.pre.then(t, e.post)
+        except CompositionError as exc:
+            raise CompositionError(f"at {at}.comp1: {exc}") from None
+    if isinstance(e, Comp2):
+        s1, t1 = ref_boundary(e.first, at + ".first")
+        s2, t2 = ref_boundary(e.second, at + ".second")
+        if t1.reduced() != s2.reduced():
+            raise CompositionError(
+                f"at {at}: vertical composite joint mismatch — first ends with "
+                f"[{t1}] but second starts with [{s2}] (compared after reduction)"
+            )
+        return s1, t2
+    raise TypeError(f"not a 3-cell expression: {e!r}")
+
+
+def ref_generating_cells(e):
+    if isinstance(e, Gen):
+        return {e.cell.name}
+    if isinstance(e, (Inv, Whisker, Comp1)):
+        return ref_generating_cells(e.expr)
+    if isinstance(e, Comp2):
+        return ref_generating_cells(e.first) | ref_generating_cells(e.second)
+    return set()
+
+
+def ref_bracket_3cell(res, e):
+    out = {}
+    ref_bracket_into(res, e, identity_word(res.presentation.objects[0]), 1, out)
+    return out
+
+
+def ref_bracket_into(res, e, left, sign, out):
+    if isinstance(e, Gen):
+        _acc(out, (res.nf(left), e.cell.name), sign)
+    elif isinstance(e, Inv):
+        ref_bracket_into(res, e.expr, left, -sign, out)
+    elif isinstance(e, Whisker):
+        ref_bracket_into(res, e.expr, res.nf(left.concat(e.left)), sign, out)
+    elif isinstance(e, Comp1):
+        ref_bracket_into(res, e.expr, left, sign, out)
+    elif isinstance(e, Comp2):
+        ref_bracket_into(res, e.first, left, sign, out)
+        ref_bracket_into(res, e.second, left, sign, out)
+    elif not isinstance(e, (Id2, Exchange)):
+        raise TypeError(f"not a 3-cell expression: {e!r}")
+
+
+def ref_expr_str(e):
+    if isinstance(e, Gen):
+        return e.cell.name
+    if isinstance(e, Inv):
+        return f"inv({ref_expr_str(e.expr)})"
+    if isinstance(e, Whisker):
+        return f"({e.left} * {ref_expr_str(e.expr)} * {e.right})"
+    if isinstance(e, Comp1):
+        parts = []
+        if e.pre.steps:
+            parts.append(f"[{e.pre}]")
+        parts.append(ref_expr_str(e.expr))
+        if e.post.steps:
+            parts.append(f"[{e.post}]")
+        return " . ".join(parts)
+    if isinstance(e, Comp2):
+        return f"({ref_expr_str(e.first)} ; {ref_expr_str(e.second)})"
+    if isinstance(e, Id2):
+        return f"id2({e.path})"
+    return f"exchange({e.step1} | {e.step2})"
+
+
+def assert_walks_agree(res, expr, label):
+    assert boundary3(expr) == ref_boundary(expr), label
+    assert generating_cells(expr) == ref_generating_cells(expr), label
+    # equal as lists: the terms come out in the same order
+    got = res.bracket_3cell(expr)
+    assert list(got.items()) == list(ref_bracket_3cell(res, expr).items()), label
+    assert str(expr) == ref_expr_str(expr), label
+
+
+# ---------------------------------------------------------------------------
+# spheres and hand-built expressions
+
+
+def test_walks_match_the_recursions_on_the_filler_spheres(cases):  # noqa: F811
+    resolutions = {}
+    for label, cp, f, g in cases:
+        res = resolutions.setdefault(id(cp), FreeResolution(cp))
+        expr = fill_sphere(cp, f, g)
+        assert boundary3(expr) == (f, g), label
+        assert_walks_agree(res, expr, label)
+
+
+def test_walks_match_the_recursions_on_every_kind_of_node(b3):
+    """Local branchings give Whisker, Inv, Gen, Exchange and Id2 nodes;
+    they are padded with paths, whiskered, and composed vertically with
+    their own inverse, so that one node has two parents."""
+    cp = squier_completion(b3)
+    res = FreeResolution(cp)
+    u, v = b3.word("a"), b3.word("s t")
+    kinds = set()
+    for text in ("s t a s", "s a s t a", "t a s a a", "s t t a", "s a a s t"):
+        w = b3.word(text)
+        steps = find_redexes(b3, w)
+        for f in steps:
+            for g in steps:
+                f1, _, cell = fill_local_branching(cp, f, g)
+                kinds.update(type(n).__name__ for n in (cell, getattr(cell, "expr", cell)))
+                _, h = normalize(b3, f1.target, "leftmost")
+                padded = Comp1(ZigZag(w), cell, h)
+                whiskered = Whisker(u, padded, v)
+                shared = Comp2(whiskered, Inv(whiskered))
+                for expr in (cell, padded, whiskered, shared,
+                             Comp2(Id2(boundary3(shared)[0]), shared)):
+                    assert_walks_agree(res, expr, (text, str(f), str(g)))
+    assert kinds == {"Whisker", "Inv", "Gen", "Exchange", "Id2"}
+
+
+# ---------------------------------------------------------------------------
+# ill-composed nodes and non-expressions
+
+
+@pytest.fixture(scope="module")
+def cp_category():
+    return squier_completion(parse_polygraph(texts.CATEGORY_TEXT + "order: f < g\n"))
+
+
+def test_ill_composed_nodes_raise_the_composition_texts(cp_category, b3):
+    cat = cp_category.base
+    fgf = Id2(ZigZag(cat.word("f g f")))
+    # a whisker whose left word does not compose with the expression
+    whisker = Whisker(cat.word("f"), fgf, cat.word("g"))
+    for walk in (boundary3, ref_boundary):
+        with pytest.raises(CompositionError, match="cannot compose f"):
+            walk(whisker)
+    with pytest.raises(CompositionError) as exc:
+        boundary3(whisker)
+    assert str(exc.value) == "cannot compose f (ends at Y) with f g f (starts at X)"
+
+    cp = squier_completion(b3)
+    cell = cp.cells[0]
+    # a 1-composite whose padding does not chain with the expression
+    comp1 = Comp1(ZigZag(b3.word("a")), Gen(cell), ZigZag(cell.target2.target))
+    with pytest.raises(CompositionError) as exc:
+        boundary3(comp1)
+    assert str(exc.value) == (
+        f"cannot chain path ending at a with one starting at {cell.source2.source}"
+    )
+    with pytest.raises(CompositionError, match="at e.comp1: cannot chain"):
+        ref_boundary(comp1)
+
+    # a vertical composite whose joint does not match
+    comp2 = Comp2(Gen(cell), Gen(cell))
+    with pytest.raises(CompositionError) as exc:
+        boundary3(comp2)
+    assert str(exc.value) == (
+        f"vertical composite joint mismatch — first ends with [{cell.target2}] but "
+        f"second starts with [{cell.source2}] (compared after reduction)"
+    )
+    with pytest.raises(CompositionError, match="at e: vertical composite joint mismatch"):
+        ref_boundary(comp2)
+    # deeper down, the same text: a node has no single path in a DAG
+    with pytest.raises(CompositionError) as deep:
+        boundary3(Inv(Comp1(ZigZag(cell.source2.source), comp2, ZigZag(cell.target2.target))))
+    assert str(deep.value) == str(exc.value)
+
+
+def test_walks_refuse_a_non_expression(b3):
+    cp = squier_completion(b3)
+    res = FreeResolution(cp)
+    # a generating cell without its Gen node
+    bad = Inv(Comp2(Gen(cp.cells[0]), cp.cells[0]))
+    for walk in (boundary3, generating_cells, res.bracket_3cell, str):
+        with pytest.raises(TypeError, match=r"not a 3-cell expression: ThreeCell\(name='conf0'"):
+            walk(bad)
+
+
+# ---------------------------------------------------------------------------
+# a zigzag far deeper than the recursion limit
+
+
+def test_a_deep_zigzag_fills_checks_linearizes_and_prints(b3, tmp_path):
+    """The leftmost path of a word and the inverse of its rightmost path,
+    repeated 100 times (1,200 steps), against the identity.  The σ route
+    nests two nodes per step, so each walk goes about 2,400 nodes deep,
+    past the default recursion limit."""
+    assert sys.getrecursionlimit() <= 1000
+    cp = squier_completion(b3)
+    res = FreeResolution(cp)
+    w = b3.word("s t s a s t a s")
+    _, left = normalize(b3, w, "leftmost")
+    _, right = normalize(b3, w, "rightmost")
+    loop = left.then(right.inverse())
+    f, g = ZigZag(w), ZigZag(w)
+    for _ in range(100):
+        f = f.then(loop)
+    assert len(f) >= 1200
+
+    expr = fill_sphere(cp, f, g)
+    assert boundary3(expr) == (f, g)
+    # every repeat of the loop is filled with the same cells
+    cells = ref_generating_cells(fill_sphere(cp, loop, g))
+    assert cells
+    assert generating_cells(expr) == cells
+    want = add_into(res.bracket_2cell(f), res.bracket_2cell(g), -1)
+    assert res.d3(res.bracket_3cell(expr)) == want
+
+    file = tmp_path / "b3.txt"
+    file.write_text(texts.B3_TEXT, encoding="utf-8")
+    code, report = run(["fill", str(file), str(f), str(g), "--json"])
+    assert code == 0, report.sections
+    assert report.sections["cells_used"] == sorted(cells)
+    assert report.sections["expression"] == str(expr)
+    assert parse_path(b3, report.sections["source"]) == f

@@ -3,12 +3,13 @@
 The reference below rebuilds the rest of both paths as a new ZigZag at
 every node (and so re-checks every remaining step); the library walks the
 checked paths by index and fills each distinct sub-sphere once per
-``fill_positive`` call.  On seeded positive and σ spheres both must return
+``fill_sphere`` call.  On seeded positive and σ spheres both must return
 equal expressions.  The charges are compared with the reference run with
-its own per-call memo, keyed by the suffix ZigZags: both must charge the
-budget in the same order, and run out of a short budget at the same point
-with the same message.  The library never charges more than the reference
-without a memo.
+one memo per ``fill_sphere`` call, keyed by the suffix ZigZags and shared
+by the spheres of every σ step: both must charge the budget in the same
+order, and run out of a short budget at the same point with the same
+message.  The library never charges more than the reference without a
+memo.
 """
 
 import functools
@@ -82,8 +83,7 @@ def ref_fill_node(cp, p_path, q_path, budget, memo):
     return Comp2(Comp2(top, middle), bottom)
 
 
-def ref_sigma_step(cp, step, sig_u, sig_m, budget, memoized):
-    memo = {} if memoized else None
+def ref_sigma_step(cp, step, sig_u, sig_m, budget, memo):
     if step.forward:
         return ref_fill_positive(cp, ZigZag.of(step).then(sig_m), sig_u, budget, memo)
     fwd = step.inverse()
@@ -91,13 +91,13 @@ def ref_sigma_step(cp, step, sig_u, sig_m, budget, memoized):
     return Inv(Comp1(ZigZag.of(step), inner, ZigZag(sig_u.target)))
 
 
-def ref_sigma_zigzag(cp, f, budget, memoized):
+def ref_sigma_zigzag(cp, f, budget, memo):
     if not f.steps:
         return Id2(ZigZag(f.source))
-    return ref_sigma_suffix(cp, f, sigma_path(cp, f.target, budget), budget, memoized)[0]
+    return ref_sigma_suffix(cp, f, sigma_path(cp, f.target, budget), budget, memo)[0]
 
 
-def ref_sigma_suffix(cp, f, sig_v, budget, memoized):
+def ref_sigma_suffix(cp, f, sig_v, budget, memo):
     """The expression for the zigzag f, which ends where the whole one
     does, and σ(f.source); each word is normalized once, after the words
     that follow it."""
@@ -106,22 +106,23 @@ def ref_sigma_suffix(cp, f, sig_v, budget, memoized):
         return Id2(ZigZag(u)), sig_v
     step = f.steps[0]
     rest = ZigZag(step.target_word, f.steps[1:])
-    inner, sig_m = ref_sigma_suffix(cp, rest, sig_v, budget, memoized)
+    inner, sig_m = ref_sigma_suffix(cp, rest, sig_v, budget, memo)
     sig_u = sigma_path(cp, u, budget)
     top = Comp1(ZigZag.of(step), inner, ZigZag(f.target))
-    bottom = Comp1(ZigZag(u), ref_sigma_step(cp, step, sig_u, sig_m, budget, memoized),
+    bottom = Comp1(ZigZag(u), ref_sigma_step(cp, step, sig_u, sig_m, budget, memo),
                    sig_v.inverse())
     return Comp2(top, bottom), sig_u
 
 
 def ref_fill_sphere(cp, f, g, budget, memoized=False):
-    """The reference fill_sphere; ``memoized`` gives each filler call a
-    memo of its own, as the library does."""
+    """The reference fill_sphere; ``memoized`` gives the call one memo,
+    which every sphere it fills shares, as the library does."""
+    memo = {} if memoized else None
     try:
         if f.positive and g.positive and cp.base.matcher.is_normal(f.target):
-            return ref_fill_positive(cp, f, g, budget, {} if memoized else None)
-        return Comp2(ref_sigma_zigzag(cp, f, budget, memoized),
-                     Inv(ref_sigma_zigzag(cp, g, budget, memoized)))
+            return ref_fill_positive(cp, f, g, budget, memo)
+        return Comp2(ref_sigma_zigzag(cp, f, budget, memo),
+                     Inv(ref_sigma_zigzag(cp, g, budget, memo)))
     except FuelExhausted as exc:
         raise FuelExhausted(f"filling a sphere from '{f.source}': {exc}") from None
 
