@@ -21,6 +21,10 @@ completed A4) are drawn from ``random.Random(<text name>/deep)``.  Long
 the inverse of its rightmost path 100 to 300 steps deep, against the
 identity, and then once more followed by the rightmost path against the
 rightmost path; their words are drawn from ``random.Random("b3/sigma")``.
+``homology --samples 32``, alone and with ``--export``, runs on Coxeter A3,
+B3 and A4 completed by ``knuth_bendix`` and reduced.  An ``--export``
+invocation also hashes the files it writes: after its standard output come
+the name and sha256 of each exported file, sorted by name.
 """
 
 import contextlib
@@ -65,12 +69,24 @@ PRESENTATIONS = {
     # with a generator order, so that the category's spheres can be filled
     "category_ordered": texts.CATEGORY_TEXT + "order: f < g\n",
 }
-# A4 completed by knuth_bendix and reduced, as the benchmark builds it
-A4_DONE_TEXT = serialize_polygraph(
-    metivier_squier_reduce(knuth_bendix(parse_polygraph(texts.A4_TEXT)).final).final
-)
-OTHER_FILES = {
+
+
+def completed_text(text):
+    """A presentation completed by knuth_bendix and reduced, as the
+    benchmark builds it."""
+    return serialize_polygraph(
+        metivier_squier_reduce(knuth_bendix(parse_polygraph(text)).final).final
+    )
+
+
+A4_DONE_TEXT = completed_text(texts.A4_TEXT)
+DONE_FILES = {
+    "a3_done": completed_text(texts.COXETER_A3_TEXT),
+    "b3_done": completed_text(texts.COXETER_B3_TEXT),
     "a4_done": A4_DONE_TEXT,
+}
+OTHER_FILES = {
+    **DONE_FILES,
     "z2": texts.Z2_TABLE,
     "trivial": texts.TRIVIAL_TABLE,
     "nonassoc": texts.NONASSOC_TABLE,
@@ -83,6 +99,7 @@ DEEP_FILLS = 4
 SIGMA_FILL_LENGTHS = (6, 7, 8)
 SIGMA_FILL_STEPS = (100, 300)
 SIGMA_FILLS = 4
+HOMOLOGY_SAMPLES = 32
 
 
 def random_word(rng, p, length):
@@ -192,16 +209,27 @@ def invocations():
             zigzag = zigzag.then(loop)
         out.append(["fill", f("b3"), str(zigzag), f"id({w})"])
         out.append(["fill", f("b3"), str(zigzag.then(right)), str(right)])
+    # the resolution checked on 32 samples, then exported as well
+    for name in DONE_FILES:
+        homology = ["homology", f(name), "--samples", str(HOMOLOGY_SAMPLES)]
+        out += [homology, homology + ["--export", "{tmp}/out_" + name]]
     return [argv + ["--json"] for argv in out]
 
 
 def run_one(argv, tmp):
     """(exit code, --json standard output) of one invocation, with the
-    temporary directory written as ``{tmp}``."""
+    temporary directory written as ``{tmp}``; an ``--export`` invocation's
+    output is followed by the name and sha256 of each file it wrote."""
     stdout = io.StringIO()
+    argv = [a.replace("{tmp}", tmp) for a in argv]
     with contextlib.redirect_stdout(stdout):
-        code = main([a.replace("{tmp}", tmp) for a in argv])
-    return code, stdout.getvalue().replace(tmp, "{tmp}")
+        code = main(argv)
+    text = stdout.getvalue()
+    if "--export" in argv:
+        exported = Path(argv[argv.index("--export") + 1])
+        for path in sorted(exported.iterdir()):
+            text += f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+    return code, text.replace(tmp, "{tmp}")
 
 
 def golden_runs():
