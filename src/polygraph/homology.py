@@ -114,6 +114,14 @@ class FreeResolution:
     _nf_cache: dict = field(default_factory=dict, repr=False)
     _images: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        objects = self.presentation.objects
+        if len(objects) > 1:
+            raise PresentationError(
+                "the free resolution is over a monoid ring and needs one object; "
+                f"this presentation has {len(objects)}: {', '.join(objects)}"
+            )
+
     @property
     def presentation(self):
         return self.coherent.base

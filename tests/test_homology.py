@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CONF0_TEXT, COXETER_B3_TEXT, SIGMA_TEXT
+from conftest import CATEGORY_TEXT, CONF0_TEXT, COXETER_B3_TEXT, SIGMA_TEXT
 from polygraph import (
     FreeResolution,
     PresentationError,
@@ -55,6 +55,15 @@ def test_monoid_product_and_augmentation(res_mu, mu):
     assert res_mu.epsilon({one: 2, a: 3}) == 5
     assert res_mu.epsilon({}) == 0
     assert res_mu.i0(7) == {one: 7}
+
+
+def test_resolution_needs_one_object():
+    """Over a category with objects X and Y the ring would have two units;
+    the resolution refuses it, naming the objects, where it used to answer
+    the identity on X for the identity on Y."""
+    cp = squier_completion(parse_polygraph(CATEGORY_TEXT + "order: f < g\n"))
+    with pytest.raises(PresentationError, match=r"one object; .* has 2: X, Y"):
+        FreeResolution(cp)
 
 
 def test_monoid_product_across_presentations(res_xyx, xyx_done):
