@@ -160,28 +160,56 @@ def transported(a, b):
     return RewriteStep(w, pos, b.rule, b.forward)
 
 
+def _children(node):
+    """The child expressions of a 3-cell expression node, first child first."""
+    if isinstance(node, (Comp1, Inv, Whisker)):
+        return (node.expr,)
+    if isinstance(node, Comp2):
+        return (node.first, node.second)
+    if isinstance(node, (Gen, Id2, Exchange)):
+        return ()
+    raise TypeError(f"not a 3-cell expression: {node!r}")
+
+
+def _nodes(e):
+    """Each distinct node of e (by identity) as [node, number of times its
+    parents read it], the walk on a stack of its own."""
+    nodes = {id(e): [e, 0]}
+    stack = [e]
+    while stack:
+        for kid in _children(stack.pop()):
+            entry = nodes.get(id(kid))
+            if entry is None:
+                entry = nodes[id(kid)] = [kid, 0]
+                stack.append(kid)
+            entry[1] += 1
+    return nodes
+
+
 def _fold(e, rule):
     """Apply rule(node, *values of its children) to each distinct node of
     e (by identity, so a subexpression shared in a DAG is read once),
     children first and the first child first; return the value at e.  The
     walk keeps its own stack: e may nest deeper than the recursion limit.
+    A child's value is dropped once the last of its parents has read it.
     """
+    nodes = _nodes(e)
     values = {}
     stack = [(e, None)]
     while stack:
         node, kids = stack.pop()
-        if kids is not None:
-            values[id(node)] = rule(node, *[values[id(k)] for k in kids])
-        elif id(node) in values:
+        if kids is None:
+            if id(node) not in values:
+                kids = _children(node)
+                stack.append((node, kids))
+                stack += ((kid, None) for kid in reversed(kids))
             continue
-        elif isinstance(node, (Comp1, Inv, Whisker)):
-            stack += ((node, (node.expr,)), (node.expr, None))
-        elif isinstance(node, Comp2):
-            stack += ((node, (node.first, node.second)), (node.second, None), (node.first, None))
-        elif isinstance(node, (Gen, Id2, Exchange)):
-            values[id(node)] = rule(node)
-        else:
-            raise TypeError(f"not a 3-cell expression: {node!r}")
+        values[id(node)] = rule(node, *[values[id(k)] for k in kids])
+        for k in kids:
+            entry = nodes[id(k)]
+            entry[1] -= 1
+            if not entry[1]:
+                del values[id(k)]
     return values[id(e)]
 
 
@@ -225,9 +253,7 @@ def boundary3(e):
 
 def generating_cells(e):
     """The set of generating 3-cell names used anywhere in the expression."""
-    names = set()
-    _fold(e, lambda node, *_: isinstance(node, Gen) and names.add(node.cell.name))
-    return names
+    return {node.cell.name for node, _ in _nodes(e).values() if isinstance(node, Gen)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ the same order where order shows.  A zigzag far deeper than the
 interpreter's recursion limit must still fill, check, linearize and print.
 """
 
+import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -282,3 +284,27 @@ def test_a_deep_zigzag_fills_checks_linearizes_and_prints(b3, tmp_path):
     assert report.sections["cells_used"] == sorted(cells)
     assert report.sections["expression"] == str(expr)
     assert parse_path(b3, report.sections["source"]) == f
+
+
+def test_boundary_drops_each_value_once_its_parents_have_read_it(b3):
+    """The first seeded B3+ sphere of test_filler_oracle's draw (34 letters,
+    53 against 131 steps) fills as a DAG of about 12,900 distinct nodes.
+    Keeping a boundary per node until the walk ends peaked at 12.9 MB;
+    boundary3 drops a child's once its last parent has read it."""
+    cp = squier_completion(b3)
+    rng = random.Random(7)
+    w = b3.word_from_letters(
+        rng.choice([g.name for g in b3.generators]) for _ in range(rng.randint(24, 40))
+    )
+    _, f = normalize(b3, w, "leftmost")
+    _, g = normalize(b3, w, "rightmost")
+    assert (len(w), len(f), len(g)) == (34, 53, 131)
+    expr = fill_sphere(cp, f, g)
+    tracemalloc.start()
+    try:
+        got = boundary3(expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (f, g)
+    assert peak < 5_000_000
