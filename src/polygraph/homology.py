@@ -103,15 +103,29 @@ class FreeResolution:
     The caller is responsible for having certified convergence (the CLI and
     squier_completion both gate on termination evidence); here we just consume
     the coherent presentation and normalize freely.  The pump bound is the
-    coherent presentation's.  Each ``nf`` cache miss, σ path and ``i3``
-    filling is a top-level call with a fresh budget of DEFAULT_FUEL.
+    coherent presentation's.
+
+    Every normal form the resolution meets gets a number: ``_words[i]`` is
+    the i-th, and 0 is the identity.  Products walk the monoid's right
+    Cayley graph, built as it is used: the edge from i along a letter x is
+    the number of the normal form of ``_words[i]·x``, normalized on first use
+    as a top-level call with a fresh budget of DEFAULT_FUEL (as is each σ
+    path and each ``i3`` filling).  The system being convergent, walking the
+    letters of any word from i reaches the normal form of ``_words[i]``
+    followed by that word.  Inside, ring and module elements are keyed by
+    these numbers; every public method takes and returns Word-keyed ones.
+    Normal forms keyed by their letters need one object, so a presentation
+    with several is refused.
 
     ``d2`` and ``d3`` compute the image of each basis element at the identity
     once and act on it by the coefficient word: d(u[b]) = u·d([b]).
     """
 
     coherent: CoherentPresentation
-    _nf_cache: dict = field(default_factory=dict, repr=False)
+    _words: list = field(default_factory=list, repr=False)
+    _numbers: dict = field(default_factory=dict, repr=False)  # letters -> number
+    _right: list = field(default_factory=list, repr=False)  # number -> {letter: number}
+    _products: list = field(default_factory=list, repr=False)  # number i -> {j: number of i·j}
     _images: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -121,6 +135,7 @@ class FreeResolution:
                 "the free resolution is over a monoid ring and needs one object; "
                 f"this presentation has {len(objects)}: {', '.join(objects)}"
             )
+        self._register(identity_word(objects[0]))
 
     @property
     def presentation(self):
@@ -130,27 +145,79 @@ class FreeResolution:
     def pump_bound(self):
         return self.coherent.pump_bound
 
+    # -- numbered normal forms and the right Cayley graph --------------------
+
+    def _register(self, v):
+        """The number of the normal form v, new if v is new."""
+        i = self._numbers.get(v.letters)
+        if i is None:
+            i = self._numbers[v.letters] = len(self._words)
+            self._words.append(v)
+            self._right.append({})
+            self._products.append({})
+        return i
+
+    def _walk(self, i, letters):
+        """The number of the product of the i-th normal form and a word."""
+        right = self._right
+        for x in letters:
+            j = right[i].get(x)
+            if j is None:
+                w = self._words[i].concat(self.presentation.word_from_letters((x,)))
+                v, _ = normalize(self.presentation, w, "leftmost")
+                j = right[i][x] = self._register(v)
+            i = j
+        return i
+
+    def _number(self, w):
+        """The number of the normal form of w; a known normal form is looked
+        up, any other word walked from the identity."""
+        i = self._numbers.get(w.letters)
+        return self._walk(0, w.letters) if i is None else i
+
+    def _mult(self, i, j):
+        """The number of the product of the i-th and j-th normal forms."""
+        k = self._products[i].get(j)
+        if k is None:
+            k = self._products[i][j] = self._walk(i, self._words[j].letters)
+        return k
+
+    def _worded(self, melt):
+        words = self._words
+        return {(words[i], basis): coef for (i, basis), coef in melt.items()}
+
+    def _act_into(self, out, i, melt, scale):
+        """Add scale times the i-th normal form times melt to out (both
+        keyed by numbers)."""
+        products = self._products[i]
+        for (j, basis), coef in melt.items():
+            k = products.get(j)
+            key = (self._mult(i, j) if k is None else k, basis)
+            new = out.get(key, 0) + scale * coef
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
+
     # -- normal forms ------------------------------------------------------
 
     def nf(self, w):
-        key = w.letters
-        hit = self._nf_cache.get(key)
-        if hit is None:
-            hit, _ = normalize(self.presentation, w, "leftmost")
-            self._nf_cache[key] = hit
-        return hit
+        """The normal form of w: its letters walked from the identity."""
+        return self._words[self._number(w)]
 
     def mult(self, u, v):
         """Product in the monoid: normal form of the concatenation."""
-        return self.nf(u.concat(v))
+        return self._words[self._mult(self._number(u), self._number(v))]
 
     def _act(self, u, elt):
-        """Left action of the monoid element (normal form word) u on a module
-        element: multiply every coefficient word and renormalize."""
-        out = {}
+        """Left action of the monoid element u on a module element: multiply
+        every coefficient word and renormalize."""
+        numbered = {}
         for (w, basis), coef in elt.items():
-            _acc(out, (self.nf(u.concat(w)), basis), coef)
-        return out
+            _acc(numbered, (self._number(w), basis), coef)
+        out = {}
+        self._act_into(out, self._number(u), numbered, 1)
+        return self._worded(out)
 
     # -- augmentation and differentials --------------------------------------
 
@@ -162,67 +229,73 @@ class FreeResolution:
         """Z -> ZM, the unit section of the augmentation."""
         if n == 0:
             return {}
-        return {identity_word(self.presentation.objects[0]): n}
+        return {self._words[0]: n}
 
     def d1(self, melt):
         """ZM[generators] -> ZM:  u[x] |-> u*x - u."""
         out = {}
         for (u, gen), coef in melt.items():
-            x = self.presentation.word_from_letters((gen,))
-            _acc(out, self.nf(u.concat(x)), coef)
-            _acc(out, u, -coef)
-        return out
+            i = self._number(u)
+            _acc(out, self._walk(i, (gen,)), coef)
+            _acc(out, i, -coef)
+        return {self._words[i]: coef for i, coef in out.items()}
+
+    def _fox_into(self, out, letters, scale):
+        """Add scale times the Fox bracket of a word to out: the letter at
+        position i counts with the normal form of the prefix before it."""
+        i = 0
+        for x in letters:
+            _acc(out, (i, x), scale)
+            i = self._walk(i, (x,))
 
     def fox_bracket(self, w):
-        """Fox-type derivative of a word: [1] = 0, [uv] = [u] + u~[v].
-
-        Expanding letter by letter: the letter at position i contributes the
-        normal form of the prefix before it as coefficient.
-        """
+        """Fox-type derivative of a word: [1] = 0, [uv] = [u] + u~[v]."""
         out = {}
-        for i, letter in enumerate(w.letters):
-            prefix = w.slice(0, i)
-            _acc(out, (self.nf(prefix), letter), 1)
-        return out
+        self._fox_into(out, w.letters, 1)
+        return self._worded(out)
 
     def d2(self, melt):
         """ZM[rules] -> ZM[generators]:  u[alpha] |-> u*(fox lhs - fox rhs)."""
-        out = {}
-        for (u, rule_name), coef in melt.items():
-            add_into(out, self._act(u, self._image(2, rule_name)), coef)
-        return out
+        return self._differential(2, melt)
+
+    def _bracket2_into(self, out, path, scale):
+        for step in path.steps:
+            _acc(out, (self._number(step.left), step.rule.name),
+                 scale if step.forward else -scale)
 
     def bracket_2cell(self, path):
         """Rule content of a rewriting path: each step contributes the normal
         form of its left context on its rule, signed by direction."""
         out = {}
-        for step in path.steps:
-            sign = 1 if step.forward else -1
-            _acc(out, (self.nf(step.left), step.rule.name), sign)
-        return out
+        self._bracket2_into(out, path, 1)
+        return self._worded(out)
 
     def d3(self, melt):
         """ZM[cells] -> ZM[rules]: u[gamma] |-> u*(bracket2(src) - bracket2(tgt))."""
+        return self._differential(3, melt)
+
+    def _differential(self, degree, melt):
         out = {}
-        for (u, cell_name), coef in melt.items():
-            add_into(out, self._act(u, self._image(3, cell_name)), coef)
-        return out
+        for (u, name), coef in melt.items():
+            self._act_into(out, self._number(u), self._image(degree, name), coef)
+        return self._worded(out)
 
     def _image(self, degree, name):
-        """d2 or d3 of the basis element [name] at the identity, computed on
-        first use.  Keyed by degree too: a rule and a 3-cell may share a name.
-        Callers only read it (``_act`` builds a new element)."""
+        """d2 or d3 of the basis element [name] at the identity, keyed by
+        numbers and computed on first use.  Keyed by degree too: a rule and
+        a 3-cell may share a name."""
         key = (degree, name)
         image = self._images.get(key)
         if image is None:
+            image = {}
             if degree == 2:
                 rule = self.presentation.lookup_rule(name)
-                image = self.fox_bracket(rule.lhs)
-                add_into(image, self.fox_bracket(rule.rhs), -1)
+                self._fox_into(image, rule.lhs.letters, 1)
+                self._fox_into(image, rule.rhs.letters, -1)
             else:
                 cell = self.coherent.cell_by_name[name]
-                image = self.bracket_2cell(cell.source2)
-                add_into(image, self.bracket_2cell(cell.target2), -1)
+                self._bracket2_into(image, cell.source2, 1)
+                self._bracket2_into(image, cell.target2, -1)
             self._images[key] = image
         return image
 
@@ -237,7 +310,7 @@ class FreeResolution:
         first; a node shared in a DAG is read once per path to it.
         """
         out = {}
-        stack = [(expr, identity_word(self.presentation.objects[0]), 1)]
+        stack = [(expr, 0, 1)]
         while stack:
             node, left, sign = stack.pop()
             while isinstance(node, Comp1):
@@ -245,14 +318,14 @@ class FreeResolution:
             if isinstance(node, Comp2):
                 stack += ((node.second, left, sign), (node.first, left, sign))
             elif isinstance(node, Gen):
-                _acc(out, (self.nf(left), node.cell.name), sign)
+                _acc(out, (left, node.cell.name), sign)
             elif isinstance(node, Inv):
                 stack.append((node.expr, left, -sign))
             elif isinstance(node, Whisker):
-                stack.append((node.expr, self.nf(left.concat(node.left)), sign))
+                stack.append((node.expr, self._walk(left, node.left.letters), sign))
             elif not isinstance(node, (Id2, Exchange)):
                 raise TypeError(f"not a 3-cell expression: {node!r}")
-        return out
+        return self._worded(out)
 
     # -- contracting homotopy -------------------------------------------------
 
@@ -260,8 +333,8 @@ class FreeResolution:
         """ZM -> ZM[generators]: a normal form goes to its Fox derivative."""
         out = {}
         for w, coef in relt.items():
-            add_into(out, self.fox_bracket(w), coef)
-        return out
+            self._fox_into(out, w.letters, coef)
+        return self._worded(out)
 
     def i2(self, melt):
         """ZM[generators] -> ZM[rules]: u[x] |-> rule content of the leftmost
@@ -269,9 +342,8 @@ class FreeResolution:
         out = {}
         for (u, gen), coef in melt.items():
             x = self.presentation.word_from_letters((gen,))
-            path = sigma_path(self.coherent, u.concat(x))
-            add_into(out, self.bracket_2cell(path), coef)
-        return out
+            self._bracket2_into(out, sigma_path(self.coherent, u.concat(x)), coef)
+        return self._worded(out)
 
     def i3(self, melt):
         """ZM[rules] -> ZM[cells]: u[alpha] fills the sphere between the
@@ -367,11 +439,12 @@ def verify_identities(res, samples=16, seed=0):
                 failures.append(f"d2i2_i1d1 fails at {u}[{g.name}]")
         for rule in rules:
             basis = {(u, rule.name): 1}
-            if res.d1(res.d2(basis)):
+            boundary = res.d2(basis)
+            if res.d1(boundary):
                 ok_d1d2 = False
                 failures.append(f"d1d2 nonzero at {u}[{rule.name}]")
             got = res.d3(res.i3(basis))
-            add_into(got, res.i2(res.d2(basis)))
+            add_into(got, res.i2(boundary))
             if got != basis:
                 ok_h3 = False
                 failures.append(f"d3i3_i2d2 fails at {u}[{rule.name}]")
@@ -404,26 +477,27 @@ def try_enumerate(res, bound):
     `bound` elements (possibly infinitely many).  Elements come deglex-sorted.
     """
     p = res.presentation
-    start = identity_word(p.objects[0])
-    seen = {start.letters: start}
-    queue = [start]
+    gens = [g.name for g in p.generators]
+    seen = {0: None}  # numbered normal forms, in the order found
+    queue = [0]
     closed = True
     while queue and closed:
         frontier = []
-        for u in queue:
-            for g in p.generators:
-                v = res.nf(u.concat(p.word_from_letters((g.name,))))
-                if v.letters in seen:
+        for i in queue:
+            for x in gens:
+                j = res._walk(i, (x,))
+                if j in seen:
                     continue
                 if len(seen) >= bound:
                     closed = False
                     break
-                seen[v.letters] = v
-                frontier.append(v)
+                seen[j] = None
+                frontier.append(j)
             if not closed:
                 break
         queue = frontier
-    return sorted(seen.values(), key=_word_sort_key(p.gen_order)), closed
+    elements = [res._words[i] for i in seen]
+    return sorted(elements, key=_word_sort_key(p.gen_order)), closed
 
 
 def enumerate_elements(res, bound):
