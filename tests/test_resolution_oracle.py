@@ -9,7 +9,7 @@ and both matrix exports must agree with it on seeded elements.
 """
 
 import random
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 import pytest
 
@@ -287,7 +287,8 @@ def _completed(text):
     return metivier_squier_reduce(knuth_bendix(parse_polygraph(text)).final).final
 
 
-def _coherent(name):
+@cache
+def coherent(name):
     if name == "sq":
         cert = parse_certificate(SQ_CERT_TEXT)
         return squier_completion(parse_polygraph(SQ_TEXT), 8, cert=cert, ack_sampled=True)
@@ -300,13 +301,6 @@ def _coherent(name):
 
 
 NAMES = ("mu", "xyx_done", "family", "sq", "sigma", "conf0", "a3", "b3", "a4")
-_CACHE = {}
-
-
-def coherent(name):
-    if name not in _CACHE:
-        _CACHE[name] = _coherent(name)
-    return _CACHE[name]
 
 
 def random_word(rng, p, longest=10):
