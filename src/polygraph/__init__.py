@@ -42,6 +42,7 @@ from .rewrite import (
     check_interpretation_certificate,
     deglex_compare,
     find_redexes,
+    normal_form,
     normalize,
     orient,
     parse_certificate,

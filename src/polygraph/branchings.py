@@ -23,7 +23,7 @@ from .presentation import (
     TwoCellPath,
     Word,
 )
-from .rewrite import DEFAULT_PUMP_BOUND, normalize, termination_evidence
+from .rewrite import DEFAULT_PUMP_BOUND, normal_form, normalize, termination_evidence
 
 ASPHERICAL = "aspherical"
 PEIFFER = "peiffer"
@@ -179,15 +179,20 @@ def resolve_branching(p, b, fuel=DEFAULT_FUEL):
     Both legs draw on one budget (`fuel`, an int or a shared Budget);
     FuelExhausted names the branching when it runs out.
     """
-    budget = Budget.of(fuel)
-    try:
-        nf1, f_prime = normalize(p, b.step1.target_word, "leftmost", budget)
-        nf2, g_prime = normalize(p, b.step2.target_word, "leftmost", budget)
-    except FuelExhausted as exc:
-        raise FuelExhausted(f"resolving branching {b.describe()}: {exc}") from None
+    (nf1, f_prime), (nf2, g_prime) = _legs(p, b, Budget.of(fuel), normalize)
     if nf1 == nf2:
         return Resolution(b, f_prime, g_prime, nf1)
     return NotConfluent(b, nf1, nf2, f_prime, g_prime)
+
+
+def _legs(p, b, budget, rewrite):
+    """``rewrite`` (``normalize`` or ``normal_form``) applied leftmost to the
+    targets of both steps of b, on one budget; FuelExhausted names b."""
+    try:
+        return (rewrite(p, b.step1.target_word, "leftmost", budget),
+                rewrite(p, b.step2.target_word, "leftmost", budget))
+    except FuelExhausted as exc:
+        raise FuelExhausted(f"resolving branching {b.describe()}: {exc}") from None
 
 
 def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
@@ -213,7 +218,7 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
     confluent = True
     for b in branchings:
         try:
-            res = resolve_branching(p, b, budget)
+            nf1, nf2 = _legs(p, b, budget, normal_form)
         except FuelExhausted as exc:
             exc.trace = {"branchings": entries, "truncated": bool(p.pumped)}
             raise
@@ -223,14 +228,14 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
                 f"{b.step1.rule.name}@{b.step1.position}",
                 f"{b.step2.rule.name}@{b.step2.position}",
             ],
-            "status": res.status,
+            "status": "Confluent" if nf1 == nf2 else "NotConfluent",
         }
         if b.family:
             entry["family"] = f"{b.family[0]} ~ {b.family[1]} @ offset {b.family[2]}"
-        if res.status == "Confluent":
-            entry["join"] = str(res.join_word)
+        if nf1 == nf2:
+            entry["join"] = str(nf1)
         else:
-            entry["nf1"], entry["nf2"] = str(res.nf1), str(res.nf2)
+            entry["nf1"], entry["nf2"] = str(nf1), str(nf2)
             confluent = False
         entries.append(entry)
     report = {

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 from .presentation import (
     DEFAULT_FUEL,
-    Budget,
     CompositionError,
     FuelExhausted,
     NotCertified,
@@ -40,7 +39,7 @@ from .presentation import (
 )
 from .rewrite import (
     DEFAULT_PUMP_BOUND,
-    certify_convergent,
+    _certified_normal_forms,
     check_interpretation_certificate,
     normalize,
     parse_certificate,
@@ -156,12 +155,9 @@ def _cmd_nf(args):
 def _cmd_eq(args):
     p = _load(args.file)
     cert = _load_cert(args.cert)
-    budget = Budget()
-    certify_convergent(p, fuel=budget, pump_bound=args.pump_bound, cert=cert,
-                       ack_sampled=cert is not None)
     u, v = p.word(args.word1), p.word(args.word2)
-    nf1, _ = normalize(p, u, "leftmost", budget)
-    nf2, _ = normalize(p, v, "leftmost", budget)
+    nf1, nf2 = _certified_normal_forms(p, (u, v), pump_bound=args.pump_bound, cert=cert,
+                                       ack_sampled=cert is not None)
     equal = nf1 == nf2
     sections = {"word1": str(u), "word2": str(v), "equal": equal,
                 "nf1": str(nf1), "nf2": str(nf2)}

@@ -30,11 +30,17 @@ from .rewrite import (
     DEFAULT_PUMP_BOUND,
     check_deglex_termination,
     find_redexes,
+    normal_form,
     normalize,
     orient,
     termination_evidence,
 )
-from .branchings import _critical_branchings, decide_confluence, enumerate_critical_branchings
+from .branchings import (
+    _critical_branchings,
+    _legs,
+    decide_confluence,
+    enumerate_critical_branchings,
+)
 
 DEFAULT_MAX_RULES = 256
 
@@ -86,8 +92,7 @@ def knuth_bendix(p, order=None, max_rules=DEFAULT_MAX_RULES, fuel=DEFAULT_FUEL):
     while queue:
         b = queue.popleft()
         try:
-            nf1, _ = normalize(p, b.step1.target_word, "leftmost", budget)
-            nf2, _ = normalize(p, b.step2.target_word, "leftmost", budget)
+            nf1, nf2 = _legs(p, b, budget, normal_form)
         except FuelExhausted:
             trace.append({"action": "stopped: fuel exhausted", "source": str(b.source_word)})
             return CompletionResult(p, tuple(added), tuple(trace), "FuelExhausted")
@@ -186,9 +191,10 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
     while changed:
         changed = False
         for i, rule in enumerate(rules):
-            nf, path = normalize(current, rule.rhs, "leftmost", budget)
+            nf = normal_form(current, rule.rhs, "leftmost", budget)
             if nf == rule.rhs:
                 continue
+            _, path = normalize(current, rule.rhs, "leftmost", budget.fuel)  # charged above
             witness = ZigZag.of(RewriteStep(rule.lhs, 0, rule), *path.steps)
             trace.append({
                 "pass": 1, "rule": rule.name,

@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 from .presentation import (
+    FuelExhausted,
     PresentationError,
     RewriteStep,
     ZigZag,
     identity_word,
 )
-from .rewrite import deglex_compare, normalize
+from .rewrite import deglex_compare, normal_form
 from .coherence import (
     Comp1,
     Comp2,
@@ -164,7 +165,7 @@ class FreeResolution:
             j = right[i].get(x)
             if j is None:
                 w = self._words[i].concat(self.presentation.word_from_letters((x,)))
-                v, _ = normalize(self.presentation, w, "leftmost")
+                v = normal_form(self.presentation, w, "leftmost")
                 j = right[i][x] = self._register(v)
             i = j
         return i
@@ -566,14 +567,21 @@ def integer_matrices(res, elements):
 
 def symbolic_matrices(res):
     """The three differentials as matrices over the monoid ring, one ring
-    element string per (target basis, source basis) entry."""
+    element string per (target basis, source basis) entry.
+
+    On a pumped family the rows of d3 are the rule instances up to the pump
+    bound; an image that needs an instance above it is a bound hit
+    (FuelExhausted), as in ``coherence.fill_local_branching``."""
     p = res.presentation
     order = p.gen_order
     _, gens, rules, cells = _basis_labels(p, res)
 
-    def collect(melt, labels):
+    def collect(name, melt, labels, source):
         per = {label: {} for label in labels}
         for (w, basis), coef in melt.items():
+            if basis not in per:  # a cell at the pump bound resolves through the next instance
+                raise FuelExhausted(
+                    f"{name} of {source} needs {basis}, above the pump bound {res.pump_bound}")
             per[basis][w] = coef
         return [format_ring(per[label], order) for label in labels]
 
@@ -581,8 +589,10 @@ def symbolic_matrices(res):
     for g in gens:
         relt = res.d1({(identity_word(p.objects[0]), g): 1})
         d1[0].append(format_ring(relt, order))
-    d2_cols = [collect(res.d2({(identity_word(p.objects[0]), r): 1}), gens) for r in rules]
-    d3_cols = [collect(res.d3({(identity_word(p.objects[0]), c): 1}), rules) for c in cells]
+    d2_cols = [collect("d2", res.d2({(identity_word(p.objects[0]), r): 1}), gens, r)
+               for r in rules]
+    d3_cols = [collect("d3", res.d3({(identity_word(p.objects[0]), c): 1}), rules, c)
+               for c in cells]
 
     def transpose(cols, rows):
         return [[col[i] for col in cols] for i in range(rows)]

@@ -38,8 +38,9 @@ class FuelExhausted(RuntimeError):
     """The fuel ran out (suspected non-termination), or a sphere needs a
     pumped rule instance above the pump bound; the message names the phase.
 
-    ``trace`` holds the partial path of an exhausted ``normalize``, the
-    partial report of an exhausted ``decide_confluence``, and None otherwise.
+    ``trace`` holds the partial path of an exhausted ``normalize`` or
+    ``normal_form``, the partial report of an exhausted
+    ``decide_confluence``, and None otherwise.
     """
 
     def __init__(self, message, trace=None):
@@ -50,10 +51,11 @@ class FuelExhausted(RuntimeError):
 class Budget:
     """The fuel of one top-level call, shared by everything that call runs.
 
-    ``normalize`` charges one unit per rewriting step and the sphere filler
-    one per distinct sub-sphere it fills.  Every ``fuel=`` parameter takes
-    an int, which starts a fresh budget for that call, or a Budget, which
-    the call charges in place and hands on to everything it runs.
+    ``normalize`` and ``normal_form`` charge one unit per rewriting step
+    and the sphere filler one per distinct sub-sphere it fills.  Every
+    ``fuel=`` parameter takes an int, which starts a fresh budget for that
+    call, or a Budget, which the call charges in place and hands on to
+    everything it runs.
     """
 
     def __init__(self, fuel=DEFAULT_FUEL):
@@ -455,7 +457,8 @@ class Polygraph:
 
     @cached_property
     def matcher(self):
-        """The redex search behind ``normalize`` (see ``rewrite.Matcher``)."""
+        """The redex search behind ``normalize`` and ``normal_form`` (see
+        ``rewrite.Matcher``)."""
         from .rewrite import Matcher  # rewrite builds on this module
 
         return Matcher(self)

@@ -5,9 +5,9 @@ presentations.
 Pumped rule families are instantiated lazily.  ``find_redexes`` enumerates
 instances up to a bound; a pumped left-hand side longer than the inspected
 word can never match, so a bound of the word length is exact.
-``normalize`` enumerates none: its matcher reads the run of pump letters
-at a match, so its normal forms are exact on the infinite systems, not
-approximate.
+``normalize`` and ``normal_form`` enumerate none: their matcher reads the
+run of pump letters at a match, so their normal forms are exact on the
+infinite systems, not approximate.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .presentation import (
     PresentationError,
     RewriteStep,
     TwoCellPath,
+    Word,
     ZigZag,
     _split_affine,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "ZigZag",
     "find_redexes",
     "normalize",
+    "normal_form",
     "deglex_compare",
     "orient",
     "check_deglex_termination",
@@ -99,8 +101,14 @@ class Matcher:
         self.code = {}
         for letter in letters:
             self.code.setdefault(letter, chr(0x100 + len(self.code)))
+        self.letter = {c: letter for letter, c in self.code.items()}
         self.scans = {"leftmost": _Scan(self, p, reverse=False),
                       "rightmost": _Scan(self, p, reverse=True)}
+        self.ends = {self.code[g.name]: (g.source, g.target) for g in p.generators}
+        objects = {x for pair in self.ends.values() for x in pair}
+        self.object = objects.pop() if len(objects) == 1 else None
+        if not self._typed(p):
+            self.ends = None
 
     def encode(self, w):
         """w as a string, one character per letter ("\\0" for a letter no
@@ -110,6 +118,43 @@ class Matcher:
     def is_normal(self, w):
         """Is no rule instance a subword of w?"""
         return self.scans["leftmost"].search(self.encode(w), 0) is None
+
+    def decodes(self, w, text):
+        """Does ``decode`` give w back from its encoding?  Only when every
+        letter of w is a generator, between the objects the generator
+        declares, and the rules rewrite between such words."""
+        if "\0" in text or self.ends is None:
+            return False
+        if self.object is not None:
+            return w.nodes.count(self.object) == len(w.nodes)
+        ends = [self.ends[c] for c in text]
+        return (list(w.nodes[:-1]) == [s for s, _ in ends]
+                and list(w.nodes[1:]) == [t for _, t in ends])
+
+    def decode(self, text, source):
+        """The word an encoded string stands for, starting at object source."""
+        letters = tuple([self.letter[c] for c in text])
+        if self.object is not None:
+            return Word(letters, (source,) * (len(letters) + 1))
+        return Word(letters, (source, *[self.ends[c][1] for c in text]))
+
+    def _typed(self, p):
+        """Do the generators give every letter one pair of objects, and do
+        the rules rewrite between words that ``decode`` gives back?"""
+        if len(self.ends) != len(self.code) or len(p.generators) != len(self.code):
+            return False  # a letter only a rule mentions, or a name declared twice
+        sides = [w for rule in p.rules for w in (rule.lhs, rule.rhs)]
+        for fam in p.pumped:
+            sides += (fam.lhs_prefix, fam.lhs_suffix, fam.rhs_prefix, fam.rhs_suffix)
+            if self.ends[self.code[fam.pump]] != (fam.pump_object, fam.pump_object):
+                return False
+        if self.object is not None:  # then a side between it is parallel to any other
+            return all(w.nodes.count(self.object) == len(w.nodes) for w in sides)
+        return (all(rule.parallel for rule in p.rules)
+                and all(fam.lhs_prefix.source == fam.rhs_prefix.source
+                        and fam.lhs_suffix.target == fam.rhs_suffix.target
+                        for fam in p.pumped)
+                and all(self.decodes(w, self.encode(w)) for w in sides))
 
 
 class _Scan:
@@ -193,6 +238,21 @@ class _Scan:
             lo = max(len(text[:lo].rstrip(self.pumps)) - self.back, 0)
         return lo
 
+    def rewrites(self, text):
+        """The rewrites this strategy takes on the encoded text, one at a
+        time, as (position of the redex in the word read forward, rule,
+        text after the rewrite).  The next redex is searched only when the
+        caller asks for it, after the search resumed where a new redex can
+        start; stopping early (on fuel) stops the search."""
+        lo = 0
+        while (hit := self.search(text, lo)) is not None:
+            x, rule, rhs = hit
+            k = len(rule.lhs)
+            after = text[:x] + rhs + text[x + k:]
+            yield (len(text) - x - k if self.reverse else x), rule, after
+            text = after
+            lo = self.rescan(text, x)
+
 
 class _Pumped:
     """A pumped family read in one direction: head . pump^n . tail."""
@@ -220,6 +280,13 @@ class _Pumped:
         return n if n >= 0 and text.startswith(self.tail, start + n) else None
 
 
+def _scan(p, strategy):
+    try:
+        return p.matcher.scans[strategy]
+    except KeyError:
+        raise ValueError(f"unknown strategy {strategy!r}") from None
+
+
 def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
     """Rewrite w to a normal form, returning (normal form, rewriting path).
 
@@ -230,32 +297,56 @@ def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
     systems.  After a rewrite the search resumes only where a new redex can
     start.  Every step costs one unit of `fuel` (an int or a shared
     Budget); when it runs out, FuelExhausted carries the partial path in
-    .trace — the signal for suspected non-termination.
+    .trace — the signal for suspected non-termination.  A caller that
+    needs only the normal form calls ``normal_form``, which takes the same
+    steps without building them.
     """
-    try:
-        scan = p.matcher.scans[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
+    scan = _scan(p, strategy)
     budget = Budget.of(fuel)
     steps = []
     current = w
-    text = scan.encode(w)
-    lo = 0
     try:
-        while (hit := scan.search(text, lo)) is not None:
-            x, rule, rhs = hit
+        for i, rule, _ in scan.rewrites(scan.encode(w)):
             budget.charge()
-            k = len(rule.lhs)
-            i = len(text) - x - k if scan.reverse else x
             step = RewriteStep(current, i, rule)
             steps.append(step)
             current = step.target_word
-            text = text[:x] + rhs + text[x + k:]
-            lo = scan.rescan(text, x)
     except FuelExhausted as exc:
         partial = TwoCellPath._chained(w, tuple(steps), current)
         raise FuelExhausted(f"normalizing '{w}': {exc}", partial) from None
     return current, TwoCellPath._chained(w, tuple(steps), current)
+
+
+def normal_form(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
+    """The normal form ``normalize(p, w, strategy, fuel)`` returns, without
+    its path.
+
+    The same steps are taken on the encoded word, one string splice each,
+    and charged one unit each, and the word is decoded once at the end (an
+    empty result is the identity on ``w.source``).  When the fuel runs out,
+    the steps taken are replayed by ``normalize``, so FuelExhausted has the
+    same message and partial path.  A word the encoding cannot give back (a
+    letter no rule or generator mentions, or letters between other objects
+    than the presentation gives them) is normalized by ``normalize``.
+    """
+    scan = _scan(p, strategy)
+    budget = Budget.of(fuel)
+    matcher = p.matcher
+    text = matcher.encode(w)
+    if not matcher.decodes(w, text):
+        return normalize(p, w, strategy, budget)[0]
+    if scan.reverse:
+        text = text[::-1]
+    before = budget.left
+    try:
+        for _, _, text in scan.rewrites(text):
+            budget.charge()
+    except FuelExhausted:
+        replay = Budget(budget.fuel)
+        replay.left = before - budget.left
+        normalize(p, w, strategy, replay)  # raises with the partial path
+        raise
+    return matcher.decode(text[::-1] if scan.reverse else text, w.source)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +538,26 @@ def check_interpretation_certificate(p, cert, sample_bound=16):
     rules = list(p.rules) + [
         fam.instance(k) for fam in p.pumped for k in range(sample_bound + 1)
     ]
+    steps = {}  # (letter, n) -> (der(letter)(n), letter_*(n)), for this call only
+
+    def interpret(w, n):
+        """(w_*(n), der(w)(n)), as star_word and der_word compute them."""
+        total = 0
+        for letter in w.letters:
+            step = steps.get((letter, n))
+            if step is None:
+                a, b = cert.star[letter]
+                step = steps[letter, n] = (
+                    sum(c * base**n for c, base in cert.der[letter]), a * n + b)
+            der, n = step
+            total += der
+        return n, total
+
     checked = 0
     for rule in rules:
         for n in range(sample_bound + 1):
             checked += 1
-            su, sv = cert.star_word(rule.lhs, n), cert.star_word(rule.rhs, n)
-            du, dv = cert.der_word(rule.lhs, n), cert.der_word(rule.rhs, n)
+            (su, du), (sv, dv) = interpret(rule.lhs, n), interpret(rule.rhs, n)
             if not (su >= sv and du > dv):
                 failures.append(
                     {"rule": rule.name, "n": n,
@@ -535,9 +640,16 @@ def word_eq(p, u, v, fuel=DEFAULT_FUEL, pump_bound=DEFAULT_PUMP_BOUND,
     """
     if u.source != v.source or u.target != v.target:
         raise CompositionError(f"'{u}' and '{v}' are not parallel")
+    nf_u, nf_v = _certified_normal_forms(p, (u, v), fuel, pump_bound, cert, ack_sampled)
+    return nf_u == nf_v
+
+
+def _certified_normal_forms(p, words, fuel=DEFAULT_FUEL, pump_bound=DEFAULT_PUMP_BOUND,
+                           cert=None, ack_sampled=False):
+    """The leftmost normal forms of words, after the certification gate of
+    ``certify_convergent``; the gate and every normal form draw on one
+    budget."""
     budget = Budget.of(fuel)
     certify_convergent(p, fuel=budget, pump_bound=pump_bound, cert=cert,
                        ack_sampled=ack_sampled)
-    nf_u, _ = normalize(p, u, "leftmost", budget)
-    nf_v, _ = normalize(p, v, "leftmost", budget)
-    return nf_u == nf_v
+    return [normal_form(p, w, "leftmost", budget) for w in words]

@@ -22,7 +22,9 @@ the inverse of its rightmost path 100 to 300 steps deep, against the
 identity, and then once more followed by the rightmost path against the
 rightmost path; their words are drawn from ``random.Random("b3/sigma")``.
 ``homology --samples 32``, alone and with ``--export``, runs on Coxeter A3,
-B3 and A4 completed by ``knuth_bendix`` and reduced.  An ``--export``
+B3 and A4 completed by ``knuth_bendix`` and reduced; ``homology --samples
+1 --export`` on Squier's pumped example, at pump bounds 8 and 2, stops on
+the bound.  An ``--export``
 invocation also hashes the files it writes: after its standard output come
 the name and sha256 of each exported file, sorted by name.
 """
@@ -174,6 +176,10 @@ def invocations():
         ["cp", sq, "--cert", f("sq_cert")],
         ["cohere", sq, "--cert", f("sq_cert")],
         ["homology", sq, "--cert", f("sq_cert"), "--samples", "4"],
+        # d3 of the cell at the pump bound needs the next instance: exit 3
+        ["homology", sq, "--cert", f("sq_cert"), "--samples", "1", "--export", "{tmp}/out_sq"],
+        ["homology", sq, "--cert", f("sq_cert"), "--samples", "1", "--pump-bound", "2",
+         "--export", "{tmp}/out_sq2"],
         ["cert", sq, f("sq_cert")],
         ["cert", sq, f("sq_bad_cert")],
         ["cert", f("b3"), f("sq_cert")],
