@@ -7,6 +7,8 @@ composite paths that witness how each alpha[n+1] follows from alpha[n] and
 the four fixed rules — the data behind the homotopy-basis transfer tests.
 """
 
+import itertools
+
 import pytest
 
 from polygraph import (
@@ -230,6 +232,33 @@ table:
 e*e=e ; e*a=a ; e*b=b ; a*e=a ; b*e=b
 a*a=a ; a*b=e ; b*a=a ; b*b=b
 """
+
+# the transformation monoid of two points, x*y = "x, then y": the identity,
+# the swap and the two constant maps; not a group
+T2_TABLE = """\
+elements: e s c0 c1
+unit: e
+table:
+e*e=e ; e*s=s ; e*c0=c0 ; e*c1=c1
+s*e=s ; s*s=e ; s*c0=c0 ; s*c1=c1
+c0*e=c0 ; c0*s=c1 ; c0*c0=c0 ; c0*c1=c1
+c1*e=c1 ; c1*s=c0 ; c1*c0=c0 ; c1*c1=c1
+"""
+
+
+def symmetric_group_table(n):
+    """The multiplication table of S_n, elements p0..p(n!-1) in the
+    lexicographic order of the permutations, p0 the unit."""
+    perms = sorted(itertools.permutations(range(n)))
+    name = {perm: f"p{k}" for k, perm in enumerate(perms)}
+    entries = [
+        f"{name[x]}*{name[y]}={name[tuple(x[i] for i in y)]}" for x in perms for y in perms
+    ]
+    return ("elements: " + " ".join(name.values()) + "\nunit: p0\ntable:\n"
+            + "".join(" ; ".join(entries[k : k + 8]) + "\n" for k in range(0, len(entries), 8)))
+
+
+S3_TABLE = symmetric_group_table(3)
 
 
 # --------------------------------------------------------------------------

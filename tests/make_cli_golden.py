@@ -12,7 +12,8 @@ by ``{tmp}`` in the argv and in the output before hashing.
 The invocations cover ``nf`` (both strategies, and ``--fuel 2`` partial
 paths), ``eq``, ``cp``, ``cp --resolve``, ``cohere``, ``reduce``,
 ``complete``, ``homology``, ``fill`` (positive, zigzag and non-composing
-paths), ``std`` and ``cert``.  Words and paths are drawn from
+paths), ``std`` (on Z2, the trivial monoid, S3, the transformation monoid
+T2 and a table that is not associative) and ``cert``.  Words and paths are drawn from
 ``random.Random(<text name>)`` and built with the library, so the argv list
 itself is part of what the file pins.  Deep ``fill`` spheres (the leftmost
 against the rightmost path of words of length 14 to 16, over B3+ and the
@@ -92,6 +93,8 @@ OTHER_FILES = {
     "z2": texts.Z2_TABLE,
     "trivial": texts.TRIVIAL_TABLE,
     "nonassoc": texts.NONASSOC_TABLE,
+    "s3": texts.S3_TABLE,
+    "t2": texts.T2_TABLE,
     "sq_cert": texts.SQ_CERT_TEXT,
     "sq_bad_cert": texts.SQ_BAD_CERT_TEXT,
 }
@@ -188,6 +191,8 @@ def invocations():
         ["std", f("z2")],
         ["std", f("trivial")],
         ["std", f("nonassoc")],
+        ["std", f("s3")],
+        ["std", f("t2")],
     ]
     # deep spheres: the leftmost against the rightmost path of longer words
     for name, text in (("b3", texts.B3_TEXT), ("a4_done", A4_DONE_TEXT)):
