@@ -22,6 +22,7 @@ with "1" for the identity, mirroring the file grammar.  Global flags
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -440,7 +441,10 @@ def _count(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so every ``run`` shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output (deterministic JSON)")

@@ -21,6 +21,7 @@ from functools import cached_property
 
 from .presentation import (
     DEFAULT_FUEL,
+    MONOID_OBJECT,
     Budget,
     CompositionError,
     FuelExhausted,
@@ -643,51 +644,55 @@ def standard_coherent_presentation(table):
     the associativity/left-unit/right-unit 3-cells.  The identity-lhs rule
     is flagged by validate() by design — this presentation is a coherence
     object, not a rewriting system.
+
+    Each word is made once: one per element, pair and triple, and both
+    sides of a_u_v_w share the word u v w.  A side is its first step,
+    checked where it is made, then the checked one-step path of the
+    multiplication on its target, joined by ``then``, which checks the
+    word between them.
     """
     problems = validate_table(table)
     if problems:
         raise PresentationError("; ".join(problems))
 
-    def gname(e):
-        return f"g_{e}"
-
-    def gword(*elts):
-        letters = tuple(gname(e) for e in elts)
-        return Word(letters, ("*",) * (len(letters) + 1))
-
-    generators = tuple(Generator(gname(e)) for e in table.elements)
+    elements, product = table.elements, table.product
+    name = {e: f"g_{e}" for e in elements}
+    word = {e: Word((name[e],), (MONOID_OBJECT,) * 2) for e in elements}
     mul = {}
-    rules = []
-    for u in table.elements:
-        for v in table.elements:
-            r = Rule(f"m_{u}_{v}", gword(u, v), gword(table.product[(u, v)]))
+    bare = {}  # (x, y) -> the path of the one step m_x_y on the word x y
+    for u in elements:
+        for v in elements:
+            r = Rule(f"m_{u}_{v}", Word((name[u], name[v]), (MONOID_OBJECT,) * 3),
+                     word[product[(u, v)]])
             mul[(u, v)] = r
-            rules.append(r)
-    iota = Rule("i", identity_word(), gword(table.unit))
-    rules.append(iota)
+            bare[(u, v)] = ZigZag.of(RewriteStep(r.lhs, 0, r))
+    iota = Rule("i", identity_word(), word[table.unit])
 
-    def step(rule, left=identity_word(), right=identity_word()):
-        return RewriteStep(left.concat(rule.lhs, right), len(left), rule)
+    def side(uvw, position, rule, rest):
+        first = RewriteStep(uvw, position, rule)
+        return ZigZag._chained(uvw, (first,), first.target_word).then(rest)
 
-    one = table.unit
     cells = []
-    for u in table.elements:
-        for v in table.elements:
-            for w in table.elements:
-                uv, vw = table.product[(u, v)], table.product[(v, w)]
-                src = ZigZag.of(step(mul[(u, v)], right=gword(w)), step(mul[(uv, w)]))
-                tgt = ZigZag.of(step(mul[(v, w)], left=gword(u)), step(mul[(u, vw)]))
+    for u in elements:
+        for v in elements:
+            uv = product[(u, v)]
+            for w in elements:
+                vw = product[(v, w)]
+                uvw = Word((name[u], name[v], name[w]), (MONOID_OBJECT,) * 4)
+                src = side(uvw, 0, mul[(u, v)], bare[(uv, w)])
+                tgt = side(uvw, 1, mul[(v, w)], bare[(u, vw)])
                 cells.append(ThreeCell(f"a_{u}_{v}_{w}", src, tgt))
-    for u in table.elements:
-        src = ZigZag.of(step(iota, right=gword(u)), step(mul[(one, u)]))
-        cells.append(ThreeCell(f"l_{u}", src, ZigZag(gword(u))))
-    for u in table.elements:
-        src = ZigZag.of(step(iota, left=gword(u)), step(mul[(u, one)]))
-        cells.append(ThreeCell(f"r_{u}", src, ZigZag(gword(u))))
+    one = table.unit
+    for u in elements:
+        src = ZigZag.of(RewriteStep(word[u], 0, iota)).then(bare[(one, u)])
+        cells.append(ThreeCell(f"l_{u}", src, ZigZag(word[u])))
+    for u in elements:
+        src = ZigZag.of(RewriteStep(word[u], 1, iota)).then(bare[(u, one)])
+        cells.append(ThreeCell(f"r_{u}", src, ZigZag(word[u])))
 
     return Polygraph(
-        generators=generators,
-        rules=tuple(rules),
+        generators=tuple(Generator(name[e]) for e in elements),
+        rules=(*mul.values(), iota),
         three_cells=tuple(cells),
     )
 

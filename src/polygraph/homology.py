@@ -607,13 +607,14 @@ def symbolic_matrices(res):
 
 
 def _write_int_matrix(path, name, rows, columns, row_desc, col_desc):
-    """Write the dense text form of a sparse matrix, one row at a time."""
+    """Write the dense text form of a sparse matrix, one row at a time; a
+    row with nonzero entries is slices of one zero line with the entries
+    between them."""
     by_row = {}
     for j, col in enumerate(columns):
         for i, coef in col.items():
             by_row.setdefault(i, []).append((j, str(coef)))
-    zeros = ["0"] * len(columns)
-    zero_line = " ".join(zeros) + "\n"
+    zero_line = ("0 " * len(columns))[:-1] + "\n"  # column j starts at character 2j
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"# {name} (integer matrix over the Z-basis; rows = target, cols = source)\n"
@@ -625,10 +626,12 @@ def _write_int_matrix(path, name, rows, columns, row_desc, col_desc):
             if entries is None:
                 fh.write(zero_line)
                 continue
-            line = zeros.copy()
+            pieces, done = [], 0  # characters of zero_line written so far
             for j, text in entries:
-                line[j] = text
-            fh.write(" ".join(line) + "\n")
+                pieces += (zero_line[done : 2 * j], text)
+                done = 2 * j + 1
+            pieces.append(zero_line[done:])
+            fh.write("".join(pieces))
 
 
 def _write_sym_matrix(path, name, matrix, row_labels, col_labels):

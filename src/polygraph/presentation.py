@@ -40,12 +40,32 @@ class FuelExhausted(RuntimeError):
 
     ``trace`` holds the partial path of an exhausted ``normalize`` or
     ``normal_form``, the partial report of an exhausted
-    ``decide_confluence``, and None otherwise.
+    ``decide_confluence``, and None otherwise.  ``traced_later`` makes an
+    exception whose trace is built when it is first read.
     """
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+    @classmethod
+    def traced_later(cls, message, build):
+        """The exception whose trace is ``build()``, called on first read."""
+        exc = cls(message)
+        exc._build = build
+        return exc
+
+    @property
+    def trace(self):
+        if self._build is not None:
+            build, self._build = self._build, None
+            self._trace = build()
+        return self._trace
+
+    @trace.setter
+    def trace(self, value):
+        self._build = None
+        self._trace = value
 
 
 class Budget:

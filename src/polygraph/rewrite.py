@@ -324,10 +324,11 @@ def normal_form(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
     The same steps are taken on the encoded word, one string splice each,
     and charged one unit each, and the word is decoded once at the end (an
     empty result is the identity on ``w.source``).  When the fuel runs out,
-    the steps taken are replayed by ``normalize``, so FuelExhausted has the
-    same message and partial path.  A word the encoding cannot give back (a
-    letter no rule or generator mentions, or letters between other objects
-    than the presentation gives them) is normalized by ``normalize``.
+    FuelExhausted has the message of ``normalize``; its partial path is
+    built when ``.trace`` is first read, by replaying the steps taken with
+    ``normalize``.  A word the encoding cannot give back (a letter no rule
+    or generator mentions, or letters between other objects than the
+    presentation gives them) is normalized by ``normalize``.
     """
     scan = _scan(p, strategy)
     budget = Budget.of(fuel)
@@ -341,11 +342,19 @@ def normal_form(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
     try:
         for _, _, text in scan.rewrites(text):
             budget.charge()
-    except FuelExhausted:
-        replay = Budget(budget.fuel)
-        replay.left = before - budget.left
-        normalize(p, w, strategy, replay)  # raises with the partial path
-        raise
+    except FuelExhausted as exc:
+        size, spent = budget.fuel, before - budget.left
+
+        def partial_path():
+            replay = Budget(size)
+            replay.left = spent
+            try:
+                normalize(p, w, strategy, replay)
+            except FuelExhausted as again:
+                return again.trace
+            raise RuntimeError(f"normalizing '{w}' again did not spend {spent} units")
+
+        raise FuelExhausted.traced_later(f"normalizing '{w}': {exc}", partial_path) from None
     return matcher.decode(text[::-1] if scan.reverse else text, w.source)
 
 

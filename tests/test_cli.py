@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from polygraph.cli import format_report, main, run
+from polygraph.cli import build_parser, format_report, main, run
 
 from conftest import (
     B3_TEXT,
@@ -427,6 +427,23 @@ def test_usage_errors_exit_two(files, capsys):
     code, _ = run(["nf", f["b3"]])  # missing WORD
     assert code == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_run(files, capsys):
+    # a usage error, then a run with a non-default option, then one with
+    # the defaults: each parses as it would in a fresh process
+    assert build_parser() is build_parser()
+    f = files(b3=B3_TEXT)
+    code, report = run(["nf", f["b3"], "s t s", "--strategy", "sideways"])
+    assert code == 2
+    assert report.sections == {"error": "usage"}
+    capsys.readouterr()
+    code, report = run(["nf", f["b3"], "s t s t s t", "--fuel", "1"])
+    assert code == 3
+    code, report = run(["nf", f["b3"], "s t s t s t"])
+    assert code == 0
+    assert report.sections["strategy"] == "leftmost"
+    assert report.sections["steps"] == 3
 
 
 @pytest.mark.parametrize("argv", [

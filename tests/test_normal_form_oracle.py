@@ -34,6 +34,7 @@ from polygraph import (
     termination_evidence,
     word_eq,
 )
+from polygraph import rewrite
 from polygraph.rewrite import DEFAULT_PUMP_BOUND
 
 STRATEGIES = ("leftmost", "rightmost")
@@ -199,6 +200,48 @@ def test_exhaustion_at_every_fuel_below_the_total(name, strategy):
             assert budget.left == 0
             exhausted += 1
     assert exhausted >= 10
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """The arguments of every call to ``normalize`` made through the module."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(rewrite, "normalize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_the_partial_path_is_built_when_the_trace_is_read(normalize_calls, strategy):
+    p = presentation("b3")
+    w = p.word("s t s t s t a s t s a a")
+    _, path = normalize(p, w, strategy)
+    fuel = len(path.steps) // 2
+    assert fuel >= 2
+    want = outcome(normalize, p, w, strategy, fuel)
+    with pytest.raises(FuelExhausted) as info:
+        normal_form(p, w, strategy, fuel)
+    assert str(info.value) == want[2]
+    assert normalize_calls == []
+    assert info.value.trace == want[3]
+    assert info.value.trace.steps == path.steps[:fuel]
+    assert len(normalize_calls) == 1
+    info.value.trace
+    assert len(normalize_calls) == 1
+
+
+def test_a_dropped_partial_path_is_never_built(normalize_calls):
+    # a rule that rewrites its left-hand side to itself: the confluence
+    # check spends its fuel on the first leg and reports its branchings
+    p = parse_polygraph("monoid\ngenerators: a\nrules:\nr0: a a a => a a a\n")
+    with pytest.raises(FuelExhausted, match="the budget of 1000 is spent") as info:
+        decide_confluence(p, fuel=1000, assume_terminating=True)
+    assert info.value.trace == {"branchings": [], "truncated": False}
+    assert normalize_calls == []
 
 
 # ---------------------------------------------------------------------------
