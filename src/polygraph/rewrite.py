@@ -350,9 +350,8 @@ def normal_form(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
             replay.left = spent
             try:
                 normalize(p, w, strategy, replay)
-            except FuelExhausted as again:
+            except FuelExhausted as again:  # at the step this scan ran out on
                 return again.trace
-            raise RuntimeError(f"normalizing '{w}' again did not spend {spent} units")
 
         raise FuelExhausted.traced_later(f"normalizing '{w}': {exc}", partial_path) from None
     return matcher.decode(text[::-1] if scan.reverse else text, w.source)
