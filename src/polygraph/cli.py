@@ -331,13 +331,8 @@ def _cmd_transfer(args):
     xi = _load(args.xi)
     with open(args.mapfile, encoding="utf-8") as fh:
         F, G, tau = parse_transfer_maps(sigma, xi, fh.read())
-    if sigma.three_cells:
-        gamma = sigma.three_cells
-        sigma_base = replace(sigma, three_cells=())
-    else:
-        gamma = squier_completion(sigma, args.pump_bound).cells
-        sigma_base = sigma
-    cells = transfer_homotopy_basis(sigma_base, xi, F, G, tau, gamma,
+    cp = _coherent_from(sigma, args)
+    cells = transfer_homotopy_basis(cp.base, xi, F, G, tau, cp.cells,
                                     pump_bound=args.pump_bound)
     problems = validate(replace(xi, three_cells=tuple(cells)))
     sections = {

@@ -53,8 +53,8 @@ class CompletionResult:
     status: str  # "Completed" | "FuelExhausted"
 
 
-def knuth_bendix(p, order=None, max_rules=DEFAULT_MAX_RULES, fuel=DEFAULT_FUEL):
-    """Complete p into a convergent system under a total deglex order.
+def knuth_bendix(p, max_rules=DEFAULT_MAX_RULES, fuel=DEFAULT_FUEL):
+    """Complete p into a convergent system under its deglex order.
 
     The branching queue is FIFO: the initial critical branchings in their
     enumeration order, then, after each added rule, the new branchings that
@@ -65,15 +65,12 @@ def knuth_bendix(p, order=None, max_rules=DEFAULT_MAX_RULES, fuel=DEFAULT_FUEL):
     """
     if p.pumped:
         raise PresentationError("completion over pumped rule families is unsupported")
-    order = order if order is not None else p.gen_order
-    ok, report = check_deglex_termination(p, order)
+    ok, report = check_deglex_termination(p)
     if not ok:
         bad = [e["rule"] for e in report if not e["ok"]]
         raise PresentationError(
             f"rules do not decrease under the given deglex order: {', '.join(bad)}"
         )
-    if p.gen_order != order:
-        p = replace(p, gen_order=tuple(order))
 
     budget = Budget.of(fuel)
     queue = deque(enumerate_critical_branchings(p, 0))
@@ -106,7 +103,7 @@ def knuth_bendix(p, order=None, max_rules=DEFAULT_MAX_RULES, fuel=DEFAULT_FUEL):
             entry["action"] = "joined"
             trace.append(entry)
             continue
-        oriented = orient(order, nf1, nf2)
+        oriented = orient(p.gen_order, nf1, nf2)
         assert oriented is not None, "distinct parallel words must orient under total deglex"
         lhs, rhs = oriented
         if len(p.rules) >= max_rules:
@@ -191,10 +188,9 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
     while changed:
         changed = False
         for i, rule in enumerate(rules):
-            nf = normal_form(current, rule.rhs, "leftmost", budget)
-            if nf == rule.rhs:
+            nf, path = normalize(current, rule.rhs, "leftmost", budget)
+            if not path.steps:
                 continue
-            _, path = normalize(current, rule.rhs, "leftmost", budget.fuel)  # charged above
             witness = ZigZag.of(RewriteStep(rule.lhs, 0, rule), *path.steps)
             trace.append({
                 "pass": 1, "rule": rule.name,

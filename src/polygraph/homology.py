@@ -118,8 +118,9 @@ class FreeResolution:
     Normal forms keyed by their letters need one object, so a presentation
     with several is refused.
 
-    ``d2`` and ``d3`` compute the image of each basis element at the identity
-    once and act on it by the coefficient word: d(u[b]) = u·d([b]).
+    ``d1``, ``d2`` and ``d3`` compute the image of each basis element at the
+    identity once (``_image``) and act on it by the coefficient word:
+    d(u[b]) = u·d([b]).
     """
 
     coherent: CoherentPresentation
@@ -234,12 +235,7 @@ class FreeResolution:
 
     def d1(self, melt):
         """ZM[generators] -> ZM:  u[x] |-> u*x - u."""
-        out = {}
-        for (u, gen), coef in melt.items():
-            i = self._number(u)
-            _acc(out, self._walk(i, (gen,)), coef)
-            _acc(out, i, -coef)
-        return {self._words[i]: coef for i, coef in out.items()}
+        return {w: coef for (w, _), coef in self._differential(1, melt).items()}
 
     def _fox_into(self, out, letters, scale):
         """Add scale times the Fox bracket of a word to out: the letter at
@@ -282,14 +278,19 @@ class FreeResolution:
         return self._worded(out)
 
     def _image(self, degree, name):
-        """d2 or d3 of the basis element [name] at the identity, keyed by
-        numbers and computed on first use.  Keyed by degree too: a rule and
-        a 3-cell may share a name."""
+        """d1, d2 or d3 of the basis element [name] at the identity, keyed
+        by numbers and computed on first use: x - 1 (on the basis element ""
+        of ZM) for a generator x, the Fox difference of the two sides for a
+        rule, the rule content of the two boundary paths for a 3-cell.
+        Keyed by degree too: a rule and a 3-cell may share a name."""
         key = (degree, name)
         image = self._images.get(key)
         if image is None:
             image = {}
-            if degree == 2:
+            if degree == 1:
+                _acc(image, (self._walk(0, (name,)), ""), 1)
+                _acc(image, (0, ""), -1)
+            elif degree == 2:
                 rule = self.presentation.lookup_rule(name)
                 self._fox_into(image, rule.lhs.letters, 1)
                 self._fox_into(image, rule.rhs.letters, -1)
@@ -402,14 +403,13 @@ def verify_identities(res, samples=16, seed=0):
     integers.  Returns a report dict with one boolean per identity family
     plus the failures, if any.
     """
-    p = res.presentation
     elements = sample_elements(res, samples, seed)
-    rules = p.all_rule_instances(res.pump_bound)
+    _, gens, rules, cells = _basis_labels(res)
     failures = []
     report = {
         "samples": len(elements),
         "rules_checked": len(rules),
-        "cells_checked": len(res.coherent.cells),
+        "cells_checked": len(cells),
     }
 
     # eps . i0 = id on Z
@@ -417,11 +417,7 @@ def verify_identities(res, samples=16, seed=0):
     if not report["eps_i0"]:
         failures.append("eps_i0: augmentation does not split")
 
-    ok_d1d2 = True
-    ok_d2d3 = True
-    ok_h1 = True
-    ok_h2 = True
-    ok_h3 = True
+    ok = dict.fromkeys(("d1d2", "d2d3", "d1i1_i0eps", "d2i2_i1d1", "d3i3_i2d2"), True)
 
     for u in elements:
         # d1 i1 + i0 eps = id on ZM
@@ -429,37 +425,32 @@ def verify_identities(res, samples=16, seed=0):
         lhs = res.d1(res.i1(one))
         add_into(lhs, res.i0(res.epsilon(one)))
         if lhs != one:
-            ok_h1 = False
+            ok["d1i1_i0eps"] = False
             failures.append(f"d1i1_i0eps fails at {u}")
-        for g in p.generators:
-            basis = {(u, g.name): 1}
+        for g in gens:
+            basis = {(u, g): 1}
             got = res.d2(res.i2(basis))
             add_into(got, res.i1(res.d1(basis)))
             if got != basis:
-                ok_h2 = False
-                failures.append(f"d2i2_i1d1 fails at {u}[{g.name}]")
+                ok["d2i2_i1d1"] = False
+                failures.append(f"d2i2_i1d1 fails at {u}[{g}]")
         for rule in rules:
-            basis = {(u, rule.name): 1}
+            basis = {(u, rule): 1}
             boundary = res.d2(basis)
             if res.d1(boundary):
-                ok_d1d2 = False
-                failures.append(f"d1d2 nonzero at {u}[{rule.name}]")
+                ok["d1d2"] = False
+                failures.append(f"d1d2 nonzero at {u}[{rule}]")
             got = res.d3(res.i3(basis))
             add_into(got, res.i2(boundary))
             if got != basis:
-                ok_h3 = False
-                failures.append(f"d3i3_i2d2 fails at {u}[{rule.name}]")
-        for cell in res.coherent.cells:
-            basis = {(u, cell.name): 1}
-            if res.d2(res.d3(basis)):
-                ok_d2d3 = False
-                failures.append(f"d2d3 nonzero at {u}[{cell.name}]")
+                ok["d3i3_i2d2"] = False
+                failures.append(f"d3i3_i2d2 fails at {u}[{rule}]")
+        for cell in cells:
+            if res.d2(res.d3({(u, cell): 1})):
+                ok["d2d3"] = False
+                failures.append(f"d2d3 nonzero at {u}[{cell}]")
 
-    report["d1d2"] = ok_d1d2
-    report["d2d3"] = ok_d2d3
-    report["d1i1_i0eps"] = ok_h1
-    report["d2i2_i1d1"] = ok_h2
-    report["d3i3_i2d2"] = ok_h3
+    report.update(ok)
     report["passed"] = not failures
     report["failures"] = failures
     return report
@@ -513,38 +504,37 @@ def enumerate_elements(res, bound):
     return elements
 
 
-def _basis_labels(p, res):
-    """Module basis names in declaration order for degrees 0..3."""
-    rules = [r.name for r in p.all_rule_instances(res.pump_bound)]
-    cells = [c.name for c in res.coherent.cells]
-    gens = [g.name for g in p.generators]
-    return [""], gens, rules, cells
+def _basis_labels(res):
+    """The names of the module bases of degrees 0..3 in declaration order:
+    "" for ZM itself, the generators, the rule instances up to the pump
+    bound, the 3-cells.  The differential of degree k maps basis k to
+    basis k-1."""
+    p = res.presentation
+    return ([""], [g.name for g in p.generators],
+            [r.name for r in p.all_rule_instances(res.pump_bound)],
+            [c.name for c in res.coherent.cells])
 
 
 def _sparse_differentials(res, elements):
     """The three differentials over the Z-basis of ``integer_matrices``, one
     at a time, as (name, row count, columns): column j maps the row index of
-    each nonzero coefficient of the j-th source basis vector's image to it."""
-    p = res.presentation
-    idx = {w.letters: i for i, w in enumerate(elements)}
+    each nonzero coefficient of the j-th source basis vector's image to it.
+    The column of u[b] is the image of [b] (``_image``) acted on by the
+    number of u, its entries placed by element number; no Word is built."""
     n = len(elements)
-    _, gens, rules, cells = _basis_labels(p, res)
-
-    yield "d1", n, [
-        {idx[w.letters]: coef for w, coef in res.d1({(u, g): 1}).items()}
-        for g in gens
-        for u in elements
-    ]
-    for name, d, sources, targets in (
-        ("d2", res.d2, rules, gens),
-        ("d3", res.d3, cells, rules),
-    ):
+    row_of = {res._number(w): k for k, w in enumerate(elements)}  # number -> row
+    bases = _basis_labels(res)
+    for degree in (1, 2, 3):
+        targets, sources = bases[degree - 1], bases[degree]
         offset = {label: k * n for k, label in enumerate(targets)}
-        yield name, len(targets) * n, [
-            {offset[b] + idx[w.letters]: coef for (w, b), coef in d({(u, s): 1}).items()}
-            for s in sources
-            for u in elements
-        ]
+        columns = []
+        for s in sources:
+            image = res._image(degree, s)
+            for u in row_of:
+                col = {}
+                res._act_into(col, u, image, 1)
+                columns.append({offset[b] + row_of[i]: coef for (i, b), coef in col.items()})
+        yield f"d{degree}", len(targets) * n, columns
 
 
 def integer_matrices(res, elements):
@@ -567,43 +557,31 @@ def integer_matrices(res, elements):
 
 def symbolic_matrices(res):
     """The three differentials as matrices over the monoid ring, one ring
-    element string per (target basis, source basis) entry.
+    element string per (target basis, source basis) entry: the column of a
+    source basis element is its image at the identity (``_image``), split
+    by target basis element.
 
     On a pumped family the rows of d3 are the rule instances up to the pump
     bound; an image that needs an instance above it is a bound hit
     (FuelExhausted), as in ``coherence.fill_local_branching``."""
-    p = res.presentation
-    order = p.gen_order
-    _, gens, rules, cells = _basis_labels(p, res)
-
-    def collect(name, melt, labels, source):
-        per = {label: {} for label in labels}
-        for (w, basis), coef in melt.items():
-            if basis not in per:  # a cell at the pump bound resolves through the next instance
-                raise FuelExhausted(
-                    f"{name} of {source} needs {basis}, above the pump bound {res.pump_bound}")
-            per[basis][w] = coef
-        return [format_ring(per[label], order) for label in labels]
-
-    d1 = [[] for _ in range(1)]
-    for g in gens:
-        relt = res.d1({(identity_word(p.objects[0]), g): 1})
-        d1[0].append(format_ring(relt, order))
-    d2_cols = [collect("d2", res.d2({(identity_word(p.objects[0]), r): 1}), gens, r)
-               for r in rules]
-    d3_cols = [collect("d3", res.d3({(identity_word(p.objects[0]), c): 1}), rules, c)
-               for c in cells]
-
-    def transpose(cols, rows):
-        return [[col[i] for col in cols] for i in range(rows)]
-
-    return {
-        "d1": d1,
-        "d2": transpose(d2_cols, len(gens)) if d2_cols else [[] for _ in gens],
-        "d3": transpose(d3_cols, len(rules)) if d3_cols else [[] for _ in rules],
-        "row_labels": {"d1": [""], "d2": gens, "d3": rules},
-        "col_labels": {"d1": gens, "d2": rules, "d3": cells},
-    }
+    order = res.presentation.gen_order
+    bases = _basis_labels(res)
+    mats = {}
+    for degree in (1, 2, 3):
+        name, targets, sources = f"d{degree}", bases[degree - 1], bases[degree]
+        columns = []
+        for source in sources:
+            per = {label: {} for label in targets}
+            for (i, basis), coef in res._image(degree, source).items():
+                if basis not in per:  # a cell at the pump bound resolves through the next instance
+                    raise FuelExhausted(
+                        f"{name} of {source} needs {basis}, above the pump bound {res.pump_bound}")
+                per[basis][res._words[i]] = coef
+            columns.append([format_ring(per[label], order) for label in targets])
+        mats[name] = [[col[k] for col in columns] for k in range(len(targets))]
+    names = ("d1", "d2", "d3")
+    return {**mats, "row_labels": dict(zip(names, bases)),
+            "col_labels": dict(zip(names, bases[1:]))}
 
 
 def _write_int_matrix(path, name, rows, columns, row_desc, col_desc):
@@ -657,8 +635,7 @@ def write_matrices(res, out_dir, bound=2000):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    p = res.presentation
-    _, gens, rules, cells = _basis_labels(p, res)
+    bases = _basis_labels(res)
 
     sym = symbolic_matrices(res)
     for name in ("d1", "d2", "d3"):
@@ -696,9 +673,8 @@ def write_matrices(res, out_dir, bound=2000):
             return elt_desc
         return ", ".join(f"{w}[{lab}]" for lab in labels for w in elements)
 
-    labels = {"d1": ([""], gens), "d2": (gens, rules), "d3": (rules, cells)}
-    for name, rows, columns in _sparse_differentials(res, elements):
-        targets, sources = labels[name]
+    for degree, (name, rows, columns) in enumerate(_sparse_differentials(res, elements), 1):
+        targets, sources = bases[degree - 1], bases[degree]
         _write_int_matrix(
             out / f"{name}.txt", name, rows, columns, basis_desc(targets), basis_desc(sources)
         )

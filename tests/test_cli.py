@@ -8,9 +8,12 @@ with the same argv and files produce identical JSON.
 """
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from polygraph import parse_polygraph, serialize_polygraph, squier_completion
 from polygraph.cli import build_parser, format_report, main, run
 
 from conftest import (
@@ -332,6 +335,20 @@ def test_transfer_identity_functor(files):
     names = [c["name"] for c in report.sections["cells"]]
     assert names == ["F_conf0", "F_conf1", "tau_alpha", "tau_kb1"]
     assert report.human[-1] == "validation: OK"
+
+
+def test_transfer_reads_the_files_own_three_cells(files):
+    """A source presentation that declares its 3-cells transfers them as
+    Squier completion's cells of the same presentation would transfer."""
+    p = parse_polygraph(XYX_DONE_TEXT)
+    with_cells = replace(p, three_cells=squier_completion(p).cells)
+    f = files(done=XYX_DONE_TEXT, cells=serialize_polygraph(with_cells), map=IDENTITY_MAP)
+    assert "threecells:" in Path(f["cells"]).read_text()
+    code, report = run(["transfer", f["cells"], f["done"], f["map"]])
+    want_code, want = run(["transfer", f["done"], f["done"], f["map"]])
+    assert code == want_code == 0
+    assert report.sections == want.sections
+    assert report.human == want.human
 
 
 def test_transfer_bad_map_is_usage_error(files):

@@ -30,10 +30,9 @@ from polygraph.homology import _basis_labels
 
 
 def reference_matrices(res, elements):
-    p = res.presentation
     idx = {w.letters: i for i, w in enumerate(elements)}
     n = len(elements)
-    deg0, deg1, deg2, deg3 = _basis_labels(p, res)
+    deg0, deg1, deg2, deg3 = _basis_labels(res)
 
     def ring_column(relt, rows):
         col = [0] * rows
@@ -84,7 +83,7 @@ def reference_files(res):
     """The bytes of d1.txt, d2.txt and d3.txt as the dense writer made them."""
     elements = enumerate_elements(res, 2000)
     mats = reference_matrices(res, elements)
-    _, gens, rules, cells = _basis_labels(res.presentation, res)
+    _, gens, rules, cells = _basis_labels(res)
     elt_desc = ", ".join(str(w) for w in elements)
 
     def basis_desc(labels):

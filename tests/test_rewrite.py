@@ -111,6 +111,22 @@ def test_check_deglex_termination_pumped(sq):
     assert not by_rule["beta"]
 
 
+@pytest.mark.parametrize("family, ok, detail", [
+    ("a ( t )^n b => ( t )^( n )", True, "every instance shortens by 2"),
+    ("( t )^n a => b b ( t )^( n ) a", False, "every instance grows by 2"),
+    ("b ( t )^n => a ( t )^( n )", True,
+     "length-tied; letterwise decrease verified (stable in n)"),
+    ("a ( t )^n => b ( t )^( n )", False, "instance n=0 does not decrease"),
+])
+def test_check_deglex_termination_exponent_n_plus_q(family, ok, detail):
+    """A family whose right-hand exponent is n+q changes length by a
+    constant; a length-tied one is compared letterwise for small n."""
+    p = parse_polygraph(
+        f"monoid\ngenerators: a b t\norder: a < b < t\npumped:\nphi[n]: {family}\n"
+    )
+    assert check_deglex_termination(p) == (ok, [{"rule": "phi[n]", "ok": ok, "detail": detail}])
+
+
 def test_certificate_parse_and_evaluation(sq, sq_cert):
     assert sq_cert.star["x"] == (1, 1)  # n + 1
     assert sq_cert.star["a"] == (1, 0)  # n
