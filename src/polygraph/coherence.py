@@ -712,13 +712,22 @@ class TwoFunctor:
     rule_map: dict  # rule (instance) name -> ZigZag over target
 
     def word(self, w):
-        out = identity_word(w.source)
+        """The image of w: the images of its letters, composed, built with
+        one join."""
+        letters, nodes = [], [w.source]
         for letter in w.letters:
             try:
-                out = out.concat(self.gen_map[letter])
+                image = self.gen_map[letter]
             except KeyError:
                 raise PresentationError(f"functor has no image for generator {letter!r}") from None
-        return out
+            if image.source != nodes[-1]:
+                raise CompositionError(
+                    f"cannot compose {Word(tuple(letters), tuple(nodes))} (ends at {nodes[-1]}) "
+                    f"with {image} (starts at {image.source})"
+                )
+            letters += image.letters
+            nodes += image.nodes[1:]
+        return Word(tuple(letters), tuple(nodes))
 
     def rule_image(self, name):
         try:
@@ -777,19 +786,45 @@ def check_two_functor(F):
 
 
 def tau_word(F, G, tau_gen, w):
-    """The natural-transformation component at a word: τ_{v·w} is τ_v on the
-    still-unfixed tail followed by the fixed head acting on τ_w."""
-    if w.is_identity:
+    """The natural-transformation component at a word w = v_1 ⋯ v_n, a path
+    from FG(w) to w: τ_{v_1} on the first letters, with the still-unfixed
+    tail FG(v_2 ⋯ v_n) after it, then v_1 acting on τ_{v_2 ⋯ v_n}.
+
+    Built in one loop, right to left, with each τ_{v_k} whiskered once by
+    its fixed head v_1 ⋯ v_{k-1} and its tail FG(v_{k+1} ⋯ v_n); the
+    junctions are checked right to left, as the recursive definition does.
+    """
+    n = len(w)
+    if n == 0:
         return ZigZag(w)
-    head, rest = w.slice(0, 1), w.slice(1, len(w))
-    letter = w.letters[0]
+    taus = [_tau_component(tau_gen, w.letters[0])]
+    images = [G.word(w.slice(k, k + 1)) for k in range(1, n)]
+    images = [F.word(image) for image in images]  # FG(v_2), ..., FG(v_n)
+    taus += [_tau_component(tau_gen, letter) for letter in w.letters[1:]]
+    chunks = []  # the whiskered steps of τ_{v_n}, ..., τ_{v_1}
+    tail = identity_word(w.target)  # FG(v_{k+1} ⋯ v_n)
+    reached = tail  # the source of the component at v_{k+1} ⋯ v_n
+    for k in range(n - 1, -1, -1):
+        tau = taus[k]
+        end, start = tau.target.concat(tail), w.slice(k, k + 1).concat(reached)
+        if end != start:
+            raise CompositionError(
+                f"cannot chain path ending at {end} with one starting at {start}")
+        if tau.steps:
+            left = w.slice(0, k)
+            chunks.append([s.whisker(left, tail) for s in tau.steps])
+        reached = tau.source.concat(tail)
+        if k:
+            tail = images[k - 1].concat(tail)
+    steps = tuple(s for chunk in reversed(chunks) for s in chunk)
+    return ZigZag._chained(reached, steps, w)
+
+
+def _tau_component(tau_gen, letter):
     try:
-        tau_v = tau_gen[letter]
+        return tau_gen[letter]
     except KeyError:
         raise PresentationError(f"no tau component for generator {letter!r}") from None
-    fg_rest = F.word(G.word(rest))
-    first = tau_v.whisker(identity_word(w.source), fg_rest)
-    return first.then(tau_word(F, G, tau_gen, rest).whisker(head, identity_word(w.target)))
 
 
 def transfer_homotopy_basis(sigma, xi, F, G, tau_gen, gamma,

@@ -483,6 +483,15 @@ class Polygraph:
 
         return Matcher(self)
 
+    @cached_property
+    def _certified(self):
+        """The verdicts of the convergence gate of ``word_eq`` on this
+        presentation: its parameters -> the fuel units it charged (see
+        ``rewrite._certified_normal_forms``).  The presentation is a frozen
+        value, so a verdict cannot go stale; a ``replace`` copy starts
+        empty."""
+        return {}
+
     def rule_key(self, rule):
         """Total declaration order on rule instances.
 

@@ -644,7 +644,9 @@ def word_eq(p, u, v, fuel=DEFAULT_FUEL, pump_bound=DEFAULT_PUMP_BOUND,
 
     Sound only for convergent systems, so the certification gate runs first
     (see certify_convergent); NotCertified is raised rather than returning a
-    possibly-wrong answer.
+    possibly-wrong answer.  The gate runs once per presentation object and
+    set of gate parameters (see ``_certified_normal_forms``); every call
+    charges its fuel all the same.
     """
     if u.source != v.source or u.target != v.target:
         raise CompositionError(f"'{u}' and '{v}' are not parallel")
@@ -656,8 +658,26 @@ def _certified_normal_forms(p, words, fuel=DEFAULT_FUEL, pump_bound=DEFAULT_PUMP
                            cert=None, ack_sampled=False):
     """The leftmost normal forms of words, after the certification gate of
     ``certify_convergent``; the gate and every normal form draw on one
-    budget."""
+    budget.
+
+    Convergence is a property of the presentation, so the gate runs once
+    per presentation object, pump bound, certificate content and
+    acknowledgement, and ``p._certified`` records the fuel units it
+    charged.  A later call with the same parameters charges those units
+    where the gate would have, when the budget has them; otherwise the gate
+    runs again, so it raises its own FuelExhausted.  A failed gate
+    (NotCertified, FuelExhausted) is never recorded.
+    """
     budget = Budget.of(fuel)
-    certify_convergent(p, fuel=budget, pump_bound=pump_bound, cert=cert,
-                       ack_sampled=ack_sampled)
+    key = (pump_bound, bool(ack_sampled),
+           None if cert is None else (frozenset(cert.star.items()),
+                                      frozenset(cert.der.items())))
+    units = p._certified.get(key)
+    if units is not None and budget.left >= units:
+        budget.left -= units
+    else:
+        before = budget.left
+        certify_convergent(p, fuel=budget, pump_bound=pump_bound, cert=cert,
+                           ack_sampled=ack_sampled)
+        p._certified[key] = before - budget.left
     return [normal_form(p, w, "leftmost", budget) for w in words]

@@ -337,6 +337,19 @@ def test_transfer_identity_functor(files):
     assert report.human[-1] == "validation: OK"
 
 
+def test_transfer_of_a_rule_longer_than_the_recursion_limit(files):
+    """τ on a 1,200-letter left-hand side: a path, not a RecursionError."""
+    long = " ".join(["x"] + ["y"] * 1199)
+    f = files(p=f"monoid\ngenerators: x y\norder: x < y\nrules:\nlong: {long} => y\n",
+              map="fgen:\nx => x ; y => y\nfrule:\nlong => 1 * long * 1\n"
+                  "ggen:\nx => x ; y => y\ngrule:\nlong => 1 * long * 1\n"
+                  "tau:\nx => id(x) ; y => id(y)\n")
+    code, report = run(["transfer", f["p"], f["p"], f["map"]])
+    assert code == 0
+    assert report.human[0] == "transferred homotopy basis: 1 cell"
+    assert report.human[-1] == "validation: OK"
+
+
 def test_transfer_reads_the_files_own_three_cells(files):
     """A source presentation that declares its 3-cells transfers them as
     Squier completion's cells of the same presentation would transfer."""

@@ -1,0 +1,161 @@
+"""``coherence.tau_word`` against its recursive definition.
+
+τ_{v·w} is τ_v on FG(v) with the still-unfixed tail FG(w) after it, then v
+acting on τ_w.  The recursion below is that definition as the library
+once computed it, one level per letter; the library builds the same path
+in one loop.  Paths, and the errors of incomplete or ill-fitting data, must
+be equal on seeded words; a word far longer than the recursion limit must
+return.
+"""
+
+import random
+import sys
+
+import pytest
+
+from polygraph import (
+    CompositionError,
+    PresentationError,
+    RewriteStep,
+    ZigZag,
+    identity_word,
+    parse_polygraph,
+)
+from polygraph.coherence import TwoFunctor, parse_transfer_maps, tau_word
+
+from test_coherence import IDENTITY_MAP
+
+
+def ref_tau_word(F, G, tau_gen, w):
+    """tau_word as it was: one level of recursion per letter."""
+    if w.is_identity:
+        return ZigZag(w)
+    head, rest = w.slice(0, 1), w.slice(1, len(w))
+    letter = w.letters[0]
+    try:
+        tau_v = tau_gen[letter]
+    except KeyError:
+        raise PresentationError(f"no tau component for generator {letter!r}") from None
+    fg_rest = F.word(G.word(rest))
+    first = tau_v.whisker(identity_word(w.source), fg_rest)
+    return first.then(ref_tau_word(F, G, tau_gen, rest).whisker(head, identity_word(w.target)))
+
+
+def ref_functor_word(F, w):
+    """TwoFunctor.word as it was: one concat per letter."""
+    out = identity_word(w.source)
+    for letter in w.letters:
+        try:
+            out = out.concat(F.gen_map[letter])
+        except KeyError:
+            raise PresentationError(f"functor has no image for generator {letter!r}") from None
+    return out
+
+
+# z is a redundant generator: y y => z, so x y x = y y = z
+XYZ_TEXT = """\
+monoid
+generators: x y z
+order: x < y < z
+rules:
+alpha: x y x => y y
+zeta: y y => z
+"""
+
+
+@pytest.fixture(scope="module")
+def xyz():
+    return parse_polygraph(XYZ_TEXT)
+
+
+def maps(p, z_image):
+    """(F, G, tau) with F the identity and G sending z to z_image; τ_z
+    goes from z_image to z, through an inverse step when z_image is y y."""
+    words = {g: p.word(g) for g in "xyz"}
+    F = TwoFunctor(p, p, words, {})
+    G = TwoFunctor(p, p, {**words, "z": p.word(z_image)}, {})
+    alpha, zeta = p.lookup_rule("alpha"), p.lookup_rule("zeta")
+    to_z = ZigZag.of(RewriteStep(p.word("x y x"), 0, alpha), RewriteStep(p.word("y y"), 0, zeta))
+    if z_image == "y y":
+        to_z = ZigZag.of(RewriteStep(p.word("x y x"), 0, alpha)).inverse().then(to_z)
+    tau = {"x": ZigZag(words["x"]), "y": ZigZag(words["y"]), "z": to_z}
+    return F, G, tau
+
+
+def seeded_words(p, seed, count, longest):
+    rng = random.Random(seed)
+    return [p.word_from_letters(tuple(rng.choice("xyz") for _ in range(rng.randint(0, longest))))
+            for _ in range(count)]
+
+
+def outcome(fn, *args):
+    try:
+        path = fn(*args)
+    except (PresentationError, CompositionError) as exc:
+        return ("raised", type(exc), str(exc))
+    return ("returned", path, path.target)
+
+
+@pytest.mark.parametrize("z_image", ["x y x", "y y"])
+def test_tau_word_is_its_recursive_definition(xyz, z_image):
+    F, G, tau = maps(xyz, z_image)
+    steps = 0
+    for w in seeded_words(xyz, f"tau/{z_image}", 60, 9):
+        got = outcome(tau_word, F, G, tau, w)
+        assert got == outcome(ref_tau_word, F, G, tau, w)
+        assert got[2] == w and got[1].source == F.word(G.word(w))
+        steps += len(got[1].steps)
+    assert steps > 60
+
+
+def test_functor_word_is_one_concat_per_letter(xyz):
+    _, G, _ = maps(xyz, "y y")
+    for w in seeded_words(xyz, "functor", 40, 12):
+        got, want = G.word(w), ref_functor_word(G, w)
+        assert (got.letters, got.nodes) == (want.letters, want.nodes)
+    partial = TwoFunctor(xyz, xyz, {"x": xyz.word("x")}, {})
+    w = xyz.word("x y z")
+    with pytest.raises(PresentationError, match="no image for generator 'y'"):
+        partial.word(w)
+    with pytest.raises(PresentationError, match="no image for generator 'y'"):
+        ref_functor_word(partial, w)
+
+
+def test_tau_word_fails_where_its_recursive_definition_does(xyz):
+    """A missing τ component or generator image, and a τ component that
+    stops short of its letter (τ_z ending at y y): the same error, with
+    the same message, as the recursion raises."""
+    F, G, tau = maps(xyz, "x y x")
+    no_y = {"x": tau["x"], "z": tau["z"]}
+    partial_g = TwoFunctor(xyz, xyz, {"x": xyz.word("x"), "z": xyz.word("x y x")}, {})
+    short = {**tau, "z": ZigZag.of(RewriteStep(xyz.word("x y x"), 0, xyz.lookup_rule("alpha")))}
+    raised = set()
+    for w in seeded_words(xyz, "tau/errors", 40, 7):
+        for f, g, components in ((F, G, no_y), (F, partial_g, tau), (F, G, short)):
+            want = outcome(ref_tau_word, f, g, components, w)
+            assert outcome(tau_word, f, g, components, w) == want
+            raised.add(want[1] if want[0] == "raised" else None)
+    assert raised == {PresentationError, CompositionError, None}
+
+
+@pytest.fixture
+def default_recursion_limit():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(before)
+
+
+def test_a_long_word_returns_under_the_default_recursion_limit(
+        xyz, xyx_done, default_recursion_limit):
+    F, G, tau = parse_transfer_maps(xyx_done, xyx_done, IDENTITY_MAP)
+    rng = random.Random(1500)
+    w = xyx_done.word_from_letters(tuple(rng.choice("xy") for _ in range(1500)))
+    path = tau_word(F, G, tau, w)
+    assert path.source == path.target == w and path.steps == ()
+    # and with a step for every letter z: each τ_z whiskered into place
+    F, G, tau = maps(xyz, "y y")
+    w = xyz.word_from_letters(tuple(rng.choice("xyz") for _ in range(1500)))
+    path = tau_word(F, G, tau, w)
+    assert path.target == w and len(path.steps) == 3 * w.letters.count("z")
+    assert ZigZag(path.source, path.steps).target == w  # the steps chain
