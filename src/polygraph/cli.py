@@ -86,16 +86,17 @@ _STATUS = {0: "OK", 1: "FAIL", 2: "FAIL", 3: "PARTIAL"}
 # shared helpers
 
 
-def _load(path):
+def _read(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_polygraph(fh.read())
+        return fh.read()
+
+
+def _load(path):
+    return parse_polygraph(_read(path))
 
 
 def _load_cert(path):
-    if path is None:
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return parse_certificate(fh.read())
+    return None if path is None else parse_certificate(_read(path))
 
 
 def _coherent_from(p, args, cert=None):
@@ -302,8 +303,7 @@ def _cmd_fill(args):
 
 
 def _cmd_std(args):
-    with open(args.tablefile, encoding="utf-8") as fh:
-        table = parse_multiplication_table(fh.read())
+    table = parse_multiplication_table(_read(args.tablefile))
     problems = validate_table(table)
     if problems:
         sections = {"elements": len(table.elements), "problems": problems}
@@ -329,8 +329,7 @@ def _cmd_std(args):
 def _cmd_transfer(args):
     sigma = _load(args.sigma)
     xi = _load(args.xi)
-    with open(args.mapfile, encoding="utf-8") as fh:
-        F, G, tau = parse_transfer_maps(sigma, xi, fh.read())
+    F, G, tau = parse_transfer_maps(sigma, xi, _read(args.mapfile))
     cp = _coherent_from(sigma, args)
     cells = transfer_homotopy_basis(cp.base, xi, F, G, tau, cp.cells,
                                     pump_bound=args.pump_bound)

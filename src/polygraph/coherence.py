@@ -34,7 +34,10 @@ from .presentation import (
     ThreeCell,
     Word,
     ZigZag,
+    _logical_entries,
+    _sections,
     identity_word,
+    parse_path,
 )
 from .rewrite import DEFAULT_PUMP_BOUND, normalize, termination_evidence
 from .branchings import (
@@ -567,44 +570,24 @@ class MultiplicationTable:
 
 
 def parse_multiplication_table(text):
-    """Parse a finite monoid from `elements:`, `unit:`, and `table:` sections
-    (table entries `x*y=z`, ';'/newline separated, '#' comments)."""
-    elements, unit, product = [], None, {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for entry in line.split(";"):
-            entry = entry.strip()
-            if not entry:
-                continue
-            head, colon, rest = entry.partition(":")
-            if colon and head.strip() in ("elements", "unit", "table"):
-                section = head.strip()
-                entry = rest.strip()
-                if not entry:
-                    continue
-            if section == "elements":
-                elements.extend(entry.split())
-            elif section == "unit":
-                unit = entry.strip()
-            elif section == "table":
-                m = None
-                parts = entry.replace(" ", "")
-                if "=" in parts and "*" in parts:
-                    lhs, _, z = parts.partition("=")
-                    x, star, y = lhs.partition("*")
-                    if star:
-                        m = (x, y, z)
-                if m is None:
-                    raise PresentationError(f"cannot parse table entry {entry!r}", lineno)
-                product[(m[0], m[1])] = m[2]
-            else:
-                raise PresentationError(f"entry outside any section: {entry!r}", lineno)
+    """Parse a finite monoid from `elements:`, `unit:` and `table:` sections,
+    read as presentation files are; table entries are `x*y=z`, and the last
+    `unit` entry names the unit."""
+    sections = _sections(_logical_entries(text), ("elements", "unit", "table"))
+    elements = [x for _, entry in sections.get("elements", []) for x in entry.split()]
+    units = sections.get("unit", [])
+    product = {}
+    for line, entry in sections.get("table", []):
+        lhs, eq, z = entry.replace(" ", "").partition("=")
+        x, star, y = lhs.partition("*")
+        if not (eq and star):
+            raise PresentationError(f"cannot parse table entry {entry!r}", line)
+        product[(x, y)] = z
     if not elements:
         raise PresentationError("multiplication table needs an elements: section")
-    if unit is None:
+    if not units:
         raise PresentationError("multiplication table needs a unit: section")
-    return MultiplicationTable(tuple(elements), unit, product)
+    return MultiplicationTable(tuple(elements), units[-1][1], product)
 
 
 def validate_table(table):
@@ -905,21 +888,7 @@ def parse_transfer_maps(sigma, xi, text):
     grammar as 3-cell boundaries (``left * rule * right`` steps joined by
     ``.``, ``-`` for inverses, ``id(word)`` for empty paths).
     """
-    from .presentation import _logical_entries, parse_path
-
-    entries = _logical_entries(text)
-    sections = {}
-    current = None
-    for line, entry in entries:
-        before, colon, after = entry.partition(":")
-        key = before.strip()
-        if key in _MAP_SECTIONS and colon and not after.strip():
-            current = key
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            raise PresentationError(f"unexpected entry before any section: {entry!r}", line)
-        sections[current].append((line, entry))
+    sections = _sections(_logical_entries(text), _MAP_SECTIONS)
 
     def split(entry, line):
         if "=>" not in entry:

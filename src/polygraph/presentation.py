@@ -674,6 +674,31 @@ def _logical_entries(text):
     return out
 
 
+def _sections(entries, names):
+    """Group (line_number, entry) pairs into {section: [(line_number, entry)]}.
+
+    An entry `name: rest` or a bare `name`, for a name in `names`, opens that
+    section, and `rest` is its first entry; any other entry belongs to the
+    section opened last.  A section opened again continues its list.
+    """
+    sections = {}
+    current = None
+    for line, entry in entries:
+        before, _, after = entry.partition(":")
+        key = before.strip()
+        # entries of rules and 3-cells also contain ':', so only the section
+        # names open a section
+        if key in names:
+            current = sections.setdefault(key, [])
+            if after.strip():
+                current.append((line, after.strip()))
+        elif current is None:
+            raise PresentationError(f"unexpected entry before any section: {entry!r}", line)
+        else:
+            current.append((line, entry))
+    return sections
+
+
 def _split_affine(text, line):
     """Parse an affine expression in n (`n`, `n+1`, `2*n+3`, `2n`, `0`) into
     (p, q) meaning p*n + q."""
@@ -699,24 +724,7 @@ def parse_polygraph(text):
     if header not in ("monoid", "category"):
         raise PresentationError(f"expected 'monoid' or 'category', got {header!r}", line)
     is_monoid = header == "monoid"
-
-    sections = {}
-    current = None
-    for line, entry in entries[1:]:
-        before, colon, after = entry.partition(":")
-        key = before.strip()
-        # rule entries also contain ':', so only the section keywords open a
-        # section; everything else is content of the current one
-        if key in _SECTIONS and (colon or not after):
-            current = key
-            sections.setdefault(current, [])
-            rest = after.strip()
-            if rest:
-                sections[current].append((line, rest))
-        else:
-            if current is None:
-                raise PresentationError(f"unexpected entry before any section: {entry!r}", line)
-            sections[current].append((line, entry))
+    sections = _sections(entries[1:], _SECTIONS)
 
     if is_monoid:
         if "objects" in sections:

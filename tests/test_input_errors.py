@@ -17,6 +17,7 @@ from polygraph import (
 from polygraph.cli import run
 
 from conftest import XYX_DONE_TEXT
+from test_coherence import IDENTITY_MAP
 
 PRESENTATION_ERRORS = [
     ("", "empty presentation"),
@@ -63,7 +64,7 @@ def test_presentation_sections_open_bare_or_with_a_first_entry():
 
 TABLE_ERRORS = [
     ("x\nelements: e\nunit: e\ntable:\ne*e=e\n",
-     "line 1: entry outside any section: 'x'"),
+     "line 1: unexpected entry before any section: 'x'"),
     ("elements: e\nunit: e\ntable: e*e\n", "line 3: cannot parse table entry 'e*e'"),
     ("elements: e\nunit: e\ntable:\ne*e\n", "line 4: cannot parse table entry 'e*e'"),
     ("elements: e\ntable:\ne*e=e\n", "multiplication table needs a unit: section"),
@@ -83,6 +84,12 @@ def test_table_takes_the_last_unit_entry():
     assert table.elements == ("e", "a")
     assert table.unit == "e"
     assert table.product == {("e", "e"): "e"}
+
+
+def test_table_bare_unit_opens_the_unit_section():
+    table = parse_multiplication_table("elements: e\nunit\ne\ntable:\ne*e=e\n")
+    assert table.elements == ("e",)
+    assert table.unit == "e"
 
 
 MAP_ERRORS = [
@@ -117,3 +124,18 @@ def test_transfer_rule_image_with_the_wrong_boundary(tmp_path):
     assert report.sections == {
         "error": "image of rule alpha goes y y y x -> x y y y, expected x y x -> y y"
     }
+
+
+def test_map_section_first_entry_after_the_colon(xyx_done):
+    """`fgen: x => x` on one line reads as `fgen:` followed by `x => x`."""
+    inline = parse_transfer_maps(xyx_done, xyx_done, (
+        "fgen: x => x ; y => y\n"
+        "frule: alpha => 1 * alpha * 1\nkb1 => 1 * kb1 * 1\n"
+        "ggen: x => x ; y => y\n"
+        "grule: alpha => 1 * alpha * 1\nkb1 => 1 * kb1 * 1\n"
+        "tau: x => id(x) ; y => id(y)\n"
+    ))
+    F, G, tau = parse_transfer_maps(xyx_done, xyx_done, IDENTITY_MAP)
+    assert inline[0].gen_map == F.gen_map and inline[0].rule_map == F.rule_map
+    assert inline[1].gen_map == G.gen_map and inline[1].rule_map == G.rule_map
+    assert inline[2] == tau
