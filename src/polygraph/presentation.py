@@ -288,12 +288,14 @@ class RewriteStep:
 
     @property
     def right(self):
-        inner = self.rule.lhs if self.forward else self.rule.rhs
-        return self.source_word.slice(self.position + len(inner), len(self.source_word))
+        return self.source_word.slice(self.span[1], len(self.source_word))
 
     @property
     def span(self):
-        return (self.position, self.position + len(self.rule.lhs))
+        """Where the input side sits in the source word: the lhs, or the rhs
+        of a backward step."""
+        inner = self.rule.lhs if self.forward else self.rule.rhs
+        return (self.position, self.position + len(inner))
 
     @property
     def target_word(self):

@@ -5,13 +5,17 @@ from dataclasses import replace
 
 from polygraph import (
     NotCertified,
+    RewriteStep,
+    boundary3,
     classify_local_branching,
     decide_confluence,
     enumerate_critical_branchings,
     make_local_branching,
+    parse_polygraph,
     resolve_branching,
 )
 from polygraph.branchings import ASPHERICAL, OVERLAPPING, PEIFFER
+from polygraph.coherence import Exchange
 
 from conftest import rstep
 
@@ -31,6 +35,33 @@ def test_classification(b3):
     b = make_local_branching(b3, s_alpha, s_beta)
     assert b.step1 == s_beta  # canonical order: by position first
     assert b.offset == 1
+
+
+def test_backward_steps_span_their_rhs():
+    """A backward step has the rhs at its position: with r: b b b => a on
+    a a b, the inverse steps at 0 and 1 rewrite disjoint letters."""
+    p = parse_polygraph("monoid\ngenerators: a b\nrules:\nr: b b b => a\n")
+    r = p.lookup_rule("r")
+    s, t = (RewriteStep(p.word("a a b"), i, r, forward=False) for i in (0, 1))
+    assert (s.span, t.span) == ((0, 1), (1, 2))
+    assert str(t.right) == "b"
+    assert classify_local_branching(s, t) == PEIFFER
+    src, tgt = boundary3(Exchange(s, t))
+    assert (src.source, src.target) == (tgt.source, tgt.target)
+
+
+def test_forward_and_backward_steps_side_by_side():
+    """On a b b b the inverse step at 0 (a <= b b b) and the forward step
+    at 1 (b b b => a) are a Peiffer branching."""
+    p = parse_polygraph("monoid\ngenerators: a b\nrules:\nr: b b b => a\n")
+    r = p.lookup_rule("r")
+    w = p.word("a b b b")
+    back, fwd = RewriteStep(w, 0, r, forward=False), RewriteStep(w, 1, r)
+    assert (back.span, fwd.span) == ((0, 1), (1, 4))
+    assert classify_local_branching(back, fwd) == PEIFFER
+    src, tgt = boundary3(Exchange(back, fwd))
+    assert (src.source, src.target) == (tgt.source, tgt.target)
+    assert str(src.target) == "b b b a"
 
 
 def test_four_critical_branchings(b3):
