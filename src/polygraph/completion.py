@@ -167,7 +167,9 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
     Each removal/replacement is recorded in the trace together with a
     rewriting witness (checked here) showing the discarded boundary is still
     derivable — the soundness content of the corresponding Tietze moves.
-    The confluence check and every normalization draw on one budget.
+    The confluence check and every normalization draw on one budget; the
+    witness of a rule pass 3 removes is the leftmost normalization of its
+    lhs, one unit per step, the first step included.
     """
     if p.pumped:
         raise PresentationError("reduction over pumped rule families is unsupported")
@@ -231,9 +233,8 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
     for rule in p.rules:
         if rule in survivors:
             continue
-        inner = find_redexes(final, rule.lhs, 0)[0]
-        nf, path = normalize(final, inner.target_word, "leftmost", budget)
-        witness = ZigZag.of(*((inner,) + path.steps))
+        _, witness = normalize(final, rule.lhs, "leftmost", budget)
+        inner = witness.steps[0]
         if witness.target != rule.rhs:
             raise AssertionError(
                 f"pass 3 witness for {rule.name} ends at {witness.target}, "
