@@ -66,12 +66,8 @@ def find_redexes(p, w, pump_bound=DEFAULT_PUMP_BOUND):
     lhs never match.  Pumped instances are enumerated for n <= pump_bound,
     further capped by len(w) since longer instances cannot match.
     """
-    instances = list(p.rules)
-    for fam in p.pumped:
-        top = min(pump_bound, len(w))
-        instances.extend(fam.instance(n) for n in range(top + 1))
     out = []
-    for rule in instances:
+    for rule in p.all_rule_instances(min(pump_bound, len(w))):
         if rule.lhs.is_identity:
             continue
         for pos in w.occurrences(rule.lhs):
@@ -424,30 +420,25 @@ def check_deglex_termination(p, order=None, pump_bound=DEFAULT_PUMP_BOUND):
     for fam in p.pumped:
         lhs_fixed = len(fam.lhs_prefix) + len(fam.lhs_suffix)
         rhs_fixed = len(fam.rhs_prefix) + len(fam.rhs_suffix) + fam.rhs_q
-        if fam.rhs_p == 1:
-            diff = lhs_fixed - rhs_fixed  # constant in n
-            if diff > 0:
-                good, detail = True, f"every instance shortens by {diff}"
-            elif diff < 0:
-                good, detail = False, f"every instance grows by {-diff}"
-            else:
-                checked = range(max(pump_bound, 3) + 1)
-                bad = [n for n in checked
-                       if deglex_compare(rank, fam.instance(n).lhs, fam.instance(n).rhs)
-                       != GREATER]
-                good = not bad
-                detail = ("length-tied; letterwise decrease verified (stable in n)"
-                          if good else f"instance n={bad[0]} does not decrease")
+        diff = lhs_fixed - rhs_fixed
+        if fam.rhs_p == 1 and diff:
+            # the length difference is constant in n
+            good = diff > 0
+            detail = (f"every instance shortens by {diff}" if good
+                      else f"every instance grows by {-diff}")
         else:
-            # rhs length is constant; lhs grows, so only small n can fail
-            tail = max(rhs_fixed - lhs_fixed, 0) + 1
-            checked = range(max(tail, pump_bound, 3) + 1)
-            bad = [n for n in checked
-                   if deglex_compare(rank, fam.instance(n).lhs, fam.instance(n).rhs)
-                   != GREATER]
+            if fam.rhs_p == 1:
+                checked = range(max(pump_bound, 3) + 1)
+                holds = "length-tied; letterwise decrease verified (stable in n)"
+            else:
+                # rhs length is constant; lhs grows, so only small n can fail
+                tail = max(-diff, 0) + 1
+                checked = range(max(tail, pump_bound, 3) + 1)
+                holds = "decreases for all n (length wins beyond checked range)"
+            bad = [n for n, inst in zip(checked, map(fam.instance, checked))
+                   if deglex_compare(rank, inst.lhs, inst.rhs) != GREATER]
             good = not bad
-            detail = ("decreases for all n (length wins beyond checked range)"
-                      if good else f"instance n={bad[0]} does not decrease")
+            detail = holds if good else f"instance n={bad[0]} does not decrease"
         report.append({"rule": f"{fam.name}[n]", "ok": good, "detail": detail})
         ok = ok and good
 
@@ -543,9 +534,7 @@ def check_interpretation_certificate(p, cert, sample_bound=16):
     if missing:
         raise PresentationError(f"certificate does not cover generators: {', '.join(missing)}")
     failures = []
-    rules = list(p.rules) + [
-        fam.instance(k) for fam in p.pumped for k in range(sample_bound + 1)
-    ]
+    rules = p.all_rule_instances(sample_bound)
     steps = {}  # (letter, n) -> (der(letter)(n), letter_*(n)), for this call only
 
     def interpret(w, n):
