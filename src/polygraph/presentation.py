@@ -688,8 +688,8 @@ def _sections(entries, names):
     for line, entry in entries:
         before, _, after = entry.partition(":")
         key = before.strip()
-        # entries of rules and 3-cells also contain ':', so only the section
-        # names open a section
+        # rules, 3-cells and typed generators also contain ':', so only the
+        # section names open a section
         if key in names:
             current = sections.setdefault(key, [])
             if after.strip():
