@@ -393,9 +393,10 @@ def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
     sub-spheres are pasted vertically.  boundary3(result) = (p, q) exactly.
     The recursion meets the same sub-sphere many times; a memo that lives
     for this one call fills each distinct sub-sphere once and shares its
-    expression, so the result is a DAG with the value of the tree.  Each
-    sub-sphere filled and each step of its h costs one unit of the one
-    budget; a sub-sphere met again costs nothing.
+    expression, so the result is a DAG with the value of the tree.  The
+    same memo builds each word's path h once (_sigma).  Each sub-sphere
+    filled and each step of its h costs one unit of the one budget, also
+    when h was built before; a sub-sphere met again costs nothing.
     """
     return _fill(cp, p_path, q_path, Budget.of(fuel), {})
 
@@ -428,7 +429,9 @@ def _fill_positive(cp, p, p_keys, i, q, q_keys, j, budget, memo):
     Both paths are checked already, so a suffix is read by its index; it
     is never rebuilt as a ZigZag, which would check it again.  ``p_keys``
     and ``q_keys`` are the paths' step keys, and ``memo`` maps each
-    sphere filled in this call to its expression.
+    sphere filled in this call to its expression and each word whose σ
+    path the call built (a Word key, never equal to a sphere's tuple key)
+    to that path.
     """
     p_source, q_source = _source_at(p, i), _source_at(q, j)
     key = (p_source.letters, p_source.nodes, p_keys[i:], q_keys[j:])
@@ -460,7 +463,7 @@ def _fill_positive(cp, p, p_keys, i, q, q_keys, j, budget, memo):
 
     f1, g1, cell_expr = fill_local_branching(cp, a, b)
     join = f1.target
-    _, h = normalize(cp.base, join, "leftmost", budget)
+    h = _sigma(cp, join, budget, memo)
     assert h.target == p.target, (
         f"confluence path from '{join}' reaches '{h.target}', "
         f"not the sphere target '{p.target}'"
@@ -489,6 +492,59 @@ def sigma_path(cp, w, fuel=DEFAULT_FUEL):
     return path
 
 
+def _sigma(cp, w, budget, memo):
+    """sigma_path(cp, w, budget), built at most once per word in one fill
+    call: ``memo`` maps each word whose path the call built to that path.
+
+    The path is charged as ``normalize`` charges it, one unit per step,
+    steps met again included; when the budget cannot pay for all of it, the
+    units left are spent and FuelExhausted has normalize's message and the
+    path paid for.
+    """
+    left = budget.left
+    path = memo.get(w)
+    if path is None:
+        path = _sigma_walk(cp, w, left, memo)
+    try:
+        for _ in path.steps:
+            budget.charge()
+    except FuelExhausted as exc:
+        partial = ZigZag._chained(w, path.steps[:left], path.steps[left].source_word)
+        raise FuelExhausted(f"normalizing '{w}': {exc}", partial) from None
+    return path
+
+
+def _sigma_walk(cp, w, limit, memo):
+    """σ(w), recorded in ``memo`` with the path of every word it passes.
+
+    The leftmost strategy is memoryless, so σ(w) is w's first leftmost step
+    followed by σ of that step's target.  The walk takes leftmost steps
+    until it reaches the normal form or a word the memo holds, then builds
+    the paths of the words it passed back to front, one new step each.  A
+    walk that takes more than ``limit`` new steps stops there and returns
+    those steps, which the budget cannot pay for, and records nothing.
+    """
+    scan = cp.base.matcher.scans["leftmost"]
+    steps = []
+    current = w
+    for i, rule, _ in scan.rewrites(scan.encode(w)):
+        step = RewriteStep(current, i, rule)
+        steps.append(step)
+        current = step.target_word
+        if len(steps) > limit:
+            return ZigZag._chained(w, tuple(steps), current)
+        tail = memo.get(current)
+        if tail is not None:
+            break
+    else:
+        tail = memo[current] = ZigZag._chained(current, (), current)
+    rest, nf = tail.steps, tail.target
+    for step in reversed(steps):
+        rest = (step,) + rest
+        tail = memo[step.source_word] = ZigZag._chained(step.source_word, rest, nf)
+    return tail
+
+
 def _sigma_step(cp, step, sig_u, sig_m, budget, memo):
     """An expression [step] ⋆₁ σ(target word) ⇛ σ(source word), for a step
     of either direction, given sig_u = σ(source word) and sig_m = σ(target
@@ -513,19 +569,20 @@ def sigma_zigzag(cp, f, budget, memo):
 
     The source boundary is exactly f; the target boundary is the
     normalization square up to step/inverse cancellation (exact when f is
-    positive).  The steps are straightened from the last to the first,
-    each word of f is normalized once, and each step's sphere is filled
-    with the filler memo ``memo``.
+    positive).  The steps are straightened from the last to the first;
+    ``memo``, the filler memo of the call, gives each word of f its σ path,
+    built once, and fills each step's sphere.  Every step of every σ path
+    taken is charged to the budget.
     """
     v = f.target
     if not f.steps:
         return Id2(ZigZag(v))
-    sig_m = sigma_path(cp, v, budget)
+    sig_m = _sigma(cp, v, budget, memo)
     sig_v_back = sig_m.inverse()
     expr = Id2(ZigZag(v))
     for step in reversed(f.steps):
         u = step.source_word
-        sig_u = sigma_path(cp, u, budget)
+        sig_u = _sigma(cp, u, budget, memo)
         top = Comp1(ZigZag(u, (step,)), expr, ZigZag(v))
         bottom = Comp1(ZigZag(u), _sigma_step(cp, step, sig_u, sig_m, budget, memo), sig_v_back)
         expr = Comp2(top, bottom)
@@ -540,7 +597,7 @@ def fill_sphere(cp, f, g, fuel=DEFAULT_FUEL):
     Positive parallel paths into a normal form take the direct noetherian
     recursion; general zigzags straighten each side onto the normalization
     square (σ_f, σ_g) and paste the two straightenings; a sub-sphere met
-    twice in one call is filled once.  Filler nodes and the normalizations
+    twice in one call is filled once, and each word's σ path built once.  Filler nodes and the normalizations
     inside the filler draw on one budget; FuelExhausted names the sphere
     when it runs out or a pumped instance above the pump bound is needed.
     """
@@ -571,8 +628,8 @@ class MultiplicationTable:
 
 def parse_multiplication_table(text):
     """Parse a finite monoid from `elements:`, `unit:` and `table:` sections,
-    read as presentation files are; table entries are `x*y=z`, and the last
-    `unit` entry names the unit."""
+    read as presentation files are; table entries are `x*y=z`, at most one
+    per pair, and the last `unit` entry names the unit."""
     sections = _sections(_logical_entries(text), ("elements", "unit", "table"))
     elements = [x for _, entry in sections.get("elements", []) for x in entry.split()]
     units = sections.get("unit", [])
@@ -582,6 +639,8 @@ def parse_multiplication_table(text):
         x, star, y = lhs.partition("*")
         if not (eq and star):
             raise PresentationError(f"cannot parse table entry {entry!r}", line)
+        if (x, y) in product:
+            raise PresentationError(f"a second product for {x}*{y}: {entry!r}", line)
         product[(x, y)] = z
     if not elements:
         raise PresentationError("multiplication table needs an elements: section")

@@ -462,12 +462,6 @@ class InterpretationCert:
     star: dict  # generator -> (a, b) meaning n -> a*n + b, a >= 0
     der: dict  # generator -> tuple of (coef, base) terms, base in {1, 2, 3}
 
-    def star_word(self, w, n):
-        for letter in w.letters:
-            a, b = self.star[letter]
-            n = a * n + b
-        return n
-
     def der_word(self, w, n):
         total = 0
         for letter in w.letters:
@@ -538,7 +532,8 @@ def check_interpretation_certificate(p, cert, sample_bound=16):
     steps = {}  # (letter, n) -> (der(letter)(n), letter_*(n)), for this call only
 
     def interpret(w, n):
-        """(w_*(n), der(w)(n)), as star_word and der_word compute them."""
+        """(w_*(n), der(w)(n)): the star maps composed along w, and the
+        derivation count der_word computes."""
         total = 0
         for letter in w.letters:
             step = steps.get((letter, n))

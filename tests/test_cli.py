@@ -327,6 +327,13 @@ def test_std_bad_table_exits_one_with_witnesses(files):
     assert "associativity fails at (a, a, b): e vs a" in report.human[1]
 
 
+def test_std_refuses_two_products_for_one_pair(files):
+    f = files(twice="elements: e a; unit: e; table: e*e=e ; e*a=a ; a*e=a ; a*a=e ; a*a=a\n")
+    code, report = run(["std", f["twice"]])
+    assert code == 2
+    assert report.sections["error"] == "line 1: a second product for a*a: 'a*a=a'"
+
+
 def test_transfer_identity_functor(files):
     f = files(done=XYX_DONE_TEXT, map=IDENTITY_MAP)
     code, report = run(["transfer", f["done"], f["done"], f["map"]])

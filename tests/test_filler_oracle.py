@@ -9,7 +9,9 @@ one memo per ``fill_sphere`` call, keyed by the suffix ZigZags and shared
 by the spheres of every σ step: both must charge the budget in the same
 order, and run out of a short budget at the same point with the same
 message.  The library never charges more than the reference without a
-memo.
+memo.  The library also builds each σ path once per call, where the
+reference normalizes every time: each path it shares must be the leftmost
+normalization path, and charged, and cut short, as ``normalize`` would.
 """
 
 import functools
@@ -18,6 +20,7 @@ import sys
 
 import pytest
 
+import polygraph.coherence as coherence
 from polygraph import (
     Budget,
     CompositionError,
@@ -135,7 +138,8 @@ ref_fill_sphere_memoized = functools.partial(ref_fill_sphere, memoized=True)
 
 
 class Recording(Budget):
-    """A budget that logs who spent each unit: a normalize step or a node."""
+    """A budget that logs who spent each unit: a step of a normalization
+    path (``normalize``, or the filler's shared σ paths) or a node."""
 
     def __init__(self, fuel):
         super().__init__(fuel)
@@ -144,7 +148,7 @@ class Recording(Budget):
     def charge(self):
         caller = sys._getframe(1).f_code.co_name
         super().charge()
-        self.log.append("step" if caller == "normalize" else "node")
+        self.log.append("step" if caller in ("normalize", "_sigma") else "node")
 
 
 def spent(budget):
@@ -275,3 +279,103 @@ def test_fill_sphere_rejects_a_non_sphere_like_the_reference(b3):
     with pytest.raises(CompositionError) as want:
         ref_fill_positive(cp, f, g, Budget())
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the σ paths the filler shares within one call
+
+
+def sigma_calls(monkeypatch):
+    """Wrap the filler's σ path builder; each call appends (word, path, units
+    spent before it, whether the call's memo held the word)."""
+    calls = []
+    inner = coherence._sigma
+
+    def recorded(cp, w, budget, memo):
+        before, known = spent(budget), w in memo
+        path = inner(cp, w, budget, memo)
+        calls.append((w, path, before, known))
+        return path
+
+    monkeypatch.setattr(coherence, "_sigma", recorded)
+    return calls
+
+
+def test_every_shared_sigma_path_is_the_leftmost_normalization(cases, monkeypatch):
+    calls = sigma_calls(monkeypatch)
+    reused = 0
+    for label, cp, f, g in cases:
+        calls.clear()
+        fill_sphere(cp, f, g)
+        for w, path, _, known in calls:
+            nf, want = normalize(cp.base, w, "leftmost")
+            assert path.source == w, label
+            assert path.steps == want.steps, (label, str(w))
+            assert path.target == nf, (label, str(w))
+            reused += known
+    assert reused > 0
+
+
+def reused_cut(cp, f, g, monkeypatch):
+    """A budget that runs out inside a σ path the memo held: the units
+    before the first such call of length at least 2, plus one less than its
+    length; None when no call reuses such a path."""
+    calls = sigma_calls(monkeypatch)
+    fill_sphere(cp, f, g)
+    monkeypatch.undo()
+    for _, path, before, known in calls:
+        if known and len(path) >= 2:
+            return before + len(path) - 1
+    return None
+
+
+def test_a_budget_spent_inside_a_reused_sigma_path_runs_out_as_the_reference(
+        cases, monkeypatch):
+    cut = {"positive": 0, "sigma": 0}
+    for label, cp, f, g in cases:
+        fuel = reused_cut(cp, f, g, monkeypatch)
+        if fuel is None:
+            continue
+        cut[label.split("/")[1]] += 1
+        got, got_log = run(fill_sphere, cp, f, g, fuel)
+        want, want_log = run(ref_fill_sphere_memoized, cp, f, g, fuel)
+        assert got[0] == "exhausted", label
+        assert got == want, label
+        assert got_log == want_log, label
+        if not (f.positive and g.positive and cp.base.matcher.is_normal(f.target)):
+            continue
+        # fill_positive keeps normalize's partial path in .trace
+        with pytest.raises(FuelExhausted) as exc:
+            fill_positive(cp, f, g, fuel)
+        with pytest.raises(FuelExhausted) as ref_exc:
+            ref_fill_positive(cp, f, g, Budget(fuel), {})
+        assert str(exc.value) == str(ref_exc.value), label
+        assert str(exc.value).startswith("normalizing '"), label
+        got_path, want_path = exc.value.trace, ref_exc.value.trace
+        assert got_path.source == want_path.source, label
+        assert got_path.steps == want_path.steps and got_path.steps, label
+        assert got_path.target == want_path.target, label
+    assert cut["positive"] > 0 and cut["sigma"] > 0
+
+
+def deep_sphere(b3):
+    """The B3+ sphere of 53 against 131 steps."""
+    rng = random.Random(7)
+    w = random_word(rng, b3, rng.randint(24, 40))
+    _, f = normalize(b3, w, "leftmost")
+    _, g = normalize(b3, w, "rightmost")
+    assert (len(w), len(f), len(g)) == (34, 53, 131)
+    return f, g
+
+
+def test_the_deep_sphere_charges_what_the_unshared_paths_charged_in_each_call(b3):
+    """Sharing σ paths charges every step of every path as before (50,065
+    units, as with one normalization per path), and nothing survives one
+    call: a second fill of the sphere charges the same."""
+    cp = squier_completion(b3)
+    f, g = deep_sphere(b3)
+    first, second = Budget(), Budget()
+    expr = fill_sphere(cp, f, g, first)
+    assert spent(first) == 50_065
+    assert fill_sphere(cp, f, g, second) == expr
+    assert spent(second) == 50_065

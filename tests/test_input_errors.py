@@ -69,6 +69,9 @@ TABLE_ERRORS = [
     ("elements: e\nunit: e\ntable:\ne*e\n", "line 4: cannot parse table entry 'e*e'"),
     ("elements: e\ntable:\ne*e=e\n", "multiplication table needs a unit: section"),
     ("unit: e\ntable:\ne*e=e\n", "multiplication table needs an elements: section"),
+    ("elements: e a\nunit: e\ntable:\ne*e=e ; e*a=a ; a*e=a\na*a=e\na * a = a\n",
+     "line 6: a second product for a*a: 'a * a = a'"),
+    ("elements: e\nunit: e\ntable: e*e=e ; e*e=e\n", "line 3: a second product for e*e: 'e*e=e'"),
 ]
 
 
