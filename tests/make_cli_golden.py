@@ -9,8 +9,8 @@ output with it.  Every invocation runs in-process through ``cli.main``.  The
 files it reads are written to a temporary directory, whose path is replaced
 by ``{tmp}`` in the argv and in the output before hashing.
 
-The invocations cover ``nf`` (both strategies, and ``--fuel 2`` partial
-paths), ``eq``, ``cp``, ``cp --resolve``, ``cohere``, ``reduce``,
+The invocations cover ``check`` (on every presentation file), ``nf`` (both
+strategies, and ``--fuel 2`` partial paths), ``eq``, ``cp``, ``cp --resolve``, ``cohere``, ``reduce``,
 ``complete``, ``homology``, ``fill`` (positive, zigzag and non-composing
 paths), ``std`` (on Z2, the trivial monoid, S3, the transformation monoid
 T2 and a table that is not associative) and ``cert``.  Words and paths are drawn from
@@ -224,6 +224,7 @@ def invocations():
     for name in DONE_FILES:
         homology = ["homology", f(name), "--samples", str(HOMOLOGY_SAMPLES)]
         out += [homology, homology + ["--export", "{tmp}/out_" + name]]
+    out += [["check", f(name)] for name in {**PRESENTATIONS, **DONE_FILES}]
     return [argv + ["--json"] for argv in out]
 
 
