@@ -393,14 +393,15 @@ def orient(order, u, v):
     return (u, v) if c == GREATER else (v, u)
 
 
-def check_deglex_termination(p, order=None, pump_bound=DEFAULT_PUMP_BOUND):
+def check_deglex_termination(p, order=None):
     """Does every rule strictly decrease the deglex order?
 
     Plain rules are compared directly.  For a pumped family
     prefix·g^n·suffix => prefix'·g^(pn+q)·suffix' the length difference is
     affine in n, so length arithmetic settles all but finitely many
-    instances; the letterwise comparison of length-tied instances stabilizes
-    once n exceeds the fixed parts, so checking small n decides the family.
+    instances.  Length-tied instances (p = 1) compare letterwise, and that
+    comparison no longer depends on n once n reaches the longer prefix plus
+    the longer suffix; so checking n up to there decides the family.
 
     Returns (ok, report) where report has one entry per rule/family.
     """
@@ -428,12 +429,13 @@ def check_deglex_termination(p, order=None, pump_bound=DEFAULT_PUMP_BOUND):
                       else f"every instance grows by {-diff}")
         else:
             if fam.rhs_p == 1:
-                checked = range(max(pump_bound, 3) + 1)
+                stable = (max(len(fam.lhs_prefix), len(fam.rhs_prefix))
+                          + max(len(fam.lhs_suffix), len(fam.rhs_suffix)))
+                checked = range(stable + 1)
                 holds = "length-tied; letterwise decrease verified (stable in n)"
             else:
                 # rhs length is constant; lhs grows, so only small n can fail
-                tail = max(-diff, 0) + 1
-                checked = range(max(tail, pump_bound, 3) + 1)
+                checked = range(max(-diff, 0) + 2)
                 holds = "decreases for all n (length wins beyond checked range)"
             bad = [n for n, inst in zip(checked, map(fam.instance, checked))
                    if deglex_compare(rank, inst.lhs, inst.rhs) != GREATER]
@@ -579,7 +581,7 @@ def termination_evidence(p, cert=None, ack_sampled=False, pump_bound=DEFAULT_PUM
     explicitly acknowledging* that sampling is falsification, not proof.
     Raises NotCertified otherwise.
     """
-    if p.gen_order is not None and check_deglex_termination(p, pump_bound=pump_bound)[0]:
+    if p.gen_order is not None and check_deglex_termination(p)[0]:
         return "deglex"
     if cert is not None:
         result = check_interpretation_certificate(p, cert, sample_bound=max(16, pump_bound))

@@ -17,6 +17,7 @@ from polygraph import (
     termination_evidence,
     word_eq,
 )
+from polygraph.cli import run
 from polygraph.rewrite import EQUAL, GREATER, LESS, deglex_compare
 
 from conftest import SQ_BAD_CERT_TEXT
@@ -125,6 +126,31 @@ def test_check_deglex_termination_exponent_n_plus_q(family, ok, detail):
         f"monoid\ngenerators: a b t\norder: a < b < t\npumped:\nphi[n]: {family}\n"
     )
     assert check_deglex_termination(p) == (ok, [{"rule": "phi[n]", "ok": ok, "detail": detail}])
+
+
+@pytest.mark.parametrize("family, first_bad", [
+    ("( g )^n s s s s => g g g x ( g )^( n )", 4),
+    ("( g )^n s s s s s s s s s s => g g g g g g g g g x ( g )^( n )", 10),
+])
+def test_check_deglex_termination_length_tied_family_past_the_pump_bound(
+        tmp_path, family, first_bad):
+    """Both families decrease for n < first_bad and increase from there on,
+    so no pump bound may make their deglex check pass, nor `cp` resolve
+    their branchings on deglex evidence."""
+    text = f"monoid\ngenerators: g x s\norder: g < x < s\npumped:\nbeta[n]: {family}\n"
+    p = parse_polygraph(text)
+    assert check_deglex_termination(p) == (False, [
+        {"rule": "beta[n]", "ok": False, "detail": f"instance n={first_bad} does not decrease"}
+    ])
+    for pump_bound in (0, 3, 8, 16):
+        with pytest.raises(NotCertified, match="no termination evidence"):
+            termination_evidence(p, pump_bound=pump_bound)
+    path = tmp_path / "family.txt"
+    path.write_text(text)
+    code, report = run(["cp", str(path)])
+    assert code == 0
+    assert report.sections["resolved"] is False
+    assert report.sections["note"].startswith("no termination evidence")
 
 
 def test_certificate_parse_and_evaluation(sq, sq_cert):
