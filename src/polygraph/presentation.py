@@ -570,91 +570,99 @@ def validate(p):
     Diagnostics name the violated invariant and the offending cell; nothing
     is thrown.
     """
-    out = []
+    return [message for _, message in _diagnostics(p)]
+
+
+def _diagnostics(p):
+    """``validate``'s diagnostics, each with its owner: the declaration at
+    fault as (file section, index), such as ``("rules", 2)`` for the third
+    rule, or ``("order", 0)`` for the order clause."""
     if len(set(p.objects)) != len(p.objects):
-        out.append("duplicate object names")
+        yield ("objects", 0), "duplicate object names"
     seen = set()
-    for g in p.generators:
+    for i, g in enumerate(p.generators):
         if g.name in seen:
-            out.append(f"generator {g.name}: duplicate name")
+            yield ("generators", i), f"generator {g.name}: duplicate name"
         seen.add(g.name)
         if g.source not in p.objects or g.target not in p.objects:
-            out.append(f"generator {g.name}: endpoint not a declared object")
+            yield ("generators", i), (f"generator {g.name}: {g.source} -> {g.target} "
+                                      "uses undeclared objects")
 
-    def check_word(w, owner):
-        node = None
+    def word_problem(w):
+        # a letter that fits the nodes on both sides composes with its neighbours
         for i, name in enumerate(w.letters):
             g = p.generator_map.get(name)
             if g is None:
-                out.append(f"{owner}: unknown generator {name!r}")
-                return
+                return f"unknown generator {name!r}"
             if w.nodes[i] != g.source or w.nodes[i + 1] != g.target:
-                out.append(f"{owner}: word {w} has inconsistent endpoints at {name!r}")
-                return
-            if node is not None and node != g.source:
-                out.append(f"{owner}: word {w} is not composable at {name!r}")
-                return
-            node = g.target
+                return f"word {w} has inconsistent endpoints at {name!r}"
         if w.is_identity and w.source not in p.objects:
-            out.append(f"{owner}: identity word at unknown object {w.source!r}")
+            return f"identity word at unknown object {w.source!r}"
+        return None
 
     names = set()
-    for r in p.rules:
+    for i, r in enumerate(p.rules):
+        owner = ("rules", i)
         if r.name in names:
-            out.append(f"rule {r.name}: duplicate name")
+            yield owner, f"rule {r.name}: duplicate name"
         names.add(r.name)
-        check_word(r.lhs, f"rule {r.name}")
-        check_word(r.rhs, f"rule {r.name}")
+        for w in (r.lhs, r.rhs):
+            if problem := word_problem(w):
+                yield owner, f"rule {r.name}: {problem}"
         if not r.parallel:
-            out.append(f"rule {r.name}: sides not parallel")
+            yield owner, (f"rule {r.name}: sides not parallel ({r.lhs.source}->{r.lhs.target} "
+                          f"vs {r.rhs.source}->{r.rhs.target})")
         if r.lhs.is_identity:
-            out.append(f"rule {r.name}: lhs is an identity")
-    for fam in p.pumped:
+            yield owner, f"rule {r.name}: lhs is an identity"
+    for i, fam in enumerate(p.pumped):
+        owner = ("pumped", i)
         if fam.name in names:
-            out.append(f"pumped rule {fam.name}: duplicate name")
+            yield owner, f"pumped rule {fam.name}: duplicate name"
         names.add(fam.name)
         gen = p.generator_map.get(fam.pump)
         if gen is None:
-            out.append(f"pumped rule {fam.name}: unknown pump letter {fam.pump!r}")
+            yield owner, f"pumped rule {fam.name}: unknown pump letter {fam.pump!r}"
         elif gen.source != gen.target:
-            out.append(f"pumped rule {fam.name}: pump letter {fam.pump!r} is not an endo-generator")
-        if fam.rhs_p not in (0, 1) or fam.rhs_q < 0:
-            out.append(f"pumped rule {fam.name}: affine exponent must be n+q, q, with q >= 0")
-        else:
+            yield owner, (f"pumped rule {fam.name}: pump letter {fam.pump!r} "
+                          "is not an endo-generator")
+        if fam.rhs_p not in (0, 1):
+            yield owner, f"affine exponent must have n-coefficient 0 or 1, got {fam.rhs_p}"
+        else:  # a negative q leaves instance 0 without a word
             for n in (0, 1, 2):
                 try:
                     inst = fam.instance(n)
                 except CompositionError as exc:
-                    out.append(f"pumped rule {fam.name}: instance {n} invalid: {exc}")
+                    yield owner, f"pumped rule {fam.name}: instance {n} invalid: {exc}"
                     break
-                check_word(inst.lhs, f"pumped rule {fam.name}[{n}]")
-                check_word(inst.rhs, f"pumped rule {fam.name}[{n}]")
+                for w in (inst.lhs, inst.rhs):
+                    if problem := word_problem(w):
+                        yield owner, f"pumped rule {inst.name}: {problem}"
                 if not inst.parallel:
-                    out.append(f"pumped rule {fam.name}: instance {n} sides not parallel")
+                    yield owner, f"pumped rule {fam.name}: instance {n} sides not parallel"
 
     cell_names = set()
-    for c in p.three_cells:
+    for i, c in enumerate(p.three_cells):
+        owner = ("threecells", i)
         if c.name in cell_names:
-            out.append(f"3-cell {c.name}: duplicate name")
+            yield owner, f"3-cell {c.name}: duplicate name"
         cell_names.add(c.name)
         for side, zz in (("source", c.source2), ("target", c.target2)):
             for s in zz.steps:
                 try:
                     known = p.lookup_rule(s.rule.name)
                 except PresentationError:
-                    out.append(f"3-cell {c.name}: {side} uses unknown rule {s.rule.name!r}")
+                    yield owner, f"3-cell {c.name}: {side} uses unknown rule {s.rule.name!r}"
                     continue
                 if known != s.rule:
-                    out.append(f"3-cell {c.name}: {side} uses a rule named {s.rule.name!r} "
-                               "that differs from the declared one")
+                    yield owner, (f"3-cell {c.name}: {side} uses a rule named {s.rule.name!r} "
+                                  "that differs from the declared one")
         if not c.parallel:
-            out.append(f"3-cell {c.name}: boundary not parallel")
+            yield owner, f"3-cell {c.name}: boundary not parallel"
 
     if p.gen_order is not None:
         declared = [g.name for g in p.generators]
         if sorted(p.gen_order) != sorted(declared) or len(set(p.gen_order)) != len(p.gen_order):
-            out.append("order clause does not cover every generator exactly once")
-    return out
+            yield ("order", 0), "order clause does not cover every generator exactly once"
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +726,10 @@ def parse_polygraph(text):
     """Parse a presentation file.  See the README for the grammar.
 
     Raises PresentationError with a line number on syntax errors, unknown
-    generators, non-composable words, and non-parallel or identity-lhs rules.
+    generators, non-composable words, and the first problem ``validate``
+    finds, at the line that declared its cell.  That check runs after the
+    generators, after the rules and families, and at the end, so that a
+    rule's problem comes before a 3-cell that cannot use the rule.
     """
     entries = _logical_entries(text)
     if not entries:
@@ -728,6 +739,12 @@ def parse_polygraph(text):
         raise PresentationError(f"expected 'monoid' or 'category', got {header!r}", line)
     is_monoid = header == "monoid"
     sections = _sections(entries[1:], _SECTIONS)
+    lines = {}  # owner, as _diagnostics names it -> the line that declared it
+
+    def check(p):
+        for owner, message in _diagnostics(p):
+            raise PresentationError(message, lines[owner])
+        return p
 
     if is_monoid:
         if "objects" in sections:
@@ -739,6 +756,7 @@ def parse_polygraph(text):
         if not names:
             raise PresentationError("category presentations need an objects: section")
         objects = tuple(names)
+        lines["objects", 0] = decl[0][0]
 
     generators = []
     for line, entry in sections.get("generators", []):
@@ -748,15 +766,11 @@ def parse_polygraph(text):
             name = tokens[i]
             if not re.fullmatch(_NAME, name):
                 raise PresentationError(f"bad generator name {name!r}", line)
+            lines["generators", len(generators)] = line
             if i + 1 < len(tokens) and tokens[i + 1] == ":":
                 if i + 4 >= len(tokens) or tokens[i + 3] != "->":
                     raise PresentationError(f"bad typed generator declaration near {name!r}", line)
-                src, tgt = tokens[i + 2], tokens[i + 4]
-                if src not in objects or tgt not in objects:
-                    raise PresentationError(
-                        f"generator {name}: {src} -> {tgt} uses undeclared objects", line
-                    )
-                generators.append(Generator(name, src, tgt))
+                generators.append(Generator(name, tokens[i + 2], tokens[i + 4]))
                 i += 5
             else:
                 if not is_monoid:
@@ -766,7 +780,7 @@ def parse_polygraph(text):
                 generators.append(Generator(name))
                 i += 1
 
-    skeleton = Polygraph(objects=objects, generators=tuple(generators), is_monoid=is_monoid)
+    skeleton = check(Polygraph(objects=objects, generators=tuple(generators), is_monoid=is_monoid))
 
     def parse_word(txt, line, at=None):
         try:
@@ -786,6 +800,7 @@ def parse_polygraph(text):
             if n not in skeleton.generator_map:
                 raise PresentationError(f"order clause names unknown generator {n!r}", line)
         gen_order = tuple(names)
+        lines["order", 0] = line
 
     rules = []
     for line, entry in sections.get("rules", []):
@@ -794,17 +809,8 @@ def parse_polygraph(text):
             raise PresentationError(f"cannot parse rule entry {entry!r}", line)
         name, lhs_txt, rhs_txt = m.groups()
         lhs = parse_word(lhs_txt, line)
-        if lhs.is_identity:
-            raise PresentationError(f"rule {name}: lhs is an identity (rejected)", line)
-        rhs = parse_word(rhs_txt, line, at=lhs.source)
-        rule = Rule(name, lhs, rhs)
-        if not rule.parallel:
-            raise PresentationError(
-                f"rule {name}: sides not parallel "
-                f"({lhs.source}->{lhs.target} vs {rhs.source}->{rhs.target})",
-                line,
-            )
-        rules.append(rule)
+        lines["rules", len(rules)] = line
+        rules.append(Rule(name, lhs, parse_word(rhs_txt, line, at=lhs.source)))
 
     pumped = []
     for line, entry in sections.get("pumped", []):
@@ -823,37 +829,18 @@ def parse_polygraph(text):
         gen = skeleton.generator_map.get(g1)
         if gen is None:
             raise PresentationError(f"pumped rule {name}: unknown pump letter {g1!r}", line)
-        if gen.source != gen.target:
-            raise PresentationError(
-                f"pumped rule {name}: pump letter {g1!r} is not an endo-generator", line
-            )
         p_, q_ = _split_affine(affine, line)
-        if p_ not in (0, 1):
-            raise PresentationError(
-                f"affine exponent must have n-coefficient 0 or 1, got {p_}", line
-            )
         lhs_prefix = parse_word(lp, line, at=gen.source)
         lhs_suffix = parse_word(ls, line, at=gen.target)
         rhs_prefix = parse_word(rp, line, at=gen.source)
         rhs_suffix = parse_word(rs, line, at=gen.target)
-        fam = PumpedRule(
+        lines["pumped", len(pumped)] = line
+        pumped.append(PumpedRule(
             name, lhs_prefix, lhs_suffix, rhs_prefix, rhs_suffix,
             pump=g1, pump_object=gen.source, rhs_p=p_, rhs_q=q_,
-        )
-        for n in (0, 1):
-            inst = fam.instance(n)  # raises CompositionError if ill-typed
-            if not inst.parallel:
-                raise PresentationError(f"pumped rule {name}: instance {n} not parallel", line)
-        pumped.append(fam)
+        ))
 
-    partial = Polygraph(
-        objects=objects,
-        generators=tuple(generators),
-        rules=tuple(rules),
-        pumped=tuple(pumped),
-        gen_order=gen_order,
-        is_monoid=is_monoid,
-    )
+    partial = check(replace(skeleton, rules=tuple(rules), pumped=tuple(pumped)))
 
     cells = []
     for line, entry in sections.get("threecells", []):
@@ -866,16 +853,10 @@ def parse_polygraph(text):
         name, lhs_txt = m.group(1), m.group(2)
         src = parse_path(partial, lhs_txt, line=line)
         tgt = parse_path(partial, rhs_txt.strip(), line=line)
-        cell = ThreeCell(name, src, tgt)
-        if not cell.parallel:
-            raise PresentationError(f"3-cell {name}: boundary not parallel", line)
-        cells.append(cell)
+        lines["threecells", len(cells)] = line
+        cells.append(ThreeCell(name, src, tgt))
 
-    result = replace(partial, three_cells=tuple(cells))
-    problems = validate(result)
-    if problems:
-        raise PresentationError("; ".join(problems))
-    return result
+    return check(replace(partial, three_cells=tuple(cells), gen_order=gen_order))
 
 
 def parse_path(p, text, line=None):

@@ -155,6 +155,14 @@ def test_eq_demands_termination_evidence(files):
     assert report.human == ("NOT EQUAL: y x and 1 are distinct normal forms",)
 
 
+def test_eq_refuses_a_failing_certificate(files):
+    f = files(sq=SQ_TEXT, bad=SQ_BAD_CERT_TEXT)
+    code, report = run(["eq", f["sq"], "y x", "1", "--cert", f["bad"]])
+    assert code == 2
+    assert report.sections == {"error": "interpretation certificate fails: "
+                                        "need star 1 >= 1 and der 0 > 0 (rule gamma, n=0)"}
+
+
 def test_eq_refuses_nonconfluent_system(files):
     f = files(xyx=XYX_TEXT)
     code, report = run(["eq", f["xyx"], "x y x", "y y"])
@@ -522,6 +530,12 @@ def test_json_mode_carries_witness_on_failure(files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "FAIL"
     assert doc["branchings"][0]["nf1"] == "y y y x"
+
+
+def test_human_output_is_the_report_lines(files, capsys):
+    f = files(b3=B3_TEXT)
+    assert main(["nf", f["b3"], "s t s"]) == 0
+    assert capsys.readouterr().out == "normal form: a s\npath (1 step): 1*beta*s\n"
 
 
 def test_format_report_json_includes_status(files):

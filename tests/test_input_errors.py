@@ -30,18 +30,51 @@ PRESENTATION_ERRORS = [
      "category presentations need an objects: section"),
     ("category\nobjects: X\ngenerators: f\n",
      "line 3: generator f in a category presentation needs a type"),
-    ("monoid\ngenerators: a a\n", "generator a: duplicate name"),
-    ("monoid\ngenerators: a\nrules:\nr: a a => a\nr: a a a => a\n", "rule r: duplicate name"),
+    ("monoid\ngenerators: a a\n", "line 2: generator a: duplicate name"),
+    ("monoid\ngenerators: a\nrules:\nr: a a => a\nr: a a a => a\n",
+     "line 5: rule r: duplicate name"),
     ("monoid\ngenerators: a\nrules:\nr: a a => a\n"
      "threecells:\nc: id(a) === id(a)\nc: id(a) === id(a)\n",
-     "3-cell c: duplicate name"),
+     "line 7: 3-cell c: duplicate name"),
     ("monoid\ngenerators: a b\norder: a\n",
-     "order clause does not cover every generator exactly once"),
+     "line 3: order clause does not cover every generator exactly once"),
     ("monoid\ngenerators: a b\norder: a < < b\n", "line 3: malformed order clause"),
     ("monoid\ngenerators: a\npumped:\nf[n]: a (t)^n => a (t)^(n)\n",
      "line 4: pumped rule f: unknown pump letter 't'"),
     ("monoid\ngenerators: a\nrules:\nr: a a => a\nthreecells:\nc: id(a)\n",
      "line 6: 3-cell entry lacks '===': 'c: id(a)'"),
+    ("category\nobjects: X X\ngenerators: f: X -> X\n", "line 2: duplicate object names"),
+    ("monoid\ngenerators: a=b\n", "line 2: bad generator name 'a=b'"),
+    ("category\nobjects: X\ngenerators: f: X X\n",
+     "line 3: bad typed generator declaration near 'f'"),
+    ("category\nobjects: X\ngenerators: f: X -> Y\n",
+     "line 3: generator f: X -> Y uses undeclared objects"),
+    ("monoid\ngenerators: a\norder: a < b\n", "line 3: order clause names unknown generator 'b'"),
+    ("monoid\ngenerators: a\nrules:\nr: a b => a\n", "line 4: unknown generator 'b' in word"),
+    ("monoid\ngenerators: a\nrules:\nr: 1 => a\n", "line 4: rule r: lhs is an identity"),
+    ("category\nobjects: X Y\ngenerators: f: X -> Y ; g: Y -> X\nrules:\nr: f g => f\n",
+     "line 5: rule r: sides not parallel (X->X vs X->Y)"),
+    # the rule's problem, not the 3-cell that cannot use it
+    ("category\nobjects: X Y\ngenerators: f: X -> Y ; g: Y -> X\nrules:\nr: f g => f\n"
+     "threecells:\nc: 1*r*1 === 1*r*1\n",
+     "line 5: rule r: sides not parallel (X->X vs X->Y)"),
+    ("monoid\ngenerators: a\npumped:\nf[n]: a => a\n",
+     "line 4: cannot parse pumped rule entry 'f[n]: a => a'"),
+    ("monoid\ngenerators: a t\nrules:\nf: a a => a\npumped:\nf[n]: a (t)^n => (t)^(n)\n",
+     "line 6: pumped rule f: duplicate name"),
+    ("category\nobjects: X Y\ngenerators: f: X -> Y\npumped:\nphi[n]: (f)^n => (f)^(n)\n",
+     "line 5: pumped rule phi: pump letter 'f' is not an endo-generator"),
+    ("category\nobjects: X Y\ngenerators: g: Y -> X ; t: Y -> Y ; f: Y -> X\n"
+     "pumped:\nphi[n]: g (t)^n f => g (t)^(n) f\n",
+     "line 5: pumped rule phi: instance 0 invalid: "
+     "cannot compose g (ends at X) with 1 (starts at Y)"),
+    ("category\nobjects: X Y\ngenerators: a: X -> Y ; t: Y -> Y\n"
+     "pumped:\nphi[n]: a (t)^n => (t)^(n)\n",
+     "line 5: pumped rule phi: instance 0 sides not parallel"),
+    ("monoid\ngenerators: a\nrules:\nr: a a => a\nthreecells:\nc d: id(a) === id(a)\n",
+     "line 6: cannot parse 3-cell entry 'c d: id(a) === id(a)'"),
+    ("monoid\ngenerators: a\nrules:\nr: a a => a\nthreecells:\nc: 1*r*1 === id(a a)\n",
+     "line 6: 3-cell c: boundary not parallel"),
 ]
 
 

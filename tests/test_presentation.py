@@ -257,6 +257,44 @@ def test_validate_flags_identity_lhs_rule(mu):
     assert validate(p) == ["rule i: lhs is an identity"]
 
 
+def test_validate_flags_cells_no_file_can_declare(mu, sq):
+    """Problems the parser stops at before they reach ``validate``, in
+    cells built directly; each diagnostic names its cell."""
+    from dataclasses import replace
+    from polygraph import Rule
+
+    cat = parse_polygraph(CATEGORY_TEXT)
+    alpha = sq.pumped[0]
+    one, real = mu.word("1"), mu.rules[0]
+    foreign = Rule("x", mu.word("a a"), mu.word("a"))
+    impostor = Rule("mu", mu.word("a a a"), mu.word("a"))
+    cells = (
+        ThreeCell("c", ZigZag.of(rstep(one, foreign, one)), ZigZag.of(rstep(one, real, one))),
+        ThreeCell("d", ZigZag.of(rstep(one, impostor, one)),
+                  ZigZag.of(rstep(one, real, mu.word("a")), rstep(one, real, one))),
+    )
+    cases = [
+        (replace(mu, rules=(Rule("r", Word(("q",), ("*", "*")), mu.word("a")),)),
+         ["rule r: unknown generator 'q'"]),
+        (replace(cat, rules=(Rule("r", Word(("f", "g"), ("X", "X", "X")), cat.word("1", at="X")),)),
+         ["rule r: word f g has inconsistent endpoints at 'f'"]),
+        (replace(mu, rules=(Rule("r", mu.word("a"), identity_word("Z")),)),
+         ["rule r: identity word at unknown object 'Z'",
+          "rule r: sides not parallel (*->* vs Z->Z)"]),
+        (replace(sq, pumped=(replace(alpha, pump="q"),)),
+         ["pumped rule alpha: unknown pump letter 'q'",
+          "pumped rule alpha[1]: unknown generator 'q'",
+          "pumped rule alpha[2]: unknown generator 'q'"]),
+        (replace(sq, pumped=(replace(alpha, rhs_q=-1),)),
+         ["pumped rule alpha: instance 0 invalid: word () has 0 nodes, expected 1"]),
+        (replace(mu, three_cells=cells),
+         ["3-cell c: source uses unknown rule 'x'",
+          "3-cell d: source uses a rule named 'mu' that differs from the declared one"]),
+    ]
+    for p, problems in cases:
+        assert validate(p) == problems
+
+
 def test_tietze_add_remove_rule(b3):
     witness = parse_path(b3, "1*beta*s")  # s t s => a s
     p2 = tietze_apply(b3, AddRule("extra", b3.word("s t s"), b3.word("a s"), witness))
