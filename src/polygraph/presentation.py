@@ -864,30 +864,29 @@ def parse_path(p, text, line=None):
 
     Syntax: steps ``leftword * rulename * rightword`` joined by ``.``;
     a trailing ``-`` on the rule name inverts the step; the empty path is
-    written ``id(word)``.
+    written ``id(word)``.  Every PresentationError names ``line``, if given.
     """
     text = text.strip()
-    m = re.fullmatch(r"id\(\s*(.*?)\s*\)", text)
-    if m:
-        w = p.word(m.group(1)) if m.group(1) else p.word("1")
-        return ZigZag(w)
-    pieces = []
-    for chunk in text.split("."):
-        chunk = chunk.strip()
-        parts = [s.strip() for s in chunk.split("*")]
-        if len(parts) != 3:
-            raise PresentationError(f"cannot parse path step {chunk!r}", line)
-        left_txt, rule_name, right_txt = parts
-        forward = True
-        if rule_name.endswith("-"):
-            forward = False
-            rule_name = rule_name[:-1]
-        rule = p.lookup_rule(rule_name)
-        inner = rule.lhs if forward else rule.rhs
-        left = p.word(left_txt, at=inner.source)
-        right = p.word(right_txt, at=inner.target)
-        pieces.append((left, inner, right, rule, forward))
     try:
+        m = re.fullmatch(r"id\(\s*(.*?)\s*\)", text)
+        if m:
+            return ZigZag(p.word(m.group(1)))
+        pieces = []
+        for chunk in text.split("."):
+            chunk = chunk.strip()
+            parts = [s.strip() for s in chunk.split("*")]
+            if len(parts) != 3:
+                raise PresentationError(f"cannot parse path step {chunk!r}")
+            left_txt, rule_name, right_txt = parts
+            forward = True
+            if rule_name.endswith("-"):
+                forward = False
+                rule_name = rule_name[:-1]
+            rule = p.lookup_rule(rule_name)
+            inner = rule.lhs if forward else rule.rhs
+            left = p.word(left_txt, at=inner.source)
+            right = p.word(right_txt, at=inner.target)
+            pieces.append((left, inner, right, rule, forward))
         # in path order, so that the first step that fails is reported:
         # by not composing, or by not rewriting the running word
         steps = []
@@ -897,6 +896,8 @@ def parse_path(p, text, line=None):
             if len(steps) > 1 and step.source_word != steps[-2].target_word:
                 break
         return ZigZag(steps[0].source_word, tuple(steps))
+    except PresentationError as exc:
+        raise PresentationError(str(exc), line) from None
     except CompositionError as exc:
         raise PresentationError(f"path does not compose: {exc}", line) from None
 

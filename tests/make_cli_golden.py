@@ -9,11 +9,12 @@ output with it.  Every invocation runs in-process through ``cli.main``.  The
 files it reads are written to a temporary directory, whose path is replaced
 by ``{tmp}`` in the argv and in the output before hashing.
 
-The invocations cover ``check`` (on every presentation file), ``nf`` (both
-strategies, and ``--fuel 2`` partial paths), ``eq``, ``cp``, ``cp --resolve``, ``cohere``, ``reduce``,
-``complete``, ``homology``, ``fill`` (positive, zigzag and non-composing
-paths), ``std`` (on Z2, the trivial monoid, S3, the transformation monoid
-T2 and a table that is not associative) and ``cert``.  Words and paths are drawn from
+The invocations cover ``check`` (on every presentation file), ``nf``
+(both strategies, and ``--fuel 2`` partial paths), ``eq``, ``cp``, ``cp
+--resolve``, ``cohere``, ``reduce``, ``complete``, ``homology``, ``fill``
+(positive, zigzag and non-composing paths), ``std`` (on Z2, the trivial
+monoid, S3, the transformation monoid T2 and a table that is not
+associative) and ``cert``.  Words and paths are drawn from
 ``random.Random(<text name>)`` and built with the library, so the argv list
 itself is part of what the file pins.  Deep ``fill`` spheres (the leftmost
 against the rightmost path of words of length 14 to 16, over B3+ and the

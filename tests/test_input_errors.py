@@ -75,6 +75,8 @@ PRESENTATION_ERRORS = [
      "line 6: cannot parse 3-cell entry 'c d: id(a) === id(a)'"),
     ("monoid\ngenerators: a\nrules:\nr: a a => a\nthreecells:\nc: 1*r*1 === id(a a)\n",
      "line 6: 3-cell c: boundary not parallel"),
+    ("monoid\ngenerators: a\nrules:\nr: a a => a\nthreecells:\nc: 1*q*1 === id(a)\n",
+     "line 6: unknown rule 'q'"),
 ]
 
 
@@ -132,6 +134,7 @@ MAP_ERRORS = [
     ("x => x\n", "line 1: unexpected entry before any section: 'x => x'"),
     ("fgen:\nx\n", "line 2: map entry lacks '=>': 'x'"),
     ("tau:\nq => id(x)\n", "line 2: tau: unknown generator 'q'"),
+    ("frule:\nalpha => 1 * q * 1\n", "line 2: unknown rule 'q'"),
 ]
 
 
