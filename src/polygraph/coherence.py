@@ -5,8 +5,9 @@ finite-subbasis extraction.
 The central algorithm turns a convergent presentation into a *coherent* one:
 one generating 3-cell per critical branching (squier_completion), after
 which every pair of parallel rewriting paths — indeed every zigzag 2-sphere
-— bounds a composite of those generators (fill_sphere).  The composites are
-kept as syntax trees (ThreeCellExpr) so that homology can linearize them.
+— bounds a composite of those generators (fill_sphere), pasted from one
+3-cell per rewriting step (fill_step).  The composites are kept as syntax
+trees (ThreeCellExpr) so that homology can linearize them.
 
 Orientation convention: the generating cell of a critical branching goes
 FROM the lexicographically-second leg TO the first one, i.e. source2 is the
@@ -372,8 +373,8 @@ def fill_local_branching(cp, f, g):
         if over:
             raise FuelExhausted(f"{core} needs {over[0]}, above the pump bound {cp.pump_bound}")
         raise PresentationError(f"no generating 3-cell for {core} — stale coherent presentation")
-    h_rest = _rest(cell.target2)
-    k_rest = _rest(cell.source2)
+    h_rest = _suffix(cell.target2, 1)
+    k_rest = _suffix(cell.source2, 1)
     if f is h or (f.rule == h.rule and f.position == h.position):
         # f runs along the cell's target side, so invert the cell
         f_prime = h_rest.whisker(u, v)
@@ -384,106 +385,10 @@ def fill_local_branching(cp, f, g):
     return f_prime, g_prime, Whisker(u, Gen(cell), v)
 
 
-def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
-    """Fill a sphere between parallel *positive* paths to a *normal* word.
-
-    Follows the noetherian recursion of the coherence theorem: equal first
-    steps peel off; differing first steps resolve through
-    fill_local_branching plus a leftmost confluence path h, and the three
-    sub-spheres are pasted vertically.  boundary3(result) = (p, q) exactly.
-    The recursion meets the same sub-sphere many times; a memo that lives
-    for this one call fills each distinct sub-sphere once and shares its
-    expression, so the result is a DAG with the value of the tree.  The
-    same memo builds each word's path h once (_sigma).  Each sub-sphere
-    filled and each step of its h costs one unit of the one budget, also
-    when h was built before; a sub-sphere met again costs nothing.
-    """
-    return _fill(cp, p_path, q_path, Budget.of(fuel), {})
-
-
-def _fill(cp, p, q, budget, memo):
-    """fill_positive on the caller's budget and memo."""
-    return _fill_positive(cp, p, _step_keys(p), 0, q, _step_keys(q), 0, budget, memo)
-
-
-def _source_at(path, i):
-    """The word before step i of a path (its target when i is the path's
-    length)."""
-    return path.steps[i].source_word if i < len(path.steps) else path.target
-
-
-def _rest(path):
-    """The path without its first step."""
-    return ZigZag._chained(_source_at(path, 1), path.steps[1:], path.target)
-
-
-def _step_keys(path):
-    """Each step of a path as (position, rule name, direction): with the
-    source word, these name the path in the filler's memo."""
-    return tuple((s.position, s.rule.name, s.forward) for s in path.steps)
-
-
-def _fill_positive(cp, p, p_keys, i, q, q_keys, j, budget, memo):
-    """fill_positive on the sphere between p.steps[i:] and q.steps[j:].
-
-    Both paths are checked already, so a suffix is read by its index; it
-    is never rebuilt as a ZigZag, which would check it again.  ``p_keys``
-    and ``q_keys`` are the paths' step keys, and ``memo`` maps each
-    sphere filled in this call to its expression and each word whose σ
-    path the call built (a Word key, never equal to a sphere's tuple key)
-    to that path.
-    """
-    p_source, q_source = _source_at(p, i), _source_at(q, j)
-    key = (p_source.letters, p_source.nodes, p_keys[i:], q_keys[j:])
-    known = memo.get(key)
-    if known is not None:
-        return known
-    if p_source != q_source or p.target != q.target:
-        raise CompositionError(
-            f"paths are not parallel: {p_source}->{p.target} "
-            f"vs {q_source}->{q.target}"
-        )
-    budget.charge()
-
-    if i == len(p.steps) and j == len(q.steps):
-        memo[key] = expr = Id2(ZigZag(p_source))
-        return expr
-    assert i < len(p.steps) and j < len(q.steps), (
-        "one-sided sphere at a normal word is impossible: a positive path "
-        "out of a normal form has no first step"
-    )
-    a, b = p.steps[i], q.steps[j]
-    a_path = ZigZag._chained(p_source, (a,), _source_at(p, i + 1))
-    end = ZigZag(p.target)
-    # the source words are equal, so the first steps are equal when these are
-    if p_keys[i] == q_keys[j]:
-        inner = _fill_positive(cp, p, p_keys, i + 1, q, q_keys, j + 1, budget, memo)
-        memo[key] = expr = Comp1(a_path, inner, end)
-        return expr
-
-    f1, g1, cell_expr = fill_local_branching(cp, a, b)
-    join = f1.target
-    h = _sigma(cp, join, budget, memo)
-    assert h.target == p.target, (
-        f"confluence path from '{join}' reaches '{h.target}', "
-        f"not the sphere target '{p.target}'"
-    )
-    h_keys = _step_keys(h)
-    top = Comp1(
-        a_path,
-        _fill_positive(cp, p, p_keys, i + 1, f1.then(h), _step_keys(f1) + h_keys, 0,
-                       budget, memo),
-        end,
-    )
-    middle = Comp1(ZigZag(p_source), cell_expr, h)
-    bottom = Comp1(
-        ZigZag._chained(q_source, (b,), _source_at(q, j + 1)),
-        _fill_positive(cp, g1.then(h), _step_keys(g1) + h_keys, 0, q, q_keys, j + 1,
-                       budget, memo),
-        end,
-    )
-    memo[key] = expr = Comp2(Comp2(top, middle), bottom)
-    return expr
+def _suffix(path, i):
+    """The path from its i-th step on."""
+    steps = path.steps[i:]
+    return ZigZag._chained(steps[0].source_word if steps else path.target, steps, path.target)
 
 
 def sigma_path(cp, w, fuel=DEFAULT_FUEL):
@@ -496,48 +401,33 @@ def _sigma(cp, w, budget, memo):
     """sigma_path(cp, w, budget), built at most once per word in one fill
     call: ``memo`` maps each word whose path the call built to that path.
 
-    The path is charged as ``normalize`` charges it, one unit per step,
-    steps met again included; when the budget cannot pay for all of it, the
-    units left are spent and FuelExhausted has normalize's message and the
-    path paid for.
-    """
-    left = budget.left
-    path = memo.get(w)
-    if path is None:
-        path = _sigma_walk(cp, w, left, memo)
-    try:
-        for _ in path.steps:
-            budget.charge()
-    except FuelExhausted as exc:
-        partial = ZigZag._chained(w, path.steps[:left], path.steps[left].source_word)
-        raise FuelExhausted(f"normalizing '{w}': {exc}", partial) from None
-    return path
-
-
-def _sigma_walk(cp, w, limit, memo):
-    """σ(w), recorded in ``memo`` with the path of every word it passes.
-
     The leftmost strategy is memoryless, so σ(w) is w's first leftmost step
-    followed by σ of that step's target.  The walk takes leftmost steps
-    until it reaches the normal form or a word the memo holds, then builds
-    the paths of the words it passed back to front, one new step each.  A
-    walk that takes more than ``limit`` new steps stops there and returns
-    those steps, which the budget cannot pay for, and records nothing.
+    followed by σ of that step's target.  The walk takes leftmost steps, one
+    unit each, until it reaches the normal form or a word the memo holds
+    (a path met again costs nothing), then records the path of every word
+    it passed, back to front.  When the budget runs out, FuelExhausted has
+    normalize's message and the steps paid for, and nothing is recorded.
     """
+    tail = memo.get(w)
+    if tail is not None:
+        return tail
     scan = cp.base.matcher.scans["leftmost"]
     steps = []
     current = w
-    for i, rule, _ in scan.rewrites(scan.encode(w)):
-        step = RewriteStep(current, i, rule)
-        steps.append(step)
-        current = step.target_word
-        if len(steps) > limit:
-            return ZigZag._chained(w, tuple(steps), current)
-        tail = memo.get(current)
-        if tail is not None:
-            break
-    else:
-        tail = memo[current] = ZigZag._chained(current, (), current)
+    try:
+        for i, rule, _ in scan.rewrites(scan.encode(w)):
+            budget.charge()
+            step = RewriteStep(current, i, rule)
+            steps.append(step)
+            current = step.target_word
+            tail = memo.get(current)
+            if tail is not None:
+                break
+        else:
+            tail = memo[current] = ZigZag._chained(current, (), current)
+    except FuelExhausted as exc:
+        partial = ZigZag._chained(w, tuple(steps), current)
+        raise FuelExhausted(f"normalizing '{w}': {exc}", partial) from None
     rest, nf = tail.steps, tail.target
     for step in reversed(steps):
         rest = (step,) + rest
@@ -545,72 +435,169 @@ def _sigma_walk(cp, w, limit, memo):
     return tail
 
 
-def _sigma_step(cp, step, sig_u, sig_m, budget, memo):
-    """An expression [step] ⋆₁ σ(target word) ⇛ σ(source word), for a step
-    of either direction, given sig_u = σ(source word) and sig_m = σ(target
-    word).
+class _Filler:
+    """One fill call: its budget, the σ path of each word it met (``paths``)
+    and the 3-cell S of each forward step it built (``cells``, keyed by the
+    step's source word, position and rule name).
 
-    Forward steps fill directly (both sides are positive paths to the
-    normal form).  A backward step s = t⁻ instead fills the sphere
-    ([t] ⋆₁ σ(source), σ(target)) and conjugates: the resulting target side
-    carries an uncancelled [s][t] pair, which the reduction-aware joint
-    check of Comp2 absorbs.
+    For a forward step a on w, S(a) is an expression a ⋆₁ σ(a's target) ⇛
+    σ(w), after the normalisation strategies of Guiraud and Malbos.  Let b
+    be the first step of σ(w).  If a is b, S(a) is the identity on σ(w).
+    Otherwise fill_local_branching(a, b) gives legs f′, g′ and an expression
+    c from a ⋆₁ f′ to b ⋆₁ g′, and with h = σ(f′'s target)
+
+        S(a) = (a ⋆₁ P(f′, h))⁻ ⋆₂ (c ⋆₁ h) ⋆₂ (b ⋆₁ P(g′, h)),
+
+    where P (``straighten``) pastes S over the steps of a path; a leg whose
+    f′ ⋆₁ h is σ already has no term.  Each S built costs one unit of the
+    budget and each σ step walked one more; a step or a word met again
+    costs nothing.
     """
-    if step.forward:
-        return _fill(cp, ZigZag.of(step).then(sig_m), sig_u, budget, memo)
-    fwd = step.inverse()  # the underlying forward step, target word -> source word
-    inner = _fill(cp, ZigZag.of(fwd).then(sig_u), sig_m, budget, memo)
-    return Inv(Comp1(ZigZag.of(step), inner, ZigZag(sig_u.target)))
+
+    def __init__(self, cp, budget):
+        self.cp = cp
+        self.budget = budget
+        self.paths = {}
+        self.cells = {}
+
+    def sigma(self, w):
+        return _sigma(self.cp, w, self.budget, self.paths)
+
+    def tail(self, path):
+        """Where the σ tail of path starts: its steps from there on are
+        forward, each the first step of σ of its source.  σ of the path's
+        source is needed in any case; it is walked first, so that one walk
+        takes a leftmost path's steps."""
+        self.sigma(path.source)
+        j = len(path.steps)
+        while j and path.steps[j - 1].forward and _first(
+                path.steps[j - 1], self.sigma(path.steps[j - 1].source_word)):
+            j -= 1
+        return j
+
+    def step(self, a):
+        """S(a), built on a stack of its own: a step waits there under the
+        S of the steps its legs take before their σ tails (of the inverse,
+        for a backward one), so no Python frame depth grows with the
+        sphere.  a is at the bottom, so the last S the loop meets is a's."""
+        expr = self.cells.get((a.source_word, a.position, a.rule.name))
+        stack = [(a, None)] if expr is None else []
+        while stack:
+            s, parts = stack.pop()
+            key = (s.source_word, s.position, s.rule.name)
+            expr = self.cells.get(key)
+            if expr is not None:
+                continue
+            if parts is None:
+                self.budget.charge()
+                sig = self.sigma(s.source_word)
+                if _first(s, sig):
+                    expr = self.cells[key] = Id2(sig)
+                    continue
+                b = sig.steps[0]
+                f1, g1, c = fill_local_branching(self.cp, s, b)
+                legs = ((f1, self.tail(f1)), (g1, self.tail(g1)))
+                stack.append((s, (b, c, self.sigma(f1.target), legs)))
+                stack += ((t if t.forward else t.inverse(), None)
+                          for leg, j in legs for t in leg.steps[:j])
+                continue
+            b, c, h, ((f1, jf), (g1, jg)) = parts
+            end = ZigZag(h.target)
+            expr = Comp1(ZigZag(s.source_word), c, h)
+            if jf:  # a leg that is σ already has no term
+                top = Comp1(_one(s, f1.source), self.straighten(f1, h, jf), end)
+                expr = Comp2(Inv(top), expr)
+            if jg:
+                expr = Comp2(expr, Comp1(_one(b, g1.source), self.straighten(g1, h, jg), end))
+            self.cells[key] = expr
+        return expr
+
+    def straighten(self, path, h=None, j=None):
+        """P(path, h): an expression path ⋆₁ h ⇛ σ(u) ⋆₁ σ(v)⁻, for a path
+        from u and a prefix h of σ(path's target) that ends at v (the empty
+        path when None); j, when given, is where the σ tail of path starts.
+
+        S is pasted over each step before the σ tail of path ⋆₁ h, the last
+        step first; a backward step pastes the conjugate of S of its
+        inverse, and the term of a step whose S is an identity is dropped.
+        The source is path ⋆₁ h exactly, and so is the target when v is
+        normal; otherwise the target is σ(u) ⋆₁ σ(v)⁻ up to step/inverse
+        cancellation, which the joint check of Comp2 allows.
+        """
+        h = ZigZag(path.target) if h is None else h
+        back = self.sigma(h.target).inverse()
+        end = ZigZag(h.target)
+        j = self.tail(path) if j is None else j
+        rest = _suffix(path, j)
+        expr = Id2(rest.then(h)) if j == 0 or back.steps else None
+        after = rest.source
+        for step in reversed(path.steps[:j]):
+            one, after = _one(step, after), step.source_word
+            if step.forward:
+                cell = self.step(step)
+            else:
+                cell = Inv(Comp1(one, self.step(step.inverse()), ZigZag(back.source)))
+            bottom = Comp1(ZigZag(after), cell, back) if back.steps else cell
+            if expr is None:
+                expr = bottom
+            elif isinstance(cell, Id2):
+                expr = Comp1(one, expr, end)
+            else:
+                expr = Comp2(Comp1(one, expr, end), bottom)
+        return expr
 
 
-def sigma_zigzag(cp, f, budget, memo):
-    """An expression f ⇛ σ(source) ⋆₁ σ(target)⁻ — the segmentwise
-    straightening of a zigzag onto its normalization square.
+def _first(step, sigma):
+    """Whether step is the first step of sigma, a σ path from its source."""
+    first = sigma.steps[0]
+    return (first.position, first.rule.name) == (step.position, step.rule.name)
 
-    The source boundary is exactly f; the target boundary is the
-    normalization square up to step/inverse cancellation (exact when f is
-    positive).  The steps are straightened from the last to the first;
-    ``memo``, the filler memo of the call, gives each word of f its σ path,
-    built once, and fills each step's sphere.  Every step of every σ path
-    taken is charged to the budget.
-    """
-    v = f.target
-    if not f.steps:
-        return Id2(ZigZag(v))
-    sig_m = _sigma(cp, v, budget, memo)
-    sig_v_back = sig_m.inverse()
-    expr = Id2(ZigZag(v))
-    for step in reversed(f.steps):
-        u = step.source_word
-        sig_u = _sigma(cp, u, budget, memo)
-        top = Comp1(ZigZag(u, (step,)), expr, ZigZag(v))
-        bottom = Comp1(ZigZag(u), _sigma_step(cp, step, sig_u, sig_m, budget, memo), sig_v_back)
-        expr = Comp2(top, bottom)
-        sig_m = sig_u
-    return expr
+
+def _one(step, target):
+    """The path of one step whose target word is known."""
+    return ZigZag._chained(step.source_word, (step,), target)
+
+
+def fill_positive(cp, p_path, q_path, fuel=DEFAULT_FUEL):
+    """Fill a sphere between parallel paths as fill_sphere does, without
+    naming the sphere on FuelExhausted: a σ walk that runs out keeps
+    normalize's message and its partial path in ``.trace``."""
+    if p_path.source != q_path.source or p_path.target != q_path.target:
+        raise CompositionError(
+            f"paths are not parallel: {p_path.source}->{p_path.target} "
+            f"vs {q_path.source}->{q_path.target}"
+        )
+    filler = _Filler(cp, Budget.of(fuel))
+    return Comp2(filler.straighten(p_path), Inv(filler.straighten(q_path)))
+
+
+def fill_step(cp, step, fuel=DEFAULT_FUEL):
+    """S(step), for a forward step from u to v: an expression step ⋆₁ σ(v)
+    ⇛ σ(u), the filler of that sphere.  FuelExhausted names the sphere as
+    fill_sphere does."""
+    try:
+        return _Filler(cp, Budget.of(fuel)).step(step)
+    except FuelExhausted as exc:
+        raise FuelExhausted(f"filling a sphere from '{step.source_word}': {exc}") from None
 
 
 def fill_sphere(cp, f, g, fuel=DEFAULT_FUEL):
     """Fill an arbitrary 2-sphere: parallel zigzags f, g become the boundary
     of a composite 3-cell expression, with boundary3(result) = (f, g).
 
-    Positive parallel paths into a normal form take the direct noetherian
-    recursion; general zigzags straighten each side onto the normalization
-    square (σ_f, σ_g) and paste the two straightenings; a sub-sphere met
-    twice in one call is filled once, and each word's σ path built once.  Filler nodes and the normalizations
-    inside the filler draw on one budget; FuelExhausted names the sphere
-    when it runs out or a pumped instance above the pump bound is needed.
+    Each side, from u to v, is straightened onto σ(u) ⋆₁ σ(v)⁻ by pasting S
+    over its steps (see _Filler), and the two straightenings are pasted.
+    They share one memo, so within the call each σ path and each S is built
+    once and the result is a DAG.  S and the σ walks draw on one budget;
+    FuelExhausted names the sphere when it runs out or a pumped instance
+    above the pump bound is needed.
     """
     if f.source != g.source or f.target != g.target:
         raise CompositionError(
             f"not a 2-sphere: {f.source}->{f.target} vs {g.source}->{g.target}"
         )
-    budget = Budget.of(fuel)
     try:
-        if f.positive and g.positive and cp.base.matcher.is_normal(f.target):
-            return fill_positive(cp, f, g, budget)
-        memo = {}
-        return Comp2(sigma_zigzag(cp, f, budget, memo), Inv(sigma_zigzag(cp, g, budget, memo)))
+        return fill_positive(cp, f, g, fuel)
     except FuelExhausted as exc:
         raise FuelExhausted(f"filling a sphere from '{f.source}': {exc}") from None
 
@@ -833,8 +820,11 @@ def tau_word(F, G, tau_gen, w):
     tail FG(v_2 ⋯ v_n) after it, then v_1 acting on τ_{v_2 ⋯ v_n}.
 
     Built in one loop, right to left, with each τ_{v_k} whiskered once by
-    its fixed head v_1 ⋯ v_{k-1} and its tail FG(v_{k+1} ⋯ v_n); the
-    junctions are checked right to left, as the recursive definition does.
+    its fixed head v_1 ⋯ v_{k-1} and its tail FG(v_{k+1} ⋯ v_n).  The
+    junctions are checked right to left, as the recursive definition does,
+    each on the words next to it: the two words that meet there end in the
+    same tail.  A whole tail is built only for a whisker, the path's source
+    or an error message.
     """
     n = len(w)
     if n == 0:
@@ -843,23 +833,35 @@ def tau_word(F, G, tau_gen, w):
     images = [G.word(w.slice(k, k + 1)) for k in range(1, n)]
     images = [F.word(image) for image in images]  # FG(v_2), ..., FG(v_n)
     taus += [_tau_component(tau_gen, letter) for letter in w.letters[1:]]
+    end = identity_word(w.target)
+
+    def tail(k):
+        """FG(v_{k+2} ⋯ v_n), the tail of the letter at index k, in one join."""
+        start = (w.target if k == n - 1 else images[k].source,)
+        return Word(tuple(x for image in images[k:] for x in image.letters),
+                    start + tuple(x for image in images[k:] for x in image.nodes[1:]))
+
     chunks = []  # the whiskered steps of τ_{v_n}, ..., τ_{v_1}
-    tail = identity_word(w.target)  # FG(v_{k+1} ⋯ v_n)
-    reached = tail  # the source of the component at v_{k+1} ⋯ v_n
     for k in range(n - 1, -1, -1):
-        tau = taus[k]
-        end, start = tau.target.concat(tail), w.slice(k, k + 1).concat(reached)
-        if end != start:
+        tau, letter = taus[k], w.slice(k, k + 1)
+        # the first word of the tail, and of the source of the component after
+        after, met = (images[k], taus[k + 1].source) if k < n - 1 else (end, end)
+        try:
+            fits = tau.target.concat(after) == letter.concat(met)
+        except CompositionError:
+            fits = False
+        if not fits:  # the whole words raise what the recursive definition raises
+            reached = taus[k + 1].source.concat(tail(k + 1)) if k < n - 1 else end
+            start, stop = tau.target.concat(tail(k)), letter.concat(reached)
             raise CompositionError(
-                f"cannot chain path ending at {end} with one starting at {start}")
+                f"cannot chain path ending at {start} with one starting at {stop}")
         if tau.steps:
-            left = w.slice(0, k)
-            chunks.append([s.whisker(left, tail) for s in tau.steps])
-        reached = tau.source.concat(tail)
-        if k:
-            tail = images[k - 1].concat(tail)
+            left, right = w.slice(0, k), tail(k)
+            chunks.append([s.whisker(left, right) for s in tau.steps])
+        if k and images[k - 1].target != after.source:
+            images[k - 1].concat(tail(k))  # raises as joining the whole tail did
     steps = tuple(s for chunk in reversed(chunks) for s in chunk)
-    return ZigZag._chained(reached, steps, w)
+    return ZigZag._chained(taus[0].source.concat(tail(0)), steps, w)
 
 
 def _tau_component(tau_gen, letter):
@@ -955,31 +957,32 @@ def parse_transfer_maps(sigma, xi, text):
         name, image = entry.split("=>", 1)
         return name.strip(), image.strip()
 
-    def gen_section(key, domain, codomain):
+    def at(line, read, text):
+        """read(text), its PresentationError naming the entry's line."""
+        try:
+            return read(text)
+        except PresentationError as exc:
+            raise PresentationError(str(exc), line) from None
+
+    def gen_section(key, domain, read):
         out = {}
         for line, entry in sections.get(key, []):
             name, image = split(entry, line)
             if name not in domain.generator_map:
                 raise PresentationError(f"{key}: unknown generator {name!r}", line)
-            out[name] = codomain.word(image)
+            out[name] = at(line, read, image)
         return out
 
     def rule_section(key, domain, codomain):
         out = {}
         for line, entry in sections.get(key, []):
             name, image = split(entry, line)
-            domain.lookup_rule(name)  # raises on unknown names
+            at(line, domain.lookup_rule, name)  # raises on unknown names
             out[name] = parse_path(codomain, image, line=line)
         return out
 
-    F = TwoFunctor(sigma, xi, gen_section("fgen", sigma, xi),
+    F = TwoFunctor(sigma, xi, gen_section("fgen", sigma, xi.word),
                    rule_section("frule", sigma, xi))
-    G = TwoFunctor(xi, sigma, gen_section("ggen", xi, sigma),
+    G = TwoFunctor(xi, sigma, gen_section("ggen", xi, sigma.word),
                    rule_section("grule", xi, sigma))
-    tau_gen = {}
-    for line, entry in sections.get("tau", []):
-        name, image = split(entry, line)
-        if name not in xi.generator_map:
-            raise PresentationError(f"tau: unknown generator {name!r}", line)
-        tau_gen[name] = parse_path(xi, image, line=line)
-    return F, G, tau_gen
+    return F, G, gen_section("tau", xi, lambda image: parse_path(xi, image))

@@ -29,7 +29,6 @@ from .presentation import (
     FuelExhausted,
     PresentationError,
     RewriteStep,
-    ZigZag,
     identity_word,
 )
 from .rewrite import deglex_compare, normal_form
@@ -42,7 +41,7 @@ from .coherence import (
     Id2,
     Inv,
     Whisker,
-    fill_sphere,
+    fill_step,
     sigma_path,
 )
 
@@ -348,17 +347,14 @@ class FreeResolution:
         return self._worded(out)
 
     def i3(self, melt):
-        """ZM[rules] -> ZM[cells]: u[alpha] fills the sphere between the
-        whiskered rule step followed by normalization and the direct
-        normalization of u*lhs, and takes its cell content."""
+        """ZM[rules] -> ZM[cells]: u[alpha] goes to the cell content of
+        S(u·alpha), the filler of the sphere between the whiskered rule step
+        followed by normalization and the direct normalization of u*lhs."""
         out = {}
         for (u, rule_name), coef in melt.items():
             rule = self.presentation.lookup_rule(rule_name)
             step = RewriteStep(u.concat(rule.lhs), len(u), rule)
-            f = ZigZag.of(step).then(sigma_path(self.coherent, step.target_word))
-            g = sigma_path(self.coherent, step.source_word)
-            expr = fill_sphere(self.coherent, f, g)
-            add_into(out, self.bracket_3cell(expr), coef)
+            add_into(out, self.bracket_3cell(fill_step(self.coherent, step)), coef)
         return out
 
     def contract(self, n, x):

@@ -72,8 +72,8 @@ class Budget:
     """The fuel of one top-level call, shared by everything that call runs.
 
     ``normalize`` and ``normal_form`` charge one unit per rewriting step
-    and the sphere filler one per distinct sub-sphere it fills, plus one per
-    step of each σ path it uses, a path it shares within the call too.  Every
+    and the sphere filler one per step whose 3-cell S it builds, plus one
+    per σ step it walks; what it meets again in the call costs nothing.  Every
     ``fuel=`` parameter takes an int, which starts a fresh budget for that
     call, or a Budget, which the call charges in place and hands on to
     everything it runs.

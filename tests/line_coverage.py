@@ -1,13 +1,20 @@
-"""Line coverage of the presentation checker.
+"""Line coverage of the presentation checker and of the sphere filler.
 
     PYTHONPATH=src python tests/line_coverage.py
 
-runs ``test_input_errors.py`` and ``test_presentation.py`` in-process under
-``sys.settrace`` and fails, listing the lines, when any line of
-``validate``, ``_diagnostics`` or ``parse_polygraph`` (the functions nested
-in them included) goes unreached.  Every diagnostic of the checker is then
-shown to fire by some test, from a file or from a polygraph built directly.
-Standard library only, besides pytest itself.
+runs the tests in ``TESTS`` in-process under ``sys.settrace`` and fails,
+listing the lines, when any line of the functions in ``FUNCTIONS`` (the
+functions nested in them, and every method of a class listed, included)
+goes unreached.  For the checker, these are ``validate``, ``_diagnostics``
+and ``parse_polygraph``: every diagnostic is then shown to fire by some
+test, from a file or from a polygraph built directly.  For the filler,
+they are the 3-cell S of a step and the straightening built on it
+(``_Filler``), the σ walks (``_sigma``), ``fill_sphere``, ``fill_positive``,
+``fill_step`` and ``fill_local_branching``: every branch is taken, among
+them a leftmost step, a leg that is σ already, a backward step, a Peiffer
+and an aspherical pair, a σ walk that runs out of fuel, and a pumped
+instance above the pump bound.  Standard library only, besides pytest
+itself.
 """
 
 import linecache
@@ -16,11 +23,32 @@ from pathlib import Path
 
 import pytest
 
-from polygraph import presentation
+from polygraph import coherence, presentation
 
 HERE = Path(__file__).parent
-TESTS = ("test_input_errors.py", "test_presentation.py")
-FUNCTIONS = (presentation.validate, presentation._diagnostics, presentation.parse_polygraph)
+TESTS = (
+    "test_input_errors.py",
+    "test_presentation.py",
+    "test_filler_oracle.py",
+    "test_budget.py",
+    "test_coherence.py",
+    "test_expr_oracle.py::test_walks_match_the_recursions_on_every_kind_of_node",
+    "test_cli.py::test_homology_pump_bound_too_small_is_partial",
+    "test_cli.py::test_homology_stale_declared_cells_is_usage_error",
+)
+FUNCTIONS = (
+    presentation.validate,
+    presentation._diagnostics,
+    presentation.parse_polygraph,
+    coherence._Filler,
+    coherence._sigma,
+    coherence._first,
+    coherence._one,
+    coherence.fill_positive,
+    coherence.fill_step,
+    coherence.fill_sphere,
+    coherence.fill_local_branching,
+)
 
 
 def code_objects(code):
@@ -32,13 +60,21 @@ def code_objects(code):
             yield from code_objects(const)
 
 
+def function_codes(obj):
+    """The code objects of a function, or of every method of a class."""
+    functions = [f for f in vars(obj).values() if callable(f)] if isinstance(obj, type) else [obj]
+    for f in functions:
+        yield from code_objects(f.__code__)
+
+
 def main():
-    codes = {c for f in FUNCTIONS for c in code_objects(f.__code__)}
-    wanted = {line for c in codes for _, _, line in c.co_lines() if line is not None}
+    codes = {c for obj in FUNCTIONS for c in function_codes(obj)}
+    wanted = {(c.co_filename, line) for c in codes for _, _, line in c.co_lines()
+              if line is not None}
     reached = set()
 
     def trace_lines(frame, event, arg):
-        reached.add(frame.f_lineno)
+        reached.add((frame.f_code.co_filename, frame.f_lineno))
         return trace_lines
 
     def trace_calls(frame, event, arg):
@@ -54,8 +90,7 @@ def main():
     if status != 0:
         return int(status)
     missed = sorted(wanted - reached)
-    filename = presentation.__file__
-    for line in missed:
+    for filename, line in missed:
         print(f"{filename}:{line}: not reached: {linecache.getline(filename, line).strip()}")
     print(f"{len(wanted) - len(missed)} of {len(wanted)} lines reached")
     return 1 if missed else 0

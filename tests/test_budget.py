@@ -57,7 +57,7 @@ def cp_b3(b3):
 
 class NodeCounting(Budget):
     """A budget that also counts the units filler nodes charge: one per
-    sub-sphere actually filled, none for one met again."""
+    3-cell S of a step actually built, none for a step met again."""
 
     def __init__(self):
         super().__init__()
@@ -65,7 +65,7 @@ class NodeCounting(Budget):
 
     def charge(self):
         super().charge()
-        if sys._getframe(1).f_code is coherence._fill_positive.__code__:
+        if sys._getframe(1).f_code is coherence._Filler.step.__code__:
             self.nodes += 1
 
 

@@ -1,17 +1,18 @@
 """The sphere filler against the recursion it replaced.
 
-The reference below rebuilds the rest of both paths as a new ZigZag at
-every node (and so re-checks every remaining step); the library walks the
-checked paths by index and fills each distinct sub-sphere once per
-``fill_sphere`` call.  On seeded positive and σ spheres both must return
-equal expressions.  The charges are compared with the reference run with
-one memo per ``fill_sphere`` call, keyed by the suffix ZigZags and shared
-by the spheres of every σ step: both must charge the budget in the same
-order, and run out of a short budget at the same point with the same
-message.  The library never charges more than the reference without a
-memo.  The library also builds each σ path once per call, where the
-reference normalizes every time: each path it shares must be the leftmost
-normalization path, and charged, and cut short, as ``normalize`` would.
+The reference below is the two-path recursion of the coherence theorem:
+it peels equal first steps, resolves differing ones through
+fill_local_branching and a leftmost confluence path, and rebuilds the rest
+of both paths as a new ZigZag at every node.  The library instead builds
+one 3-cell S per rewriting step (a step followed by σ of its target, to σ
+of its source) and straightens both sides of every sphere through it, so
+the two fillers build different expressions for one sphere.  On seeded
+positive and σ spheres they must agree on what the filler is for: the
+sphere as the exact boundary, the same d3 of the cell content (bracket₂ of
+one side minus the other's, whatever the filler), and only declared cells;
+and the library must spend no more fuel.  Its σ paths are shared within a
+call: each must be the leftmost normalization path, walked once, and cut
+short as ``normalize`` would cut it.
 """
 
 import functools
@@ -24,10 +25,13 @@ import polygraph.coherence as coherence
 from polygraph import (
     Budget,
     CompositionError,
+    FreeResolution,
     FuelExhausted,
     ZigZag,
+    boundary3,
     fill_positive,
     fill_sphere,
+    generating_cells,
     normalize,
     squier_completion,
 )
@@ -36,6 +40,7 @@ from polygraph.coherence import (
     Comp2,
     Id2,
     Inv,
+    _nodes,
     fill_local_branching,
     sigma_path,
 )
@@ -139,7 +144,8 @@ ref_fill_sphere_memoized = functools.partial(ref_fill_sphere, memoized=True)
 
 class Recording(Budget):
     """A budget that logs who spent each unit: a step of a normalization
-    path (``normalize``, or the filler's shared σ paths) or a node."""
+    path (``normalize``, or a walk of the filler's shared σ paths) or a
+    node (a sub-sphere of the reference, an S of the library)."""
 
     def __init__(self, fuel):
         super().__init__(fuel)
@@ -220,38 +226,46 @@ def cases(b3, a4_done, xyx_done, sq, sq_cert):
     return out
 
 
+def d3_of(cp, expr):
+    """d3 of the cell content of a filler, in cp's free resolution."""
+    res = FreeResolution(cp)
+    return res.d3(res.bracket_3cell(expr))
+
+
 def test_fill_sphere_matches_the_suffix_zigzag_recursion(cases):
-    nontrivial = 0
-    shared = 0
+    total = memo_total = 0
+    walked = 0
     for label, cp, f, g in cases:
         got, got_log = run(fill_sphere, cp, f, g, 10**6)
         want, tree_log = run(ref_fill_sphere, cp, f, g, 10**6)
         memo_want, want_log = run(ref_fill_sphere_memoized, cp, f, g, 10**6)
         assert got[0] == want[0] == memo_want[0] == "filled", label
-        assert got[1] == want[1] == memo_want[1], label
-        assert got_log == want_log, label
+        expr = got[1]
+        assert boundary3(expr) == (f, g), label
+        assert d3_of(cp, expr) == d3_of(cp, want[1]), label
+        assert generating_cells(expr) <= {c.name for c in cp.cells}, label
         assert len(got_log) <= len(tree_log), label
-        spent = len(want_log)
-        nontrivial += "step" in want_log
-        shared += spent < len(tree_log)
-        # one unit short, and about half the budget: the same point, the
-        # same message
+        spent = len(got_log)
+        total += spent
+        memo_total += len(want_log)
+        walked += "step" in got_log
+        # one unit short, and about half the budget: the sphere is named,
+        # and the units are charged in the order of the full run
         for fuel in (spent - 1, spent // 2):
             short, short_log = run(fill_sphere, cp, f, g, fuel)
-            ref_short, ref_short_log = run(ref_fill_sphere_memoized, cp, f, g, fuel)
             assert short[0] == "exhausted", (label, fuel)
-            assert short == ref_short, (label, fuel)
-            assert short_log == ref_short_log == want_log[:fuel], (label, fuel)
-    # the spheres are not all peeled off step by step, and some meet a
-    # sub-sphere twice
-    assert nontrivial >= len(cases) // 2
-    assert shared > 0
+            assert short[1].startswith(f"filling a sphere from '{f.source}': "), (label, fuel)
+            assert short_log == got_log[:fuel], (label, fuel)
+    # the spheres walk σ paths, and over all of them the library spends no
+    # more than the reference with a memo per call
+    assert walked >= len(cases) // 2
+    assert total <= memo_total
 
 
 def test_fill_sphere_fills_a_deep_sphere_at_under_0_6_of_the_tree_charge(b3):
-    """On a B3+ sphere of 20 against 84 steps, the memo saves more than
-    40% of the units the tree-shaped recursion charges, and the expression
-    keeps its value."""
+    """On a B3+ sphere of 20 against 84 steps, the filler spends less than
+    60% of the units the tree-shaped recursion charges, and its cell
+    content has the reference's d3."""
     cp = squier_completion(b3)
     rng = random.Random(7)
     for _ in range(2):
@@ -262,7 +276,8 @@ def test_fill_sphere_fills_a_deep_sphere_at_under_0_6_of_the_tree_charge(b3):
     budget, ref_budget = Budget(), Budget()
     got = fill_sphere(cp, f, g, budget)
     want = ref_fill_sphere(cp, f, g, ref_budget)
-    assert got == want
+    assert boundary3(got) == (f, g)
+    assert d3_of(cp, got) == d3_of(cp, want)
     assert spent(budget) < 0.6 * spent(ref_budget)
 
 
@@ -316,45 +331,43 @@ def test_every_shared_sigma_path_is_the_leftmost_normalization(cases, monkeypatc
     assert reused > 0
 
 
-def reused_cut(cp, f, g, monkeypatch):
-    """A budget that runs out inside a σ path the memo held: the units
-    before the first such call of length at least 2, plus one less than its
-    length; None when no call reuses such a path."""
+def test_a_budget_spent_inside_a_sigma_walk_runs_out_as_normalize(cases, monkeypatch):
+    """Each σ step is charged once per call, when it is walked: the units
+    the σ walks spend are the words on the σ paths that are not normal.  A
+    budget that runs out inside a walk stops it as ``normalize`` would
+    stop it: its message names the word, and the partial path is the start
+    of that word's leftmost normalization path."""
     calls = sigma_calls(monkeypatch)
-    fill_sphere(cp, f, g)
-    monkeypatch.undo()
-    for _, path, before, known in calls:
-        if known and len(path) >= 2:
-            return before + len(path) - 1
-    return None
-
-
-def test_a_budget_spent_inside_a_reused_sigma_path_runs_out_as_the_reference(
-        cases, monkeypatch):
     cut = {"positive": 0, "sigma": 0}
     for label, cp, f, g in cases:
-        fuel = reused_cut(cp, f, g, monkeypatch)
+        calls.clear()
+        _, log = run(fill_sphere, cp, f, g, 10**6)
+        # a walk takes the steps of its path up to the first word met before
+        seen, fuel = set(), None
+        for _, path, before, _ in calls:
+            walked = 0
+            for step in path.steps:
+                if step.source_word in seen:
+                    break
+                seen.add(step.source_word)
+                walked += 1
+            if fuel is None and walked >= 2:
+                fuel = before + walked - 1
+        assert log.count("step") == len(seen), label
         if fuel is None:
             continue
         cut[label.split("/")[1]] += 1
-        got, got_log = run(fill_sphere, cp, f, g, fuel)
-        want, want_log = run(ref_fill_sphere_memoized, cp, f, g, fuel)
-        assert got[0] == "exhausted", label
-        assert got == want, label
-        assert got_log == want_log, label
-        if not (f.positive and g.positive and cp.base.matcher.is_normal(f.target)):
-            continue
-        # fill_positive keeps normalize's partial path in .trace
         with pytest.raises(FuelExhausted) as exc:
             fill_positive(cp, f, g, fuel)
-        with pytest.raises(FuelExhausted) as ref_exc:
-            ref_fill_positive(cp, f, g, Budget(fuel), {})
-        assert str(exc.value) == str(ref_exc.value), label
-        assert str(exc.value).startswith("normalizing '"), label
-        got_path, want_path = exc.value.trace, ref_exc.value.trace
-        assert got_path.source == want_path.source, label
-        assert got_path.steps == want_path.steps and got_path.steps, label
-        assert got_path.target == want_path.target, label
+        partial = exc.value.trace
+        assert str(exc.value) == f"normalizing '{partial.source}': the budget of {fuel} is spent"
+        _, want = normalize(cp.base, partial.source, "leftmost")
+        assert partial.steps and partial.steps == want.steps[:len(partial.steps)], label
+        assert partial.target == (want.steps[len(partial.steps)].source_word
+                                  if len(partial.steps) < len(want.steps) else want.target)
+        with pytest.raises(FuelExhausted) as named:
+            fill_sphere(cp, f, g, fuel)
+        assert str(named.value) == f"filling a sphere from '{f.source}': {exc.value}", label
     assert cut["positive"] > 0 and cut["sigma"] > 0
 
 
@@ -368,14 +381,51 @@ def deep_sphere(b3):
     return f, g
 
 
-def test_the_deep_sphere_charges_what_the_unshared_paths_charged_in_each_call(b3):
-    """Sharing σ paths charges every step of every path as before (50,065
-    units, as with one normalization per path), and nothing survives one
-    call: a second fill of the sphere charges the same."""
+def test_the_deep_sphere_charges_each_step_cell_and_sigma_step_once_per_call(b3):
+    """The filler of the 53 vs 131 sphere spends 3,614 units, where the
+    two-path recursion spent 50,065 (every use of a shared σ path charged
+    again), and has at most its 12,888 distinct nodes; nothing survives
+    one call: a second fill of the sphere charges the same."""
     cp = squier_completion(b3)
     f, g = deep_sphere(b3)
     first, second = Budget(), Budget()
     expr = fill_sphere(cp, f, g, first)
-    assert spent(first) == 50_065
-    assert fill_sphere(cp, f, g, second) == expr
-    assert spent(second) == 50_065
+    assert boundary3(expr) == (f, g)
+    assert len(_nodes(expr)) <= 12_888
+    assert spent(first) == 3_614
+    fill_sphere(cp, f, g, second)
+    assert spent(second) == 3_614
+
+
+def frames_below():
+    """The number of Python frames below the caller's, the caller's own
+    included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_the_deep_sphere_fills_80_frames_above_the_caller(b3):
+    """The filler recurses nowhere: with the recursion limit 80 frames
+    above this test's depth, the 53 vs 131 sphere still fills."""
+    cp = squier_completion(b3)
+    f, g = deep_sphere(b3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames_below() + 80)
+    try:
+        expr = fill_sphere(cp, f, g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert boundary3(expr) == (f, g)
+
+
+def test_the_self_sphere_of_a_3736_step_path_fills(b3):
+    """The leftmost path of a 330-letter B3+ word against itself: 3,736
+    equal steps on each side, far deeper than the recursion limit."""
+    cp = squier_completion(b3)
+    w = random_word(random.Random(1), b3, 330)
+    _, f = normalize(b3, w, "leftmost")
+    assert len(f) == 3_736
+    expr = fill_sphere(cp, f, f)
+    assert boundary3(expr) == (f, f)

@@ -135,6 +135,8 @@ MAP_ERRORS = [
     ("fgen:\nx\n", "line 2: map entry lacks '=>': 'x'"),
     ("tau:\nq => id(x)\n", "line 2: tau: unknown generator 'q'"),
     ("frule:\nalpha => 1 * q * 1\n", "line 2: unknown rule 'q'"),
+    ("fgen:\nx => q\n", "line 2: unknown generator 'q' in word"),
+    ("frule:\nzeta => 1 * alpha * 1\n", "line 2: unknown rule 'zeta'"),
 ]
 
 

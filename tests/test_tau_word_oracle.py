@@ -159,3 +159,32 @@ def test_a_long_word_returns_under_the_default_recursion_limit(
     path = tau_word(F, G, tau, w)
     assert path.target == w and len(path.steps) == 3 * w.letters.count("z")
     assert ZigZag(path.source, path.steps).target == w  # the steps chain
+
+
+def test_a_5000_letter_word_is_checked_junction_by_junction(xyz, xyx_done):
+    """5,000 letters: the identity map gives the identity path; with steps
+    for each z the path chains from FG(w) to w; and a τ_z that stops short
+    of z fails at the last z, with the error the recursive definition
+    raises on the word from that z on (the words that meet at a junction
+    hold nothing of the letters before it)."""
+    F, G, tau = parse_transfer_maps(xyx_done, xyx_done, IDENTITY_MAP)
+    rng = random.Random(5000)
+    w = xyx_done.word_from_letters(tuple(rng.choice("xy") for _ in range(5000)))
+    path = tau_word(F, G, tau, w)
+    assert path.source == path.target == w and path.steps == ()
+    # ten z's: every step of the path holds a whole word of 5,000 letters
+    letters = [rng.choice("xy") for _ in range(5000)]
+    for i in rng.sample(range(5000), 10):
+        letters[i] = "z"
+    w = xyz.word_from_letters(tuple(letters))
+    F, G, tau = maps(xyz, "y y")
+    path = tau_word(F, G, tau, w)
+    assert path.source == F.word(G.word(w)) and path.target == w
+    assert len(path.steps) == 3 * w.letters.count("z")
+    assert ZigZag(path.source, path.steps).target == w  # the steps chain
+    F, G, tau = maps(xyz, "x y x")
+    short = {**tau, "z": ZigZag.of(RewriteStep(xyz.word("x y x"), 0, xyz.lookup_rule("alpha")))}
+    last = len(w) - 1 - w.letters[::-1].index("z")
+    want = outcome(ref_tau_word, F, G, short, w.slice(last, len(w)))
+    assert want[0] == "raised"
+    assert outcome(tau_word, F, G, short, w) == want
