@@ -40,7 +40,7 @@ from .presentation import (
     identity_word,
     parse_path,
 )
-from .rewrite import DEFAULT_PUMP_BOUND, normalize, termination_evidence
+from .rewrite import DEFAULT_PUMP_BOUND, _walk, normalize, termination_evidence
 from .branchings import (
     ASPHERICAL,
     PEIFFER,
@@ -402,32 +402,19 @@ def _sigma(cp, w, budget, memo):
     call: ``memo`` maps each word whose path the call built to that path.
 
     The leftmost strategy is memoryless, so σ(w) is w's first leftmost step
-    followed by σ of that step's target.  The walk takes leftmost steps, one
-    unit each, until it reaches the normal form or a word the memo holds
-    (a path met again costs nothing), then records the path of every word
-    it passed, back to front.  When the budget runs out, FuelExhausted has
-    normalize's message and the steps paid for, and nothing is recorded.
+    followed by σ of that step's target.  ``normalize``'s walk runs until
+    it reaches the normal form or a word the memo holds (a path met again
+    costs nothing), then the path of every word it passed is recorded, back
+    to front.  When the budget runs out, the walk's FuelExhausted passes
+    through and nothing is recorded.
     """
     tail = memo.get(w)
     if tail is not None:
         return tail
-    scan = cp.base.matcher.scans["leftmost"]
-    steps = []
-    current = w
-    try:
-        for i, rule, _ in scan.rewrites(scan.encode(w)):
-            budget.charge()
-            step = RewriteStep(current, i, rule)
-            steps.append(step)
-            current = step.target_word
-            tail = memo.get(current)
-            if tail is not None:
-                break
-        else:
-            tail = memo[current] = ZigZag._chained(current, (), current)
-    except FuelExhausted as exc:
-        partial = ZigZag._chained(w, tuple(steps), current)
-        raise FuelExhausted(f"normalizing '{w}': {exc}", partial) from None
+    steps, current = _walk(cp.base, w, "leftmost", budget, memo)
+    tail = memo.get(current)
+    if tail is None:  # a normal form
+        tail = memo[current] = ZigZag._chained(current, (), current)
     rest, nf = tail.steps, tail.target
     for step in reversed(steps):
         rest = (step,) + rest

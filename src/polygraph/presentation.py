@@ -160,7 +160,7 @@ class Word:
         for other in others:
             if other.source != nodes[-1]:
                 raise CompositionError(
-                    f"cannot compose {self} (ends at {nodes[-1]}) "
+                    f"cannot compose {Word(letters, nodes)} (ends at {nodes[-1]}) "
                     f"with {other} (starts at {other.source})"
                 )
             letters = letters + other.letters

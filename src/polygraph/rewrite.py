@@ -8,6 +8,11 @@ word can never match, so a bound of the word length is exact.
 ``normalize`` and ``normal_form`` enumerate none: their matcher reads the
 run of pump letters at a match, so their normal forms are exact on the
 infinite systems, not approximate.
+
+Every normalization path, the sphere filler's σ included, comes from one
+walk (``_walk``), the only loop that turns the matcher's rewrites into
+charged steps; ``normal_form`` takes the same rewrites without building
+steps.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .presentation import (
     Word,
     ZigZag,
     _split_affine,
+    validate,
 )
 
 __all__ = [
@@ -103,7 +109,7 @@ class Matcher:
         self.ends = {self.code[g.name]: (g.source, g.target) for g in p.generators}
         objects = {x for pair in self.ends.values() for x in pair}
         self.object = objects.pop() if len(objects) == 1 else None
-        if not self._typed(p):
+        if validate(p):
             self.ends = None
 
     def encode(self, w):
@@ -111,14 +117,10 @@ class Matcher:
         rule mentions)."""
         return "".join([self.code.get(letter, "\0") for letter in w.letters])
 
-    def is_normal(self, w):
-        """Is no rule instance a subword of w?"""
-        return self.scans["leftmost"].search(self.encode(w), 0) is None
-
     def decodes(self, w, text):
-        """Does ``decode`` give w back from its encoding?  Only when every
-        letter of w is a generator, between the objects the generator
-        declares, and the rules rewrite between such words."""
+        """Does ``decode`` give w back from its encoding?  Only when the
+        presentation passes ``validate`` and every letter of w is a
+        generator, between the objects the generator declares."""
         if "\0" in text or self.ends is None:
             return False
         if self.object is not None:
@@ -133,24 +135,6 @@ class Matcher:
         if self.object is not None:
             return Word(letters, (source,) * (len(letters) + 1))
         return Word(letters, (source, *[self.ends[c][1] for c in text]))
-
-    def _typed(self, p):
-        """Do the generators give every letter one pair of objects, and do
-        the rules rewrite between words that ``decode`` gives back?"""
-        if len(self.ends) != len(self.code) or len(p.generators) != len(self.code):
-            return False  # a letter only a rule mentions, or a name declared twice
-        sides = [w for rule in p.rules for w in (rule.lhs, rule.rhs)]
-        for fam in p.pumped:
-            sides += (fam.lhs_prefix, fam.lhs_suffix, fam.rhs_prefix, fam.rhs_suffix)
-            if self.ends[self.code[fam.pump]] != (fam.pump_object, fam.pump_object):
-                return False
-        if self.object is not None:  # then a side between it is parallel to any other
-            return all(w.nodes.count(self.object) == len(w.nodes) for w in sides)
-        return (all(rule.parallel for rule in p.rules)
-                and all(fam.lhs_prefix.source == fam.rhs_prefix.source
-                        and fam.lhs_suffix.target == fam.rhs_suffix.target
-                        for fam in p.pumped)
-                and all(self.decodes(w, self.encode(w)) for w in sides))
 
 
 class _Scan:
@@ -283,6 +267,31 @@ def _scan(p, strategy):
         raise ValueError(f"unknown strategy {strategy!r}") from None
 
 
+def _walk(p, w, strategy, fuel, known=()):
+    """The steps strategy takes from w, one unit of fuel each, as (steps,
+    the word they reach).  The walk stops at a normal form, or at the first
+    word it reaches that is in ``known``.  When the fuel runs out,
+    FuelExhausted carries the partial path paid for in .trace, under
+    ``normalize``'s message.
+    """
+    scan = _scan(p, strategy)
+    budget = Budget.of(fuel)
+    steps = []
+    current = w
+    try:
+        for i, rule, _ in scan.rewrites(scan.encode(w)):
+            budget.charge()
+            step = RewriteStep(current, i, rule)
+            steps.append(step)
+            current = step.target_word
+            if current in known:
+                break
+    except FuelExhausted as exc:
+        partial = TwoCellPath._chained(w, tuple(steps), current)
+        raise FuelExhausted(f"normalizing '{w}': {exc}", partial) from None
+    return tuple(steps), current
+
+
 def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
     """Rewrite w to a normal form, returning (normal form, rewriting path).
 
@@ -297,20 +306,8 @@ def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
     needs only the normal form calls ``normal_form``, which takes the same
     steps without building them.
     """
-    scan = _scan(p, strategy)
-    budget = Budget.of(fuel)
-    steps = []
-    current = w
-    try:
-        for i, rule, _ in scan.rewrites(scan.encode(w)):
-            budget.charge()
-            step = RewriteStep(current, i, rule)
-            steps.append(step)
-            current = step.target_word
-    except FuelExhausted as exc:
-        partial = TwoCellPath._chained(w, tuple(steps), current)
-        raise FuelExhausted(f"normalizing '{w}': {exc}", partial) from None
-    return current, TwoCellPath._chained(w, tuple(steps), current)
+    steps, nf = _walk(p, w, strategy, fuel)
+    return nf, TwoCellPath._chained(w, steps, nf)
 
 
 def normal_form(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
@@ -493,9 +490,10 @@ def _parse_der(text, line):
 
 def parse_certificate(text):
     """Parse a certificate file: one `gen: star EXPR ; der EXPR` entry per
-    line, '#' comments.  Star expressions are affine (`n`, `n+1`, `2*n+3`,
-    `0`); derivation expressions are sums of `c*B^n` terms with B in 1,2,3,
-    plus integer constants (`3^n`, `2*3^n + 1`, `0`)."""
+    line, '#' comments.  Star expressions are affine with natural
+    coefficients, so every star map is monotone (`n`, `n+1`, `2*n+3`, `0`);
+    derivation expressions are sums of `c*B^n` terms with B in 1,2,3, plus
+    integer constants (`3^n`, `2*3^n + 1`, `0`)."""
     star, der = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -507,10 +505,7 @@ def parse_certificate(text):
         name, star_txt, der_txt = m.group(1), m.group(2).strip(), m.group(3).strip()
         if name in star:
             raise PresentationError(f"duplicate certificate entry for {name!r}", lineno)
-        a, b = _split_affine(star_txt, lineno)
-        if a < 0:
-            raise PresentationError(f"star map for {name!r} is not monotone", lineno)
-        star[name] = (a, b)
+        star[name] = _split_affine(star_txt, lineno)
         der[name] = _parse_der(der_txt, lineno)
     return InterpretationCert(star, der)
 

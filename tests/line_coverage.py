@@ -1,4 +1,5 @@
-"""Line coverage of the presentation checker and of the sphere filler.
+"""Line coverage of the presentation checker, the sphere filler and the
+rewriting engine.
 
     PYTHONPATH=src python tests/line_coverage.py
 
@@ -13,8 +14,12 @@ they are the 3-cell S of a step and the straightening built on it
 ``fill_step`` and ``fill_local_branching``: every branch is taken, among
 them a leftmost step, a leg that is σ already, a backward step, a Peiffer
 and an aspherical pair, a σ walk that runs out of fuel, and a pumped
-instance above the pump bound.  Standard library only, besides pytest
-itself.
+instance above the pump bound.  For the engine, they are the redex search
+(``Matcher``, ``_Scan``, ``_Pumped``, ``_scan``), the one normalization
+walk (``_walk``), ``normalize`` and ``normal_form``: among them an unknown
+strategy, a word or presentation the encoding cannot give back, and a
+partial path built when it is read.  Standard library only, besides
+pytest itself.
 """
 
 import linecache
@@ -23,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from polygraph import coherence, presentation
+from polygraph import coherence, presentation, rewrite
 
 HERE = Path(__file__).parent
 TESTS = (
@@ -32,6 +37,11 @@ TESTS = (
     "test_filler_oracle.py",
     "test_budget.py",
     "test_coherence.py",
+    "test_matcher.py",
+    "test_normal_form_oracle.py::test_words_and_rules_the_encoding_cannot_type_fall_back",
+    "test_normal_form_oracle.py::test_the_matcher_decodes_exactly_the_presentations_that_validate",
+    "test_normal_form_oracle.py::test_the_partial_path_is_built_when_the_trace_is_read",
+    "test_rewrite.py::test_an_unknown_strategy_is_a_value_error",
     "test_expr_oracle.py::test_walks_match_the_recursions_on_every_kind_of_node",
     "test_cli.py::test_homology_pump_bound_too_small_is_partial",
     "test_cli.py::test_homology_stale_declared_cells_is_usage_error",
@@ -48,6 +58,13 @@ FUNCTIONS = (
     coherence.fill_step,
     coherence.fill_sphere,
     coherence.fill_local_branching,
+    rewrite.Matcher,
+    rewrite._Scan,
+    rewrite._Pumped,
+    rewrite._scan,
+    rewrite._walk,
+    rewrite.normalize,
+    rewrite.normal_form,
 )
 
 

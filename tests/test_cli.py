@@ -272,6 +272,18 @@ def test_reduce_removes_duplicate_and_nested(files):
     assert "kb1: y y y x => x y y y" in report.sections["final"]
 
 
+def test_reduce_normalizes_a_right_hand_side(files):
+    f = files(a="monoid\ngenerators: a\norder: a\nrules:\nr: a a a => a a\ns: a a => a\n")
+    code, report = run(["reduce", f["a"]])
+    assert code == 0
+    assert report.human[:3] == (
+        "2 reduction moves:",
+        "  pass 1: r rhs a a -> a",
+        "  pass 3: removed r (lhs contains s)",
+    )
+    assert report.sections["rules"] == 1
+
+
 def test_reduce_reduced_input_is_noop(files):
     f = files(b3=B3_TEXT)
     code, report = run(["reduce", f["b3"]])
@@ -335,6 +347,24 @@ def test_std_bad_table_exits_one_with_witnesses(files):
     assert "associativity fails at (a, a, b): e vs a" in report.human[1]
 
 
+@pytest.mark.parametrize("table, problem", [
+    ("elements: e a a; unit: e; table: e*e=e ; e*a=a ; a*e=a ; a*a=e\n",
+     "duplicate elements"),
+    ("elements: e a; unit: u; table: e*e=e ; e*a=a ; a*e=a ; a*a=e\n",
+     "unit 'u' not among the elements"),
+    ("elements: e a; unit: e; table: e*e=e ; e*a=a ; a*e=a ; a*a=b\n",
+     "product a*a = 'b' not an element"),
+    ("elements: e a; unit: e; table: e*e=e ; e*a=e ; a*e=e ; a*a=e\n",
+     "unit law fails at a"),
+])
+def test_std_names_each_problem_of_a_table(files, table, problem):
+    f = files(table=table)
+    code, report = run(["std", f["table"]])
+    assert code == 1
+    assert report.human == ("table is not a monoid:", f"  {problem}")
+    assert report.sections["problems"] == [problem]
+
+
 def test_std_refuses_two_products_for_one_pair(files):
     f = files(twice="elements: e a; unit: e; table: e*e=e ; e*a=a ; a*e=a ; a*a=e ; a*a=a\n")
     code, report = run(["std", f["twice"]])
@@ -396,6 +426,22 @@ def test_homology_identities_all_hold(files):
     assert report.human[0] == "resolution over 1 three-cell (pump bound 8)"
     assert report.human[-1] == "all identities hold"
     assert set(report.sections["identities"].values()) == {"ok"}
+
+
+def test_homology_with_a_cell_turned_round_exits_one_with_witnesses(files):
+    # Squier's basis of xyx with conf1 declared from its target to its source
+    conf0, conf1 = squier_completion(parse_polygraph(XYX_DONE_TEXT)).cells
+    f = files(turned=XYX_DONE_TEXT + f"threecells:\n{conf0}\n"
+              f"conf1: {conf1.target2} === {conf1.source2}\n")
+    code, report = run(["homology", f["turned"]])
+    assert code == 1
+    assert report.status == "FAIL"
+    identities = report.sections["identities"]
+    assert [name for name, verdict in identities.items() if verdict == "FAIL"] == ["d3i3_i2d2"]
+    failures = report.sections["failures"]
+    assert len(failures) > 5 and all(w.startswith("d3i3_i2d2 fails at ") for w in failures)
+    assert report.human[-6] == "  d3i3_i2d2: FAIL"
+    assert report.human[-5:] == tuple(f"  witness: {w}" for w in failures[:5])
 
 
 def test_homology_export_finite(files, tmp_path):
@@ -505,6 +551,14 @@ def test_negative_bounds_are_usage_errors(files, capsys, argv):
     assert code == 2
     assert report.sections == {"error": "usage"}
     assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_a_fuel_that_is_not_an_integer_is_a_usage_error(files, capsys):
+    f = files(b3=B3_TEXT)
+    code, report = run(["nf", f["b3"], "s t", "--fuel", "lots"])
+    assert code == 2
+    assert report.sections == {"error": "usage"}
+    assert "argument --fuel: not an integer: 'lots'" in capsys.readouterr().err
 
 
 def test_json_mode_is_deterministic(files, capsys):

@@ -31,6 +31,7 @@ from polygraph import (
     boundary3,
     fill_positive,
     fill_sphere,
+    find_redexes,
     generating_cells,
     normalize,
     squier_completion,
@@ -127,7 +128,7 @@ def ref_fill_sphere(cp, f, g, budget, memoized=False):
     which every sphere it fills shares, as the library does."""
     memo = {} if memoized else None
     try:
-        if f.positive and g.positive and cp.base.matcher.is_normal(f.target):
+        if f.positive and g.positive and not find_redexes(cp.base, f.target, len(f.target)):
             return ref_fill_positive(cp, f, g, budget, memo)
         return Comp2(ref_sigma_zigzag(cp, f, budget, memo),
                      Inv(ref_sigma_zigzag(cp, g, budget, memo)))
@@ -154,7 +155,7 @@ class Recording(Budget):
     def charge(self):
         caller = sys._getframe(1).f_code.co_name
         super().charge()
-        self.log.append("step" if caller in ("normalize", "_sigma") else "node")
+        self.log.append("step" if caller in ("normalize", "_sigma", "_walk") else "node")
 
 
 def spent(budget):

@@ -1,5 +1,5 @@
-"""The exact error texts of the three input readers: presentations,
-multiplication tables and transfer maps.
+"""The exact error texts of the four input readers: presentations,
+multiplication tables, transfer maps and termination certificates.
 
 Each case is a short file text and the PresentationError message it must
 raise, line number included, so a change to how entries and sections are
@@ -10,6 +10,7 @@ import pytest
 
 from polygraph import (
     PresentationError,
+    parse_certificate,
     parse_multiplication_table,
     parse_polygraph,
     parse_transfer_maps,
@@ -128,6 +129,24 @@ def test_table_bare_unit_opens_the_unit_section():
     table = parse_multiplication_table("elements: e\nunit\ne\ntable:\ne*e=e\n")
     assert table.elements == ("e",)
     assert table.unit == "e"
+
+
+CERTIFICATE_ERRORS = [
+    ("a: star n ; der 1\nb: star n\n", "line 2: cannot parse certificate entry 'b: star n'"),
+    ("# a\n\na: star n ; der 1\na: star 2*n ; der 2\n",
+     "line 4: duplicate certificate entry for 'a'"),
+    # star maps take natural coefficients only, so one that is not monotone
+    # does not parse
+    ("a: star -1*n ; der 1\n", "line 1: cannot parse affine expression '-1*n'"),
+    ("a: star n ; der 3^n + 4^n\n", "line 1: cannot parse derivation expression '4^n'"),
+]
+
+
+@pytest.mark.parametrize("text, message", CERTIFICATE_ERRORS)
+def test_certificate_error_text(text, message):
+    with pytest.raises(PresentationError) as exc:
+        parse_certificate(text)
+    assert str(exc.value) == message
 
 
 MAP_ERRORS = [

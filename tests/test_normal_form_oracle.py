@@ -32,6 +32,7 @@ from polygraph import (
     parse_certificate,
     parse_polygraph,
     termination_evidence,
+    validate,
     word_eq,
 )
 from polygraph import rewrite
@@ -170,6 +171,18 @@ def test_words_and_rules_the_encoding_cannot_type_fall_back(strategy):
     for letters in (("t", "z"), ("z", "s", "t", "a"), ("s", "t", "s")):
         w = Word(letters, ("*",) * (len(letters) + 1))
         assert_same_word(normal_form(loose, w, strategy), normalize(loose, w, strategy)[0])
+
+
+def test_the_matcher_decodes_exactly_the_presentations_that_validate():
+    # problems the encoding itself never meets: an order clause that
+    # misses a generator, and a rule name declared twice
+    b3 = presentation("b3")
+    broken = [replace(b3, gen_order=("a", "s")), replace(b3, rules=b3.rules + b3.rules[:1])]
+    for p in [presentation(name) for name in NAMES] + broken:
+        w = p.word_from_letters([g.name for g in p.generators[:1]])
+        assert p.matcher.decodes(w, p.matcher.encode(w)) == (not validate(p))
+        assert_same_word(normal_form(p, w), normalize(p, w)[0])
+    assert all(validate(p) for p in broken)
 
 
 @pytest.mark.parametrize("name", ["b3", "sq", "a4_done", "category", "lp"])

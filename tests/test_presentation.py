@@ -63,6 +63,13 @@ def test_category_words_compose_by_type():
     assert cat.word("1", at="Y").is_identity
 
 
+def test_concat_names_the_word_built_so_far():
+    a, b, c = Word(("a",), ("X", "X")), Word(("b",), ("X", "Y")), Word(("c",), ("Z", "Z"))
+    with pytest.raises(CompositionError) as exc:
+        a.concat(b, c)  # the second junction fails: a b ends at Y
+    assert str(exc.value) == "cannot compose a b (ends at Y) with c (starts at Z)"
+
+
 def test_identity_lhs_rejected():
     text = "monoid\ngenerators: a\nrules:\nbad: 1 => a\n"
     with pytest.raises(PresentationError, match="identity"):

@@ -4,12 +4,14 @@ termination evidence (deglex check and sampled interpretation certificates)."""
 import pytest
 
 from polygraph import (
+    CompositionError,
     FuelExhausted,
     NotCertified,
     PresentationError,
     check_deglex_termination,
     check_interpretation_certificate,
     find_redexes,
+    normal_form,
     normalize,
     orient,
     parse_certificate,
@@ -20,7 +22,7 @@ from polygraph import (
 from polygraph.cli import run
 from polygraph.rewrite import EQUAL, GREATER, LESS, deglex_compare
 
-from conftest import SQ_BAD_CERT_TEXT
+from conftest import CATEGORY_TEXT, SQ_BAD_CERT_TEXT
 
 
 def test_deglex_length_first(b3):
@@ -88,6 +90,13 @@ def test_normal_form_is_fixed_point(b3):
     nf, _ = normalize(b3, b3.word("t a t a"))
     again, path = normalize(b3, nf)
     assert again == nf and not path.steps
+
+
+def test_an_unknown_strategy_is_a_value_error(b3):
+    w = b3.word("s a s")
+    for function in (normalize, normal_form):
+        with pytest.raises(ValueError, match="unknown strategy 'middle'"):
+            function(b3, w, "middle")
 
 
 def test_check_deglex_termination(b3, xyx):
@@ -220,6 +229,13 @@ def test_termination_evidence_absent(mu):
 def test_word_eq_decides(b3):
     assert word_eq(b3, b3.word("s t s"), b3.word("t s t"))
     assert not word_eq(b3, b3.word("s"), b3.word("t"))
+
+
+def test_word_eq_refuses_words_that_are_not_parallel():
+    cat = parse_polygraph(CATEGORY_TEXT)
+    with pytest.raises(CompositionError) as exc:
+        word_eq(cat, cat.word("f"), cat.word("f g"))
+    assert str(exc.value) == "'f' and 'f g' are not parallel"
 
 
 def test_word_eq_refuses_uncertified(xyx):
