@@ -15,8 +15,11 @@ Exit codes:
     3   fuel, rule cap, pump bound, or enumeration bound exhausted (partial output)
 
 Words on the command line are quoted whitespace-separated generator names,
-with "1" for the identity, mirroring the file grammar.  Global flags
-(``--json``, ``--pump-bound``, ``--seed``) follow the subcommand.
+with "1" for the identity, mirroring the file grammar.  Options follow the
+subcommand, and each subcommand takes only the options it reads: ``--json``
+every one, ``--pump-bound`` those that instantiate pumped rules (``eq``,
+``cp``, ``cohere``, ``fill``, ``transfer`` and ``homology``), and ``--seed``
+``homology``, for its sampled elements.
 """
 
 from __future__ import annotations
@@ -440,10 +443,9 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output (deterministic JSON)")
-    common.add_argument("--pump-bound", type=_count, default=DEFAULT_PUMP_BOUND,
-                        metavar="N", help="instantiate pumped rules up to index N")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for sampled checks")
+    bounded = argparse.ArgumentParser(add_help=False, parents=[common])
+    bounded.add_argument("--pump-bound", type=_count, default=DEFAULT_PUMP_BOUND,
+                         metavar="N", help="instantiate pumped rules up to index N")
 
     parser = argparse.ArgumentParser(
         prog="polygraph",
@@ -464,7 +466,7 @@ def build_parser():
     s.add_argument("--fuel", type=_count, default=DEFAULT_FUEL, metavar="N")
     s.set_defaults(handler=_cmd_nf)
 
-    s = sub.add_parser("eq", parents=[common],
+    s = sub.add_parser("eq", parents=[bounded],
                        help="decide equality of two words (convergent systems)")
     s.add_argument("file")
     s.add_argument("word1")
@@ -474,7 +476,7 @@ def build_parser():
                         "(supplying it acknowledges its sampled nature)")
     s.set_defaults(handler=_cmd_eq)
 
-    s = sub.add_parser("cp", parents=[common],
+    s = sub.add_parser("cp", parents=[bounded],
                        help="critical branchings, resolved when termination evidence exists")
     s.add_argument("file")
     s.add_argument("--resolve", action="store_true",
@@ -494,13 +496,13 @@ def build_parser():
     s.add_argument("--cert", default=None, metavar="CERTFILE")
     s.set_defaults(handler=_cmd_reduce)
 
-    s = sub.add_parser("cohere", parents=[common],
+    s = sub.add_parser("cohere", parents=[bounded],
                        help="Squier completion: one 3-cell per critical branching")
     s.add_argument("file")
     s.add_argument("--cert", default=None, metavar="CERTFILE")
     s.set_defaults(handler=_cmd_cohere)
 
-    s = sub.add_parser("fill", parents=[common],
+    s = sub.add_parser("fill", parents=[bounded],
                        help="fill a 2-sphere (two parallel zigzags) with generating 3-cells")
     s.add_argument("file")
     s.add_argument("zigzag1")
@@ -512,16 +514,18 @@ def build_parser():
     s.add_argument("tablefile")
     s.set_defaults(handler=_cmd_std)
 
-    s = sub.add_parser("transfer", parents=[common],
+    s = sub.add_parser("transfer", parents=[bounded],
                        help="transport a homotopy basis along a 2-functor")
     s.add_argument("sigma")
     s.add_argument("xi")
     s.add_argument("mapfile")
     s.set_defaults(handler=_cmd_transfer)
 
-    s = sub.add_parser("homology", parents=[common],
+    s = sub.add_parser("homology", parents=[bounded],
                        help="build the length-3 resolution and verify its identities")
     s.add_argument("file")
+    s.add_argument("--seed", type=int, default=0, metavar="N",
+                   help="seed for sampled checks")
     s.add_argument("--export", default=None, metavar="DIR")
     s.add_argument("--bound", type=_count, default=2000, metavar="N",
                    help="element-enumeration bound for integer matrices")

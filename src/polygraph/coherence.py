@@ -39,6 +39,8 @@ from .presentation import (
     _sections,
     identity_word,
     parse_path,
+    rule_use_problems,
+    word_problem,
 )
 from .rewrite import DEFAULT_PUMP_BOUND, _walk, normalize, termination_evidence
 from .branchings import (
@@ -772,9 +774,8 @@ def check_two_functor(F):
     for name, image in F.gen_map.items():
         if name not in F.source.generator_map:
             problems.append(f"gen image for unknown generator {name!r}")
-        for letter in image.letters:
-            if letter not in F.target.generator_map:
-                problems.append(f"image of {name!r} uses unknown generator {letter!r}")
+        if problem := word_problem(F.target, image):
+            problems.append(f"image of {name!r}: {problem}")
     for name, z in F.rule_map.items():
         try:
             rule = F.source.lookup_rule(name)
@@ -787,17 +788,8 @@ def check_two_functor(F):
                 f"image of rule {name} goes {z.source} -> {z.target}, "
                 f"expected {want_src} -> {want_tgt}"
             )
-        for s in z.steps:
-            try:
-                known = F.target.lookup_rule(s.rule.name)
-            except PresentationError:
-                problems.append(f"image of rule {name} uses unknown rule {s.rule.name!r}")
-                continue
-            if known != s.rule:
-                problems.append(
-                    f"image of rule {name} uses a rule named {s.rule.name!r} "
-                    f"that differs from the declared one"
-                )
+        problems += [f"image of rule {name} {problem}"
+                     for problem in rule_use_problems(F.target, z)]
     return problems
 
 

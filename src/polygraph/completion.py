@@ -181,27 +181,24 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
 
     trace = []
 
-    # pass 1: normalize right-hand sides (to fixpoint; the second sweep only
-    # verifies nothing changes, see the docstring).  The polygraph, and so
-    # its matcher, is rebuilt only when a right-hand side changes.
+    # pass 1: normalize right-hand sides in one sweep: normal forms depend
+    # only on the left-hand sides, so no later change makes a normalized rhs
+    # reducible again (the final is_reduced check confirms it).  The
+    # polygraph, and so its matcher, is rebuilt only when a rhs changes.
     rules = list(p.rules)
     current = p
-    changed = True
-    while changed:
-        changed = False
-        for i, rule in enumerate(rules):
-            nf, path = normalize(current, rule.rhs, "leftmost", budget)
-            if not path.steps:
-                continue
-            witness = ZigZag.of(RewriteStep(rule.lhs, 0, rule), *path.steps)
-            trace.append({
-                "pass": 1, "rule": rule.name,
-                "old": str(rule.rhs), "new": str(nf),
-                "witness": str(witness),
-            })
-            rules[i] = Rule(rule.name, rule.lhs, nf, origin=rule.origin)
-            current = replace(p, rules=tuple(rules))
-            changed = True
+    for i, rule in enumerate(rules):
+        nf, path = normalize(current, rule.rhs, "leftmost", budget)
+        if not path.steps:
+            continue
+        witness = ZigZag.of(RewriteStep(rule.lhs, 0, rule), *path.steps)
+        trace.append({
+            "pass": 1, "rule": rule.name,
+            "old": str(rule.rhs), "new": str(nf),
+            "witness": str(witness),
+        })
+        rules[i] = Rule(rule.name, rule.lhs, nf, origin=rule.origin)
+        current = replace(p, rules=tuple(rules))
     p = current
 
     # pass 2: duplicate boundaries — keep the first declared

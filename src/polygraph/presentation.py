@@ -573,6 +573,33 @@ def validate(p):
     return [message for _, message in _diagnostics(p)]
 
 
+def word_problem(p, w):
+    """Why ``w`` is not a word of ``p``, or None when it is."""
+    # a letter that fits the nodes on both sides composes with its neighbours
+    for i, name in enumerate(w.letters):
+        g = p.generator_map.get(name)
+        if g is None:
+            return f"unknown generator {name!r}"
+        if w.nodes[i] != g.source or w.nodes[i + 1] != g.target:
+            return f"word {w} has inconsistent endpoints at {name!r}"
+    if w.is_identity and w.source not in p.objects:
+        return f"identity word at unknown object {w.source!r}"
+    return None
+
+
+def rule_use_problems(p, path):
+    """The tail of a diagnostic for each step of ``path`` whose rule ``p``
+    does not declare as given: unknown, or declared differently."""
+    for s in path.steps:
+        try:
+            known = p.lookup_rule(s.rule.name)
+        except PresentationError:
+            yield f"uses unknown rule {s.rule.name!r}"
+            continue
+        if known != s.rule:
+            yield f"uses a rule named {s.rule.name!r} that differs from the declared one"
+
+
 def _diagnostics(p):
     """``validate``'s diagnostics, each with its owner: the declaration at
     fault as (file section, index), such as ``("rules", 2)`` for the third
@@ -588,18 +615,6 @@ def _diagnostics(p):
             yield ("generators", i), (f"generator {g.name}: {g.source} -> {g.target} "
                                       "uses undeclared objects")
 
-    def word_problem(w):
-        # a letter that fits the nodes on both sides composes with its neighbours
-        for i, name in enumerate(w.letters):
-            g = p.generator_map.get(name)
-            if g is None:
-                return f"unknown generator {name!r}"
-            if w.nodes[i] != g.source or w.nodes[i + 1] != g.target:
-                return f"word {w} has inconsistent endpoints at {name!r}"
-        if w.is_identity and w.source not in p.objects:
-            return f"identity word at unknown object {w.source!r}"
-        return None
-
     names = set()
     for i, r in enumerate(p.rules):
         owner = ("rules", i)
@@ -607,7 +622,7 @@ def _diagnostics(p):
             yield owner, f"rule {r.name}: duplicate name"
         names.add(r.name)
         for w in (r.lhs, r.rhs):
-            if problem := word_problem(w):
+            if problem := word_problem(p, w):
                 yield owner, f"rule {r.name}: {problem}"
         if not r.parallel:
             yield owner, (f"rule {r.name}: sides not parallel ({r.lhs.source}->{r.lhs.target} "
@@ -635,7 +650,7 @@ def _diagnostics(p):
                     yield owner, f"pumped rule {fam.name}: instance {n} invalid: {exc}"
                     break
                 for w in (inst.lhs, inst.rhs):
-                    if problem := word_problem(w):
+                    if problem := word_problem(p, w):
                         yield owner, f"pumped rule {inst.name}: {problem}"
                 if not inst.parallel:
                     yield owner, f"pumped rule {fam.name}: instance {n} sides not parallel"
@@ -646,16 +661,11 @@ def _diagnostics(p):
         if c.name in cell_names:
             yield owner, f"3-cell {c.name}: duplicate name"
         cell_names.add(c.name)
+        if problem := word_problem(p, c.source2.source):
+            yield owner, f"3-cell {c.name}: {problem}"
         for side, zz in (("source", c.source2), ("target", c.target2)):
-            for s in zz.steps:
-                try:
-                    known = p.lookup_rule(s.rule.name)
-                except PresentationError:
-                    yield owner, f"3-cell {c.name}: {side} uses unknown rule {s.rule.name!r}"
-                    continue
-                if known != s.rule:
-                    yield owner, (f"3-cell {c.name}: {side} uses a rule named {s.rule.name!r} "
-                                  "that differs from the declared one")
+            for problem in rule_use_problems(p, zz):
+                yield owner, f"3-cell {c.name}: {side} {problem}"
         if not c.parallel:
             yield owner, f"3-cell {c.name}: boundary not parallel"
 
@@ -982,37 +992,30 @@ def _check_witness(p, witness, lhs, rhs, forbidden=None):
         raise PresentationError(
             f"witness goes {witness.source} -> {witness.target}, expected {lhs} -> {rhs}"
         )
-    for s in witness.steps:
-        if forbidden is not None and s.rule.name == forbidden:
-            raise PresentationError(f"witness uses removed rule {forbidden!r}")
-        if p.lookup_rule(s.rule.name) != s.rule:
-            raise PresentationError(f"witness step uses foreign rule {s.rule.name!r}")
+    if any(s.rule.name == forbidden for s in witness.steps):
+        raise PresentationError(f"witness uses removed rule {forbidden!r}")
+    for problem in rule_use_problems(p, witness):
+        raise PresentationError(f"witness {problem}")
 
 
 def tietze_apply(p, move):
     """Apply one elementary transformation, returning the new polygraph.
 
     Every move preserves the presented category; the witnesses are checked
-    here so that soundness is not taken on faith.
+    here so that soundness is not taken on faith.  The result is then judged
+    by ``validate``: the move is refused, naming the first, exactly when its
+    result has a diagnostic that ``p`` has not.  So a valid presentation
+    stays valid, and a diagnostic ``p`` has already (such as the identity-lhs
+    rule of a standard coherent presentation) blocks no move.
     """
     if isinstance(move, AddGenerator):
-        if move.gen_name in p.generator_map:
-            raise PresentationError(f"generator {move.gen_name!r} already exists")
-        for name in move.word.letters:
-            if name not in p.generator_map:
-                raise PresentationError(f"defining word uses unknown generator {name!r}")
         gen = Generator(move.gen_name, move.word.source, move.word.target)
         rhs = Word((gen.name,), (gen.source, gen.target))
         rule = Rule(move.rule_name, move.word, rhs)
         order = p.gen_order + (gen.name,) if p.gen_order is not None else None
-        return replace(
-            p,
-            generators=p.generators + (gen,),
-            rules=p.rules + (rule,),
-            gen_order=order,
-        )
-
-    if isinstance(move, RemoveGenerator):
+        moved = replace(p, generators=p.generators + (gen,), rules=p.rules + (rule,),
+                        gen_order=order)
+    elif isinstance(move, RemoveGenerator):
         rule = p.lookup_rule(move.rule_name)
         x = move.gen_name
         if rule.rhs.letters != (x,):
@@ -1021,55 +1024,33 @@ def tietze_apply(p, move):
             )
         if x in rule.lhs.letters:
             raise PresentationError(f"defining word for {x!r} mentions it")
-        for c in p.three_cells:
-            mentioned = any(
-                x in z.source.letters
-                or any(
-                    x in s.source_word.letters
-                    or x in s.rule.lhs.letters
-                    or x in s.rule.rhs.letters
-                    for s in z.steps
-                )
-                for z in (c.source2, c.target2)
-            )
-            if mentioned:
-                raise PresentationError(f"cannot remove {x!r}: 3-cell {c.name} references it")
-        for fam in p.pumped:
-            if fam.pump == x:
-                raise PresentationError(f"cannot remove pump letter {x!r}")
+        # a 3-cell or pump letter that mentions x is left as it is, for
+        # validate to name
         gens = tuple(g for g in p.generators if g.name != x)
         order = tuple(n for n in p.gen_order if n != x) if p.gen_order is not None else None
         p_new = replace(p, generators=gens, gen_order=order, rules=(), pumped=())
-        rules = []
-        for r in p.rules:
-            if r.name == rule.name:
-                continue
-            rules.append(
-                Rule(r.name, _substitute(p_new, r.lhs, x, rule.lhs),
-                     _substitute(p_new, r.rhs, x, rule.lhs), origin=r.origin)
-            )
-        pumped = []
-        for fam in p.pumped:
-            pumped.append(
-                replace(
-                    fam,
-                    lhs_prefix=_substitute(p_new, fam.lhs_prefix, x, rule.lhs),
-                    lhs_suffix=_substitute(p_new, fam.lhs_suffix, x, rule.lhs),
-                    rhs_prefix=_substitute(p_new, fam.rhs_prefix, x, rule.lhs),
-                    rhs_suffix=_substitute(p_new, fam.rhs_suffix, x, rule.lhs),
-                )
-            )
-        return replace(p_new, rules=tuple(rules), pumped=tuple(pumped))
 
-    if isinstance(move, AddRule):
+        def sub(word):
+            return _substitute(p_new, word, x, rule.lhs)
+
+        rules = tuple(Rule(r.name, sub(r.lhs), sub(r.rhs), origin=r.origin)
+                      for r in p.rules if r.name != rule.name)
+        pumped = tuple(replace(fam, lhs_prefix=sub(fam.lhs_prefix), lhs_suffix=sub(fam.lhs_suffix),
+                               rhs_prefix=sub(fam.rhs_prefix), rhs_suffix=sub(fam.rhs_suffix))
+                       for fam in p.pumped)
+        moved = replace(p_new, rules=rules, pumped=pumped)
+    elif isinstance(move, AddRule):
         _check_witness(p, move.witness, move.lhs, move.rhs)
-        if move.rule_name in p.rule_index or move.rule_name in p.pumped_index:
-            raise PresentationError(f"rule {move.rule_name!r} already exists")
-        return replace(p, rules=p.rules + (Rule(move.rule_name, move.lhs, move.rhs),))
-
-    if isinstance(move, RemoveRule):
+        moved = replace(p, rules=p.rules + (Rule(move.rule_name, move.lhs, move.rhs),))
+    elif isinstance(move, RemoveRule):
         rule = p.lookup_rule(move.rule_name)
         _check_witness(p, move.witness, rule.lhs, rule.rhs, forbidden=rule.name)
-        return replace(p, rules=tuple(r for r in p.rules if r.name != rule.name))
+        moved = replace(p, rules=tuple(r for r in p.rules if r.name != rule.name))
+    else:
+        raise TypeError(f"not a Tietze move: {move!r}")
 
-    raise TypeError(f"not a Tietze move: {move!r}")
+    before = set(validate(p))
+    for message in validate(moved):
+        if message not in before:
+            raise PresentationError(message)
+    return moved

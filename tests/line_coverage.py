@@ -1,16 +1,18 @@
-"""Line coverage of the presentation checker, the sphere filler and the
-rewriting engine.
+"""Line coverage of the presentation checker, the sphere filler, the
+rewriting engine, the Tietze moves and the basis transfer.
 
     PYTHONPATH=src python tests/line_coverage.py
 
 runs the tests in ``TESTS`` in-process under ``sys.settrace`` and fails,
 listing the lines, when any line of the functions in ``FUNCTIONS`` (the
-functions nested in them, and every method of a class listed, included)
-goes unreached.  For the checker, these are ``validate``, ``_diagnostics``
-and ``parse_polygraph``: every diagnostic is then shown to fire by some
-test, from a file or from a polygraph built directly.  For the filler,
-they are the 3-cell S of a step and the straightening built on it
-(``_Filler``), the σ walks (``_sigma``), ``fill_sphere``, ``fill_positive``,
+functions nested in them, and every method a listed class defines in its
+own source, included) goes unreached.  For the checker, these are
+``validate``, ``_diagnostics``, its word and rule-use checks
+(``word_problem``, ``rule_use_problems``), ``parse_polygraph`` and
+``parse_path``: every diagnostic is then shown to fire by some test, from
+a file or from a polygraph built directly.  For the filler, they are the
+3-cell S of a step and the straightening built on it (``_Filler``), the σ
+walks (``_sigma``), ``fill_sphere``, ``fill_positive``,
 ``fill_step`` and ``fill_local_branching``: every branch is taken, among
 them a leftmost step, a leg that is σ already, a backward step, a Peiffer
 and an aspherical pair, a σ walk that runs out of fuel, and a pumped
@@ -18,7 +20,14 @@ instance above the pump bound.  For the engine, they are the redex search
 (``Matcher``, ``_Scan``, ``_Pumped``, ``_scan``), the one normalization
 walk (``_walk``), ``normalize`` and ``normal_form``: among them an unknown
 strategy, a word or presentation the encoding cannot give back, and a
-partial path built when it is read.  Standard library only, besides
+partial path built when it is read.  For the moves, they are
+``tietze_apply`` with ``_check_witness`` and ``_substitute``:
+each refusal fires, those ``validate`` names and those only a move can
+make.  For the transfer, they are ``check_two_functor``, ``TwoFunctor``
+and ``transfer_homotopy_basis``, every problem of a functor included.
+Besides these, the refusals of ``classify_local_branching``,
+``transported``, ``Exchange`` and ``Word.slice``, and every branch of
+``is_reduced`` and ``knuth_bendix``.  Standard library only, besides
 pytest itself.
 """
 
@@ -28,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from polygraph import coherence, presentation, rewrite
+from polygraph import branchings, coherence, completion, presentation, rewrite
 
 HERE = Path(__file__).parent
 TESTS = (
@@ -45,6 +54,9 @@ TESTS = (
     "test_expr_oracle.py::test_walks_match_the_recursions_on_every_kind_of_node",
     "test_cli.py::test_homology_pump_bound_too_small_is_partial",
     "test_cli.py::test_homology_stale_declared_cells_is_usage_error",
+    "test_cli.py::test_transfer_refuses_a_tau_component_with_the_wrong_source",
+    "test_branchings.py",
+    "test_completion.py",
 )
 FUNCTIONS = (
     presentation.validate,
@@ -65,6 +77,21 @@ FUNCTIONS = (
     rewrite._walk,
     rewrite.normalize,
     rewrite.normal_form,
+    presentation.word_problem,
+    presentation.rule_use_problems,
+    presentation.tietze_apply,
+    presentation._check_witness,
+    presentation._substitute,
+    presentation.Word.slice,
+    presentation.parse_path,
+    coherence.check_two_functor,
+    coherence.TwoFunctor,
+    coherence.transfer_homotopy_basis,
+    coherence.Exchange,
+    coherence.transported,
+    branchings.classify_local_branching,
+    completion.is_reduced,
+    completion.knuth_bendix,
 )
 
 
@@ -78,8 +105,13 @@ def code_objects(code):
 
 
 def function_codes(obj):
-    """The code objects of a function, or of every method of a class."""
-    functions = [f for f in vars(obj).values() if callable(f)] if isinstance(obj, type) else [obj]
+    """The code objects of a function, or of every method written in a
+    class's module (so not those a dataclass generates)."""
+    functions = [obj]
+    if isinstance(obj, type):
+        source = sys.modules[obj.__module__].__file__
+        functions = [f for f in vars(obj).values()
+                     if callable(f) and f.__code__.co_filename == source]
     for f in functions:
         yield from code_objects(f.__code__)
 

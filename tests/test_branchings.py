@@ -4,6 +4,7 @@ import pytest
 from dataclasses import replace
 
 from polygraph import (
+    CompositionError,
     NotCertified,
     RewriteStep,
     boundary3,
@@ -15,7 +16,7 @@ from polygraph import (
     resolve_branching,
 )
 from polygraph.branchings import ASPHERICAL, OVERLAPPING, PEIFFER
-from polygraph.coherence import Exchange
+from polygraph.coherence import Exchange, transported
 
 from conftest import rstep
 
@@ -35,6 +36,21 @@ def test_classification(b3):
     b = make_local_branching(b3, s_alpha, s_beta)
     assert b.step1 == s_beta  # canonical order: by position first
     assert b.offset == 1
+
+
+def test_steps_that_do_not_branch_are_refused(b3):
+    beta = b3.lookup_rule("beta")
+    alpha = b3.lookup_rule("alpha")
+    on_sts = rstep(b3.word("1"), beta, b3.word("s"))
+    on_sta = rstep(b3.word("1"), beta, b3.word("a"))
+    with pytest.raises(CompositionError, match="branching steps rewrite different words: "
+                                               "s t s vs s t a"):
+        classify_local_branching(on_sts, on_sta)
+    s_beta, s_alpha = on_sta, rstep(b3.word("s"), alpha, b3.word("1"))
+    with pytest.raises(CompositionError, match="Exchange needs two steps with disjoint spans"):
+        Exchange(s_beta, s_alpha)
+    with pytest.raises(CompositionError, match="cannot transport across overlapping spans"):
+        transported(s_beta, s_alpha)
 
 
 def test_backward_steps_span_their_rhs():

@@ -415,6 +415,14 @@ def test_transfer_bad_map_is_usage_error(files):
     assert code == 2
 
 
+def test_transfer_refuses_a_tau_component_with_the_wrong_source(files):
+    f = files(done=XYX_DONE_TEXT, map=IDENTITY_MAP.replace("x => id(x)", "x => 1 * alpha * 1"))
+    code, report = run(["transfer", f["done"], f["done"], f["map"]])
+    assert code == 2
+    assert report.sections == {
+        "error": "tau component for 'x' goes x y x -> y y, expected x -> x"}
+
+
 # --------------------------------------------------------------------------
 # homology / cert
 
@@ -539,7 +547,7 @@ def test_one_parser_serves_every_run(files, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["nf", "{b3}", "s t", "--fuel", "-3"],
-    ["nf", "{b3}", "s t", "--pump-bound", "-1"],
+    ["cp", "{b3}", "--pump-bound", "-1"],
     ["complete", "{b3}", "--max-rules", "-1"],
     ["homology", "{b3}", "--bound", "-1"],
     ["homology", "{b3}", "--samples", "-2"],
@@ -551,6 +559,28 @@ def test_negative_bounds_are_usage_errors(files, capsys, argv):
     assert code == 2
     assert report.sections == {"error": "usage"}
     assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(files, capsys):
+    f = files(b3=B3_TEXT)
+    code, report = run(["nf", f["b3"], "s t", "--seed", "1"])
+    assert code == 2
+    assert report.sections == {"error": "usage"}
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    positionals = {"check": 1, "nf": 2, "eq": 3, "cp": 1, "complete": 1, "reduce": 1,
+                   "cohere": 1, "fill": 3, "std": 1, "transfer": 3, "homology": 1, "cert": 2}
+    takers = {"--json": set(positionals),
+              "--pump-bound": {"eq", "cp", "cohere", "fill", "transfer", "homology"},
+              "--seed": {"homology"}}
+    for option, commands in takers.items():
+        value = [] if option == "--json" else ["1"]
+        accepted = {command for command, n in positionals.items()
+                    if not build_parser().parse_known_args(
+                        [command, *["x"] * n, option, *value])[1]}
+        assert accepted == commands, option
 
 
 def test_a_fuel_that_is_not_an_integer_is_a_usage_error(files, capsys):

@@ -8,7 +8,9 @@ from polygraph import (
     CompositionError,
     NotCertified,
     PresentationError,
+    RewriteStep,
     TwoFunctor,
+    Word,
     ZigZag,
     boundary3,
     check_two_functor,
@@ -28,7 +30,7 @@ from polygraph import (
 )
 from polygraph.coherence import Gen, Inv, Whisker
 
-from conftest import NONASSOC_TABLE, TRIVIAL_TABLE, Z2_TABLE
+from conftest import CATEGORY_TEXT, NONASSOC_TABLE, TRIVIAL_TABLE, XYX_DONE_TEXT, Z2_TABLE
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +215,45 @@ def test_check_two_functor_catches_wrong_endpoints(xyx_done):
     )
     problems = check_two_functor(F)
     assert any("image of rule alpha" in m for m in problems)
+
+
+def test_check_two_functor_names_each_problem(xyx_done):
+    p = xyx_done
+    other = parse_polygraph(XYX_DONE_TEXT.replace("alpha", "other"))
+    impostor = parse_polygraph(XYX_DONE_TEXT.replace("=> y y", "=> y x y"))
+    F = TwoFunctor(
+        p, p,
+        {"x": p.word("x"), "y": Word(("q",), ("*", "*")), "z": p.word("x")},
+        {"alpha": parse_path(other, "1*other*1"),
+         "kb1": parse_path(impostor, "1*alpha*y"),
+         "nope": parse_path(p, "id(x)")},
+    )
+    assert check_two_functor(F) == [
+        "image of 'y': unknown generator 'q'",
+        "gen image for unknown generator 'z'",
+        "image of rule alpha goes x y x -> y y, expected x q x -> q q",
+        "image of rule alpha uses unknown rule 'other'",
+        "image of rule kb1 goes x y x y -> y x y y, expected q q q x -> x q q q",
+        "image of rule kb1 uses a rule named 'alpha' that differs from the declared one",
+        "rule image for unknown rule 'nope'",
+    ]
+
+
+def test_functor_images_of_steps_and_words(xyx_done):
+    F, _, _ = parse_transfer_maps(xyx_done, xyx_done, IDENTITY_MAP)
+    alpha = xyx_done.lookup_rule("alpha")
+    backward = RewriteStep(xyx_done.word("x y y"), 1, alpha, forward=False)
+    assert F.step(backward) == ZigZag.of(backward)
+    with pytest.raises(PresentationError, match="functor has no image for rule 'nope'"):
+        F.rule_image("nope")
+    cat = parse_polygraph(CATEGORY_TEXT)
+    f = cat.word("f")
+    swapped = TwoFunctor(cat, cat, {"f": f, "g": f}, {})
+    with pytest.raises(CompositionError,
+                       match=r"cannot compose f \(ends at Y\) with f \(starts at X\)"):
+        swapped.word(cat.word("f g"))
+    with pytest.raises(PresentationError, match="functor has no image for generator 'g'"):
+        TwoFunctor(cat, cat, {"f": f}, {}).word(cat.word("g"))
 
 
 def test_transfer_identity_functor(xyx_done, cp_xyx):

@@ -48,6 +48,14 @@ def test_completion_divergence_stops_at_rule_cap(lp):
     assert len(result.final.rules) == 6
 
 
+def test_completion_skips_a_rule_name_that_is_taken(xyx):
+    from dataclasses import replace
+
+    taken = replace(xyx, rules=(replace(xyx.rules[0], name="kb1"),))
+    result = knuth_bendix(taken)
+    assert [str(r) for r in result.added_rules] == ["kb2: y y y x => x y y y"]
+
+
 def test_completion_requires_decreasing_order():
     grow = parse_polygraph(
         "monoid\ngenerators: x y\norder: x < y\nrules:\ngrow: y x => x y y\n"
@@ -78,6 +86,10 @@ def test_is_reduced(b3, xyx_done):
     )
     ok, violations = is_reduced(unreduced)
     assert not ok and violations
+    reducible_rhs = parse_polygraph(
+        "monoid\ngenerators: x y\norder: x < y\nrules:\nxx: x x => x\nyy: y y => x x\n"
+    )
+    assert is_reduced(reducible_rhs) == (False, ["rule yy: rhs x x reducible by xx at 0"])
 
 
 def test_reduce_drops_duplicates_and_nested_lhs():

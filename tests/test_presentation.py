@@ -25,7 +25,7 @@ from polygraph import (
     validate,
 )
 
-from conftest import B3_TEXT, CATEGORY_TEXT, SQ_TEXT, rstep
+from conftest import B3_TEXT, CATEGORY_TEXT, S3_TABLE, SQ_TEXT, XYX_TEXT, rstep
 
 
 def test_parse_monoid_basics(b3):
@@ -297,9 +297,22 @@ def test_validate_flags_cells_no_file_can_declare(mu, sq):
         (replace(mu, three_cells=cells),
          ["3-cell c: source uses unknown rule 'x'",
           "3-cell d: source uses a rule named 'mu' that differs from the declared one"]),
+        (replace(mu, three_cells=(ThreeCell("e", ZigZag(Word(("q",), ("*", "*"))),
+                                            ZigZag(Word(("q",), ("*", "*")))),)),
+         ["3-cell e: unknown generator 'q'"]),
     ]
     for p, problems in cases:
         assert validate(p) == problems
+
+
+def test_a_slice_out_of_range_is_an_index_error(b3):
+    with pytest.raises(IndexError, match=r"slice \[2:4\] out of range for s t s"):
+        b3.word("s t s").slice(2, 4)
+
+
+def test_a_path_step_without_two_stars_is_refused(b3):
+    with pytest.raises(PresentationError, match="line 7: cannot parse path step 's beta 1'"):
+        parse_path(b3, "1*alpha*1 . s beta 1", line=7)
 
 
 def test_tietze_add_remove_rule(b3):
@@ -340,3 +353,106 @@ def test_tietze_remove_generator_substitutes(xyx):
     p4 = tietze_apply(p3, RemoveGenerator("z", "zdef"))
     # the added rule survives with z replaced by its definition
     assert str(p4.lookup_rule("short")) == "short: x y x => y y"
+
+
+PUMPED_DEFINED_TEXT = """\
+monoid
+generators: a b t z
+rules:
+zdef: a b => z
+pumped:
+alpha[n]: z ( t )^n b => a ( t )^( n )
+"""
+
+
+def test_tietze_remove_generator_substitutes_in_pumped_families():
+    p = parse_polygraph(PUMPED_DEFINED_TEXT)
+    p2 = tietze_apply(p, RemoveGenerator("z", "zdef"))
+    assert [g.name for g in p2.generators] == ["a", "b", "t"]
+    assert str(p2.pumped[0]) == "alpha[n]: a b ( t )^n b => a ( t )^( n ) 1"
+    assert validate(p2) == []
+
+
+def test_tietze_refuses_what_validate_rejects(b3, xyx, mu):
+    """Each move is judged by ``validate`` on its result, so a move that
+    would make a diagnostic is refused with it."""
+    from dataclasses import replace
+
+    witness = parse_path(b3, "1*beta*s")  # s t s => a s
+    p2 = tietze_apply(b3, AddRule("extra", b3.word("s t s"), b3.word("a s"), witness))
+    used = replace(p2, three_cells=(ThreeCell("c", parse_path(p2, "1*extra*1"), witness),))
+    q = Word(("q",), ("*", "*"))
+    one = identity_word()
+    cases = [
+        (used, RemoveRule("extra", witness), "3-cell c: source uses unknown rule 'extra'"),
+        (mu, AddRule("r", q, q, ZigZag(q)), "rule r: unknown generator 'q'"),
+        (mu, AddRule("e", one, one, ZigZag(one)), "rule e: lhs is an identity"),
+        (xyx, AddGenerator("z", xyx.word("1"), "zdef"), "rule zdef: lhs is an identity"),
+        (xyx, AddGenerator("z", xyx.word("x"), "alpha"), "rule alpha: duplicate name"),
+        (xyx, AddGenerator("x", xyx.word("y y"), "xdef"), "generator x: duplicate name"),
+        (xyx, AddGenerator("z", Word(("x", "q"), ("*",) * 3), "zdef"),
+         "rule zdef: unknown generator 'q'"),
+        (b3, AddRule("alpha", b3.word("s t s"), b3.word("a s"), witness),
+         "rule alpha: duplicate name"),
+    ]
+    for p, move, message in cases:
+        with pytest.raises(PresentationError) as info:
+            tietze_apply(p, move)
+        assert str(info.value) == message
+
+
+def test_tietze_refuses_to_remove_what_is_still_used(xyx):
+    """A generator that a 3-cell or a pumped family still mentions stays."""
+    from dataclasses import replace
+
+    p2 = tietze_apply(xyx, AddGenerator("z", xyx.word("y y"), "zdef"))
+    in_word = ThreeCell("c", ZigZag(p2.word("z")), ZigZag(p2.word("z")))
+    in_rule = ThreeCell("d", parse_path(p2, "1*zdef*1"), parse_path(p2, "1*zdef*1"))
+    cases = [
+        (replace(p2, three_cells=(in_word,)), "3-cell c: unknown generator 'z'"),
+        (replace(p2, three_cells=(in_rule,)), "3-cell d: source uses unknown rule 'zdef'"),
+    ]
+    for p, message in cases:
+        with pytest.raises(PresentationError) as info:
+            tietze_apply(p, RemoveGenerator("z", "zdef"))
+        assert str(info.value) == message
+    pump = parse_polygraph(PUMPED_DEFINED_TEXT.replace("zdef: a b => z", "tdef: a b => t"))
+    with pytest.raises(PresentationError) as info:
+        tietze_apply(pump, RemoveGenerator("t", "tdef"))
+    assert str(info.value) == "pumped rule alpha: unknown pump letter 't'"
+
+
+def test_tietze_refusals_only_a_move_can_make(xyx, mu):
+    """The checks ``validate`` cannot make: the defining rule's shape, the
+    witness, and the move itself."""
+    other = parse_polygraph(XYX_TEXT.replace("alpha", "other"))
+    impostor = parse_polygraph(XYX_TEXT.replace("=> y y", "=> y x y"))
+    cases = [
+        (xyx, RemoveGenerator("y", "alpha"),
+         "rule alpha does not define generator 'y' (rhs is y y)"),
+        (mu, RemoveGenerator("a", "mu"), "defining word for 'a' mentions it"),
+        (xyx, AddRule("extra", xyx.word("x y x"), xyx.word("y y"),
+                      parse_path(other, "1*other*1")),
+         "witness uses unknown rule 'other'"),
+        (xyx, AddRule("extra", xyx.word("x y x"), xyx.word("y x y"),
+                      parse_path(impostor, "1*alpha*1")),
+         "witness uses a rule named 'alpha' that differs from the declared one"),
+    ]
+    for p, move, message in cases:
+        with pytest.raises(PresentationError) as info:
+            tietze_apply(p, move)
+        assert str(info.value) == message
+    with pytest.raises(TypeError, match="not a Tietze move"):
+        tietze_apply(xyx, "x")
+
+
+def test_tietze_moves_leave_a_diagnostic_the_input_has():
+    """The standard coherent presentation declares a rule with an identity
+    lhs on purpose; that diagnostic blocks no move."""
+    from polygraph import parse_multiplication_table, standard_coherent_presentation
+
+    std = standard_coherent_presentation(parse_multiplication_table(S3_TABLE))
+    assert validate(std) == ["rule i: lhs is an identity"]
+    p2 = tietze_apply(std, AddGenerator("z", std.word("g_p1 g_p2"), "zdef"))
+    assert validate(p2) == ["rule i: lhs is an identity"]
+    assert tietze_apply(p2, RemoveGenerator("z", "zdef")) == std

@@ -21,6 +21,9 @@ from polygraph import (
     RemoveGenerator,
     RemoveRule,
     FreeResolution,
+    PresentationError,
+    Word,
+    ZigZag,
     boundary3,
     deglex_compare,
     fill_sphere,
@@ -178,6 +181,21 @@ def test_tietze_add_remove_generator(xyx, letters):
     assert validate(p2) == []
     p3 = tietze_apply(p2, RemoveGenerator("z", "zdef"))
     assert [str(r) for r in p3.rules] == [str(r) for r in xyx.rules]
+
+
+@given(letters=st.lists(st.sampled_from(("x", "y", "q")), max_size=3),
+       gen=st.sampled_from(("z", "x")), rule=st.sampled_from(("zdef", "alpha")))
+def test_tietze_moves_are_refused_or_valid(xyx, letters, gen, rule):
+    """Whatever the word (empty, or over a letter ``q`` xyx lacks), the
+    witness (empty) or the names (taken or not), a move is refused or its
+    result is valid."""
+    w = Word(tuple(letters), ("*",) * (len(letters) + 1))
+    for move in (AddGenerator(gen, w, rule), AddRule(rule, w, w, ZigZag(w))):
+        try:
+            moved = tietze_apply(xyx, move)
+        except PresentationError:
+            continue
+        assert validate(moved) == []
 
 
 # --------------------------------------------------------------------------
