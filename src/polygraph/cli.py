@@ -53,6 +53,7 @@ from .branchings import decide_confluence, enumerate_critical_branchings
 from .completion import DEFAULT_MAX_RULES, knuth_bendix, metivier_squier_reduce
 from .coherence import (
     CoherentPresentation,
+    boundary3,
     fill_sphere,
     generating_cells,
     parse_multiplication_table,
@@ -287,6 +288,10 @@ def _cmd_fill(args):
     f = parse_path(cp.base, args.zigzag1)
     g = parse_path(cp.base, args.zigzag2)
     expr = fill_sphere(cp, f, g)
+    source, target = boundary3(expr)
+    if (source, target) != (f, g):
+        raise CompositionError(
+            f"the filler's boundary is not the sphere: it goes [{source}] => [{target}]")
     used = sorted(generating_cells(expr))
     sections = {
         "source": str(f),

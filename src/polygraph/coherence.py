@@ -60,32 +60,52 @@ class _Node:
     """The base of the seven kinds of node."""
 
     def __str__(self):
-        """The text ``polygraph fill`` prints (not parsed back), written as a
-        tree from a stack of nodes and literal pieces still to write."""
+        """The text ``polygraph fill`` prints (not parsed back).  A node
+        that two or more parents read (per ``_nodes``) is written once, as
+        a binding ``let #i = <text> in`` ahead of the text, which reads it
+        as ``#i``.  The bindings are numbered in the order a walk from this
+        node, first child first, finishes them, so each reads only those
+        before it."""
+        counts = _nodes(self)
+        shared = []
+        _fold(self, lambda node, *_: shared.append(node) if counts[id(node)][1] > 1 else None)
+        names = {id(node): f"#{i}" for i, node in enumerate(shared, 1)}
         out = []
-        stack = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif isinstance(item, Comp1):
-                stack += (f" . [{item.post}]" if item.post.steps else "", item.expr,
-                          f"[{item.pre}] . " if item.pre.steps else "")
-            elif isinstance(item, Comp2):
-                stack += (")", item.second, " ; ", item.first, "(")
-            elif isinstance(item, Gen):
-                out.append(item.cell.name)
-            elif isinstance(item, Inv):
-                stack += (")", item.expr, "inv(")
-            elif isinstance(item, Whisker):
-                stack += (f" * {item.right})", item.expr, f"({item.left} * ")
-            elif isinstance(item, Id2):
-                out.append(f"id2({item.path})")
-            elif isinstance(item, Exchange):
-                out.append(f"exchange({item.step1} | {item.step2})")
-            else:
-                raise TypeError(f"not a 3-cell expression: {item!r}")
+        for node in shared:
+            out += ("let ", names[id(node)], " = ", _text(node, names), " in ")
+        out.append(_text(self, names))
         return "".join(out)
+
+
+def _text(e, names):
+    """e written as a tree, from a stack of nodes and literal pieces still
+    to write, with each node below e that ``names`` names written as its
+    name."""
+    out = []
+    stack = [e]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item is not e and id(item) in names:
+            out.append(names[id(item)])
+        elif isinstance(item, Comp1):
+            stack += (f" . [{item.post}]" if item.post.steps else "", item.expr,
+                      f"[{item.pre}] . " if item.pre.steps else "")
+        elif isinstance(item, Comp2):
+            stack += (")", item.second, " ; ", item.first, "(")
+        elif isinstance(item, Gen):
+            out.append(item.cell.name)
+        elif isinstance(item, Inv):
+            stack += (")", item.expr, "inv(")
+        elif isinstance(item, Whisker):
+            stack += (f" * {item.right})", item.expr, f"({item.left} * ")
+        elif isinstance(item, Id2):
+            out.append(f"id2({item.path})")
+        else:
+            run = " . ".join(str(b) for b in (item.step2, *item.rest))
+            out.append(f"exchange({item.step1} | {run})")
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -138,20 +158,35 @@ class Id2(_Node):
 
 @dataclass(frozen=True)
 class Exchange(_Node):
-    """The interchange filler of a Peiffer branching: two steps with
-    disjoint redex spans applied in either order.  Its boundary is
-    (step1 then transported step2, step2 then transported step1); its
-    linearization is zero.
+    """A Peiffer run: step1 carried past the steps step2, *rest, each
+    disjoint from step1 as carried to its word; a single exchange, the
+    interchange filler of a Peiffer branching, is a run of length one.
+    With a₀ = step1, b₁ = step2, b₂ … b_k the rest, and aᵢ the step aᵢ₋₁
+    as it acts after bᵢ, the boundary is (a₀ then b₁′ … b_k′, b₁ … b_k
+    then a_k), where bᵢ′ is bᵢ as it acts after aᵢ₋₁; it is built only
+    when asked for, and the linearization is zero.
     """
 
     step1: RewriteStep
     step2: RewriteStep
+    rest: tuple[RewriteStep, ...] = ()
 
     def __post_init__(self):
         if classify_local_branching(self.step1, self.step2) != PEIFFER:
             raise CompositionError(
                 "Exchange needs two steps with disjoint spans on one word"
             )
+
+    def boundary(self):
+        """(a₀ then b₁′ … b_k′, b₁ … b_k then a_k), each side checked."""
+        a, source, target = self.step1, [self.step1], []
+        for b in (self.step2, *self.rest):
+            source.append(transported(a, b))
+            target.append(b)
+            a = transported(b, a)
+        target.append(a)
+        w = self.step1.source_word
+        return ZigZag(w, tuple(source)), ZigZag(w, tuple(target))
 
 
 ThreeCellExpr = Gen | Inv | Whisker | Comp1 | Comp2 | Id2 | Exchange
@@ -243,8 +278,7 @@ def _node_boundary(e, inner=None, second=None):
         return e.cell.source2, e.cell.target2
     if isinstance(e, Id2):
         return e.path, e.path
-    first = ZigZag.of(e.step1, transported(e.step1, e.step2))
-    return first, ZigZag.of(e.step2, transported(e.step2, e.step1))
+    return e.boundary()
 
 
 def boundary3(e):
@@ -438,9 +472,25 @@ class _Filler:
         S(a) = (a ⋆₁ P(f′, h))⁻ ⋆₂ (c ⋆₁ h) ⋆₂ (b ⋆₁ P(g′, h)),
 
     where P (``straighten``) pastes S over the steps of a path; a leg whose
-    f′ ⋆₁ h is σ already has no term.  Each S built costs one unit of the
-    budget and each σ step walked one more; a step or a word met again
-    costs nothing.
+    f′ ⋆₁ h is σ already has no term.
+
+    Most pairs (a, b) are Peiffer, and then a is carried along σ(w) = b₁ b₂
+    … on integer offsets, past each step bᵢ that starts at least ``reach``
+    (the longest left-hand side) letters before it: no redex that the
+    carried step's rewrite creates starts that far left, so bᵢ, carried
+    after it, is still the first step of σ.  Past b₁ … b_k, with a_k the
+    carried step on w_k and w_k′ its target, σ(a's target) is b₁′ … b_k′
+    σ(w_k′), and
+
+        S(a) = (run ⋆₁ σ(w_k′)) ⋆₂ (b₁ … b_k ⋆₁ S(a_k)),
+
+    where the run (an Exchange) goes from a ⋆₁ b₁′ … b_k′ to b₁ … b_k ⋆₁
+    a_k, and the second term is left out when a_k is the next step of σ.
+    A presentation with pumped families has no longest left-hand side, and
+    a step that does not carry past b₁ takes the general S.
+
+    Each S built costs one unit of the budget, each run one and each σ
+    step walked one more; a step or a word met again costs nothing.
     """
 
     def __init__(self, cp, budget):
@@ -448,6 +498,8 @@ class _Filler:
         self.budget = budget
         self.paths = {}
         self.cells = {}
+        base = cp.base
+        self.reach = None if base.pumped else max((len(r.lhs) for r in base.rules), default=0)
 
     def sigma(self, w):
         return _sigma(self.cp, w, self.budget, self.paths)
@@ -483,12 +535,33 @@ class _Filler:
                 if _first(s, sig):
                     expr = self.cells[key] = Id2(sig)
                     continue
+                k, position = self.carry(s, sig)
+                if k:
+                    self.budget.charge()
+                    steps = sig.steps
+                    run = Exchange(s, steps[0], steps[1:k])
+                    if (steps[k].position, steps[k].rule.name) == (position, s.rule.name):
+                        # a_k is the next step of σ, and its S the identity
+                        expr = self.cells[key] = Comp1(ZigZag(s.source_word), run,
+                                                       _suffix(sig, k + 1))
+                        continue
+                    carried = RewriteStep(steps[k].source_word, position, s.rule)
+                    pre = ZigZag._chained(sig.source, steps[:k], carried.source_word)
+                    stack += ((s, (run, carried, pre)), (carried, None))
+                    continue
                 b = sig.steps[0]
                 f1, g1, c = fill_local_branching(self.cp, s, b)
                 legs = ((f1, self.tail(f1)), (g1, self.tail(g1)))
                 stack.append((s, (b, c, self.sigma(f1.target), legs)))
                 stack += ((t if t.forward else t.inverse(), None)
                           for leg, j in legs for t in leg.steps[:j])
+                continue
+            if len(parts) == 3:  # a run, then S of the carried step
+                run, carried, pre = parts
+                post = self.sigma(carried.target_word)
+                inner = self.cells[(carried.source_word, carried.position, carried.rule.name)]
+                expr = self.cells[key] = Comp2(Comp1(ZigZag(s.source_word), run, post),
+                                               Comp1(pre, inner, ZigZag(post.target)))
                 continue
             b, c, h, ((f1, jf), (g1, jg)) = parts
             end = ZigZag(h.target)
@@ -500,6 +573,21 @@ class _Filler:
                 expr = Comp2(expr, Comp1(_one(b, g1.source), self.straighten(g1, h, jg), end))
             self.cells[key] = expr
         return expr
+
+    def carry(self, a, sig):
+        """How far the step a carries along sig, the σ path of its source:
+        (k, a's position on the source of sig's k-th step), carried past
+        the first k steps, each of which starts at least ``reach`` letters
+        before it; (0, a's position) when it carries past none."""
+        k, position = 0, a.position
+        if self.reach is None:
+            return k, position
+        for b in sig.steps:
+            if position - b.position < self.reach:
+                break
+            position += len(b.rule.rhs) - len(b.rule.lhs)
+            k += 1
+        return k, position
 
     def straighten(self, path, h=None, j=None):
         """P(path, h): an expression path ⋆₁ h ⇛ σ(u) ⋆₁ σ(v)⁻, for a path

@@ -305,10 +305,11 @@ class FreeResolution:
 
         Generators count once with the normal form of the accumulated left
         whiskering as coefficient; inverses negate; horizontal and vertical
-        composition are additive; identities and exchange cells are invisible
-        (exchange permutes disjoint steps, no cell is consumed).  Walked top
-        down on a stack of (node, left whiskering, sign), the first child
-        first; a node shared in a DAG is read once per path to it.
+        composition are additive; identities and exchanges, Peiffer runs
+        included, are invisible (they permute disjoint steps, no cell is
+        consumed).  Walked top down on a stack of (node, left whiskering,
+        sign), the first child first; a node shared in a DAG is read once
+        per path to it.
         """
         out = {}
         stack = [(expr, 0, 1)]

@@ -998,6 +998,18 @@ def _check_witness(p, witness, lhs, rhs, forbidden=None):
         raise PresentationError(f"witness {problem}")
 
 
+def _removable(p, name):
+    """The rule a Remove move names; an instance of a pumped family is
+    refused, since a move removes no instance without its family."""
+    rule = p.lookup_rule(name)
+    if rule.origin is not None:
+        raise PresentationError(
+            f"rule {rule.name} is an instance of the pumped family {rule.origin[0]!r}, "
+            f"which a move cannot remove one instance of"
+        )
+    return rule
+
+
 def tietze_apply(p, move):
     """Apply one elementary transformation, returning the new polygraph.
 
@@ -1016,7 +1028,7 @@ def tietze_apply(p, move):
         moved = replace(p, generators=p.generators + (gen,), rules=p.rules + (rule,),
                         gen_order=order)
     elif isinstance(move, RemoveGenerator):
-        rule = p.lookup_rule(move.rule_name)
+        rule = _removable(p, move.rule_name)
         x = move.gen_name
         if rule.rhs.letters != (x,):
             raise PresentationError(
@@ -1043,7 +1055,7 @@ def tietze_apply(p, move):
         _check_witness(p, move.witness, move.lhs, move.rhs)
         moved = replace(p, rules=p.rules + (Rule(move.rule_name, move.lhs, move.rhs),))
     elif isinstance(move, RemoveRule):
-        rule = p.lookup_rule(move.rule_name)
+        rule = _removable(p, move.rule_name)
         _check_witness(p, move.witness, rule.lhs, rule.rhs, forbidden=rule.name)
         moved = replace(p, rules=tuple(r for r in p.rules if r.name != rule.name))
     else:

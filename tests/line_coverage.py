@@ -16,19 +16,22 @@ walks (``_sigma``), ``fill_sphere``, ``fill_positive``,
 ``fill_step`` and ``fill_local_branching``: every branch is taken, among
 them a leftmost step, a leg that is σ already, a backward step, a Peiffer
 and an aspherical pair, a σ walk that runs out of fuel, and a pumped
-instance above the pump bound.  For the engine, they are the redex search
-(``Matcher``, ``_Scan``, ``_Pumped``, ``_scan``), the one normalization
-walk (``_walk``), ``normalize`` and ``normal_form``: among them an unknown
-strategy, a word or presentation the encoding cannot give back, and a
-partial path built when it is read.  For the moves, they are
-``tietze_apply`` with ``_check_witness`` and ``_substitute``:
-each refusal fires, those ``validate`` names and those only a move can
-make.  For the transfer, they are ``check_two_functor``, ``TwoFunctor``
+instance above the pump bound; a step carried along σ in a run that ends
+at the next step of σ and in one that ends at the S of the carried step,
+a Peiffer step too near σ's first to carry, and a presentation with
+pumped families, where no step carries.  For the engine, they are the
+redex search (``Matcher``, ``_Scan``, ``_Pumped``, ``_scan``), the one
+normalization walk (``_walk``), ``normalize`` and ``normal_form``: among
+them an unknown strategy, a word or presentation the encoding cannot give
+back, and a partial path built when it is read.  For the moves, they are
+``tietze_apply`` with ``_removable``, ``_check_witness`` and
+``_substitute``: each refusal fires, those ``validate`` names and those
+only a move can make.  For the transfer, they are ``check_two_functor``, ``TwoFunctor``
 and ``transfer_homotopy_basis``, every problem of a functor included.
 Besides these, the refusals of ``classify_local_branching``,
-``transported``, ``Exchange`` and ``Word.slice``, and every branch of
-``is_reduced`` and ``knuth_bendix``.  Standard library only, besides
-pytest itself.
+``transported``, ``Exchange`` and ``Word.slice``, the boundary of a run
+(``Exchange.boundary``), and every branch of ``is_reduced`` and
+``knuth_bendix``.  Standard library only, besides pytest itself.
 """
 
 import linecache
@@ -52,6 +55,7 @@ TESTS = (
     "test_normal_form_oracle.py::test_the_partial_path_is_built_when_the_trace_is_read",
     "test_rewrite.py::test_an_unknown_strategy_is_a_value_error",
     "test_expr_oracle.py::test_walks_match_the_recursions_on_every_kind_of_node",
+    "test_expr_oracle.py::test_runs_expand_into_nested_one_step_exchanges",
     "test_cli.py::test_homology_pump_bound_too_small_is_partial",
     "test_cli.py::test_homology_stale_declared_cells_is_usage_error",
     "test_cli.py::test_transfer_refuses_a_tau_component_with_the_wrong_source",
@@ -80,6 +84,7 @@ FUNCTIONS = (
     presentation.word_problem,
     presentation.rule_use_problems,
     presentation.tietze_apply,
+    presentation._removable,
     presentation._check_witness,
     presentation._substitute,
     presentation.Word.slice,

@@ -57,7 +57,8 @@ def cp_b3(b3):
 
 class NodeCounting(Budget):
     """A budget that also counts the units filler nodes charge: one per
-    3-cell S of a step actually built, none for a step met again."""
+    3-cell S of a step actually built and one per Peiffer run, none for a
+    step met again."""
 
     def __init__(self):
         super().__init__()

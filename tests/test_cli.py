@@ -330,6 +330,35 @@ def test_fill_rejects_non_parallel_pair(files):
     assert "not a 2-sphere" in report.sections["error"]
 
 
+def test_fill_checks_the_boundary_before_it_prints(files, monkeypatch):
+    """A filler whose boundary is not the sphere is refused (exit 2),
+    never printed with exit 0."""
+    import polygraph.cli as cli
+    from polygraph.coherence import Id2
+
+    f = files(done=XYX_DONE_TEXT)
+    monkeypatch.setattr(cli, "fill_sphere", lambda cp, f, g: Id2(f))
+    code, report = run(["fill", f["done"], "x y*alpha*1", "1*alpha*y x . 1*kb1*1"])
+    assert code == 2
+    assert report.sections["error"] == (
+        "the filler's boundary is not the sphere: it goes [x y*alpha*1] => [x y*alpha*1]")
+    assert "expression" not in report.sections
+
+
+def test_fill_prints_a_shared_node_once_as_a_binding(files):
+    """The σ route of a zigzag and its inverse meets the same S twice: the
+    node is bound once, and the text reads it by its number."""
+    f = files(b3=B3_TEXT)
+    loop = "1*beta*1 . 1*beta-*1"
+    code, report = run(["fill", f["b3"], loop + " . " + loop, "id(s t)", "--json"])
+    assert code == 0
+    assert report.sections["expression"] == (
+        "let #1 = id2(1*beta*1) in ([1*beta*1] . ([1*beta-*1] . [1*beta*1] . "
+        "([1*beta-*1] . id2(id(s t)) ; inv([1*beta-*1] . #1) . [1*beta-*1]) ; "
+        "inv([1*beta-*1] . #1) . [1*beta-*1]) ; inv(id2(id(s t))))"
+    )
+
+
 def test_std_builds_standard_presentation(files):
     f = files(z2=Z2_TABLE)
     code, report = run(["std", f["z2"]])

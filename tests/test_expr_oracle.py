@@ -13,6 +13,7 @@ interpreter's recursion limit must still fill, check, linearize and print.
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -38,6 +39,7 @@ from polygraph.coherence import (
     Id2,
     Inv,
     Whisker,
+    _nodes,
     fill_local_branching,
     transported,
 )
@@ -60,6 +62,8 @@ def ref_boundary(e, at="e"):
     if isinstance(e, Id2):
         return e.path, e.path
     if isinstance(e, Exchange):
+        if e.rest:
+            return ref_boundary(expand_run(e), at + ".run")
         first = ZigZag.of(e.step1, transported(e.step1, e.step2))
         second = ZigZag.of(e.step2, transported(e.step2, e.step1))
         return first, second
@@ -85,6 +89,36 @@ def ref_boundary(e, at="e"):
             )
         return s1, t2
     raise TypeError(f"not a 3-cell expression: {e!r}")
+
+
+def expand_run(e):
+    """A run as nested one-step exchanges: a carried past b₁ … b_k is the
+    exchange of a and b₁, padded with b₂′ … b_k′, then b₁ followed by the
+    run of a₁ (a after b₁) past b₂ … b_k."""
+    if not e.rest:
+        return e
+    a, b = e.step1, e.step2
+    inner = expand_run(Exchange(transported(b, a), e.rest[0], e.rest[1:]))
+    source = ref_boundary(inner)[0]  # a₁ then b₂′ … b_k′
+    after = ZigZag(source.steps[0].target_word, source.steps[1:])
+    return Comp2(Comp1(ZigZag(a.source_word), Exchange(a, b), after),
+                 Comp1(ZigZag.of(b), inner, ZigZag(after.target)))
+
+
+def expand_runs(e, memo=None):
+    """e with every run expanded, each shared node rebuilt once."""
+    memo = {} if memo is None else memo
+    if id(e) not in memo:
+        if isinstance(e, Exchange):
+            out = expand_run(e)
+        elif isinstance(e, (Inv, Whisker, Comp1)):
+            out = replace(e, expr=expand_runs(e.expr, memo))
+        elif isinstance(e, Comp2):
+            out = Comp2(expand_runs(e.first, memo), expand_runs(e.second, memo))
+        else:
+            out = e
+        memo[id(e)] = out
+    return memo[id(e)]
 
 
 def ref_generating_cells(e):
@@ -119,26 +153,66 @@ def ref_bracket_into(res, e, left, sign, out):
         raise TypeError(f"not a 3-cell expression: {e!r}")
 
 
+def ref_children(e):
+    if isinstance(e, (Inv, Whisker, Comp1)):
+        return [e.expr]
+    if isinstance(e, Comp2):
+        return [e.first, e.second]
+    return []
+
+
 def ref_expr_str(e):
+    """Every node that two or more parents read bound once, numbered as a
+    recursion from e, first child first, finishes it."""
+    reads, seen = {}, set()
+
+    def count(n):
+        if id(n) not in seen:
+            seen.add(id(n))
+            for kid in ref_children(n):
+                reads[id(kid)] = reads.get(id(kid), 0) + 1
+                count(kid)
+
+    names, shared, done = {}, [], set()
+
+    def finish(n):
+        if id(n) not in done:
+            done.add(id(n))
+            for kid in ref_children(n):
+                finish(kid)
+            if reads.get(id(n), 0) > 1:
+                shared.append(n)
+                names[id(n)] = f"#{len(shared)}"
+
+    count(e)
+    finish(e)
+    lets = "".join(f"let {names[id(n)]} = {ref_tree_str(n, names, n)} in " for n in shared)
+    return lets + ref_tree_str(e, names, e)
+
+
+def ref_tree_str(e, names, top):
+    if e is not top and id(e) in names:
+        return names[id(e)]
     if isinstance(e, Gen):
         return e.cell.name
     if isinstance(e, Inv):
-        return f"inv({ref_expr_str(e.expr)})"
+        return f"inv({ref_tree_str(e.expr, names, top)})"
     if isinstance(e, Whisker):
-        return f"({e.left} * {ref_expr_str(e.expr)} * {e.right})"
+        return f"({e.left} * {ref_tree_str(e.expr, names, top)} * {e.right})"
     if isinstance(e, Comp1):
         parts = []
         if e.pre.steps:
             parts.append(f"[{e.pre}]")
-        parts.append(ref_expr_str(e.expr))
+        parts.append(ref_tree_str(e.expr, names, top))
         if e.post.steps:
             parts.append(f"[{e.post}]")
         return " . ".join(parts)
     if isinstance(e, Comp2):
-        return f"({ref_expr_str(e.first)} ; {ref_expr_str(e.second)})"
+        return f"({ref_tree_str(e.first, names, top)} ; {ref_tree_str(e.second, names, top)})"
     if isinstance(e, Id2):
         return f"id2({e.path})"
-    return f"exchange({e.step1} | {e.step2})"
+    run = " . ".join(str(b) for b in (e.step2, *e.rest))
+    return f"exchange({e.step1} | {run})"
 
 
 def assert_walks_agree(res, expr, label):
@@ -186,6 +260,51 @@ def test_walks_match_the_recursions_on_every_kind_of_node(b3):
                              Comp2(Id2(boundary3(shared)[0]), shared)):
                     assert_walks_agree(res, expr, (text, str(f), str(g)))
     assert kinds == {"Whisker", "Inv", "Gen", "Exchange", "Id2"}
+
+
+def category_spheres():
+    """The leftmost against the rightmost path of (f g)^n f, n = 3 … 6, in
+    the category with rho: f g f => f."""
+    cp = squier_completion(parse_polygraph(texts.CATEGORY_TEXT + "order: f < g\n"))
+    out = []
+    for n in range(3, 7):
+        w = cp.base.word("f g " * n + "f")
+        _, f = normalize(cp.base, w, "leftmost")
+        _, g = normalize(cp.base, w, "rightmost")
+        out.append((f"category/{n}", cp, f, g))
+    return out
+
+
+def test_runs_expand_into_nested_one_step_exchanges(cases):  # noqa: F811
+    """Each run the filler builds, expanded into nested one-step
+    exchanges, has the run's boundary and its (zero) cell content, and so
+    has the whole filler with every run expanded (the category, of two
+    objects, has no free resolution to take the content in).  B3+, A4 and
+    the category build runs of two steps or more; Squier's pumped example
+    has no longest left-hand side and builds none."""
+    resolutions = {}
+    runs = {}
+    for label, cp, f, g in [*cases, *category_spheres()]:
+        if len(cp.base.objects) == 1:
+            res = resolutions.setdefault(id(cp), FreeResolution(cp))
+            bracket = res.bracket_3cell
+        else:
+            bracket = lambda e: {}  # noqa: E731
+        expr = fill_sphere(cp, f, g)
+        name = label.split("/")[0]
+        runs.setdefault(name, 0)
+        for node, _ in _nodes(expr).values():
+            if isinstance(node, Exchange) and node.rest:
+                runs[name] += 1
+                expanded = expand_run(node)
+                assert boundary3(expanded) == boundary3(node) == ref_boundary(node), label
+                assert bracket(expanded) == bracket(node) == {}, label
+        expanded = expand_runs(expr)
+        assert not any(isinstance(n, Exchange) and n.rest for n, _ in _nodes(expanded).values())
+        assert boundary3(expanded) == (f, g), label
+        assert bracket(expanded) == bracket(expr), label
+    assert runs["b3"] and runs["a4"] and runs["category"], runs
+    assert runs["sq"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,26 @@ def test_tietze_refusals_only_a_move_can_make(xyx, mu):
         tietze_apply(xyx, "x")
 
 
+def test_tietze_refuses_to_remove_a_pumped_instance():
+    """A Remove move names a plain rule: removing one instance of a pumped
+    family returned its input unchanged, and removing a generator along one
+    kept the family, whose instance 0 became a b => a b."""
+    extra = parse_polygraph(SQ_TEXT.replace("rules:\n", "rules:\nextra: a t t b => 1\n"))
+    defined = parse_polygraph(
+        "monoid\ngenerators: a b t z\npumped:\nalpha[n]: a ( t )^n b => z ( t )^( 0 )\n")
+    cases = [
+        (extra, RemoveRule("alpha[2]", parse_path(extra, "1*extra*1"))),
+        (defined, RemoveGenerator("z", "alpha[0]")),
+    ]
+    for p, move in cases:
+        with pytest.raises(PresentationError) as info:
+            tietze_apply(p, move)
+        assert str(info.value) == (
+            f"rule {move.rule_name} is an instance of the pumped family 'alpha', "
+            "which a move cannot remove one instance of"
+        )
+
+
 def test_tietze_moves_leave_a_diagnostic_the_input_has():
     """The standard coherent presentation declares a rule with an identity
     lhs on purpose; that diagnostic blocks no move."""

@@ -7,6 +7,9 @@ cache keyed by letters), and every ring or module element is a dict keyed
 by ``Word``s.  Every public method, ``try_enumerate``, ``verify_identities``
 and both matrix exports must agree with it on seeded elements; the exports
 are compared with matrices built from the reference's own d1, d2 and d3.
+The reference reads a Peiffer run of a filler as the nested one-step
+exchanges it stands for (``test_expr_oracle.expand_run``), not as a node
+of its own.
 """
 
 import random
@@ -49,6 +52,7 @@ from polygraph.homology import _acc, _basis_labels, add_into, format_ring
 from polygraph.presentation import identity_word
 from polygraph.rewrite import deglex_compare
 from test_export_oracle import reference_matrices
+from test_expr_oracle import expand_run
 
 # ---------------------------------------------------------------------------
 # the reference: Word-keyed arithmetic, every product a whole-word normalize
@@ -154,6 +158,8 @@ class RefResolution:
                 stack.append((node.expr, left, -sign))
             elif isinstance(node, Whisker):
                 stack.append((node.expr, self.nf(left.concat(node.left)), sign))
+            elif isinstance(node, Exchange) and node.rest:  # a run: its one-step exchanges
+                stack.append((expand_run(node), left, sign))
             elif not isinstance(node, (Id2, Exchange)):
                 raise TypeError(f"not a 3-cell expression: {node!r}")
         return out
