@@ -518,9 +518,10 @@ class _Filler:
 
     def step(self, a):
         """S(a), built on a stack of its own: a step waits there under the
-        S of the steps its legs take before their σ tails (of the inverse,
-        for a backward one), so no Python frame depth grows with the
-        sphere.  a is at the bottom, so the last S the loop meets is a's."""
+        S of its carried step, or of the steps its legs take before their
+        σ tails (of the inverse, for a backward one), so no Python frame
+        depth grows with the sphere.  a is at the bottom, so the last S the
+        loop meets is a's."""
         expr = self.cells.get((a.source_word, a.position, a.rule.name))
         stack = [(a, None)] if expr is None else []
         while stack:
