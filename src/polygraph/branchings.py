@@ -111,7 +111,7 @@ def _critical_branchings(p, pairs):
     """
     out = []
     for r1, r2 in pairs:
-        w1, w2 = r1.lhs.letters, r2.lhs.letters
+        w1, w2 = r1.lhs.text, r2.lhs.text
         len1, len2 = len(w1), len(w2)
         if len2 == 0:
             continue  # an empty lhs never matches

@@ -338,7 +338,7 @@ def _branching_key(h, k):
         [(h.rule.name, h.position), (k.rule.name, k.position)],
         key=lambda t: (t[1], t[0]),
     )
-    return (h.source_word.letters, tuple(legs))
+    return (h.source_word.text, tuple(legs))
 
 
 def squier_completion(p, pump_bound=DEFAULT_PUMP_BOUND, fuel=DEFAULT_FUEL,
@@ -769,8 +769,7 @@ def standard_coherent_presentation(table):
     bare = {}  # (x, y) -> the path of the one step m_x_y on the word x y
     for u in elements:
         for v in elements:
-            r = Rule(f"m_{u}_{v}", Word((name[u], name[v]), (MONOID_OBJECT,) * 3),
-                     word[product[(u, v)]])
+            r = Rule(f"m_{u}_{v}", word[u].concat(word[v]), word[product[(u, v)]])
             mul[(u, v)] = r
             bare[(u, v)] = ZigZag.of(RewriteStep(r.lhs, 0, r))
     iota = Rule("i", identity_word(), word[table.unit])
@@ -785,7 +784,7 @@ def standard_coherent_presentation(table):
             uv = product[(u, v)]
             for w in elements:
                 vw = product[(v, w)]
-                uvw = Word((name[u], name[v], name[w]), (MONOID_OBJECT,) * 4)
+                uvw = word[u].concat(word[v], word[w])
                 src = side(uvw, 0, mul[(u, v)], bare[(uv, w)])
                 tgt = side(uvw, 1, mul[(v, w)], bare[(u, vw)])
                 cells.append(ThreeCell(f"a_{u}_{v}_{w}", src, tgt))
@@ -819,22 +818,12 @@ class TwoFunctor:
     rule_map: dict  # rule (instance) name -> ZigZag over target
 
     def word(self, w):
-        """The image of w: the images of its letters, composed, built with
-        one join."""
-        letters, nodes = [], [w.source]
-        for letter in w.letters:
-            try:
-                image = self.gen_map[letter]
-            except KeyError:
-                raise PresentationError(f"functor has no image for generator {letter!r}") from None
-            if image.source != nodes[-1]:
-                raise CompositionError(
-                    f"cannot compose {Word(tuple(letters), tuple(nodes))} (ends at {nodes[-1]}) "
-                    f"with {image} (starts at {image.source})"
-                )
-            letters += image.letters
-            nodes += image.nodes[1:]
-        return Word(tuple(letters), tuple(nodes))
+        """The image of w: the images of its letters, composed."""
+        try:
+            images = [self.gen_map[letter] for letter in w.letters]
+        except KeyError as exc:
+            raise PresentationError(f"functor has no image for generator {exc.args[0]!r}") from None
+        return identity_word(w.source).concat(*images)
 
     def rule_image(self, name):
         try:
@@ -905,9 +894,8 @@ def tau_word(F, G, tau_gen, w):
 
     def tail(k):
         """FG(v_{k+2} ⋯ v_n), the tail of the letter at index k, in one join."""
-        start = (w.target if k == n - 1 else images[k].source,)
-        return Word(tuple(x for image in images[k:] for x in image.letters),
-                    start + tuple(x for image in images[k:] for x in image.nodes[1:]))
+        start = w.target if k == n - 1 else images[k].source
+        return Word._of("".join([image.text for image in images[k:]]), start)
 
     chunks = []  # the whiskered steps of τ_{v_n}, ..., τ_{v_1}
     for k in range(n - 1, -1, -1):

@@ -205,7 +205,7 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
     seen = {}
     kept = []
     for rule in p.rules:
-        key = (rule.lhs.letters, rule.rhs.letters)
+        key = (rule.lhs.text, rule.rhs.text)
         if key in seen:
             keeper = seen[key]
             witness = ZigZag.of(RewriteStep(keeper.lhs, 0, keeper))

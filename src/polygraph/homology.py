@@ -29,6 +29,7 @@ from .presentation import (
     FuelExhausted,
     PresentationError,
     RewriteStep,
+    Word,
     identity_word,
 )
 from .rewrite import deglex_compare, normal_form
@@ -114,8 +115,8 @@ class FreeResolution:
     letters of any word from i reaches the normal form of ``_words[i]``
     followed by that word.  Inside, ring and module elements are keyed by
     these numbers; every public method takes and returns Word-keyed ones.
-    Normal forms keyed by their letters need one object, so a presentation
-    with several is refused.
+    Normal forms keyed by their text, which names no object for the
+    identity, need one object, so a presentation with several is refused.
 
     ``d1``, ``d2`` and ``d3`` compute the image of each basis element at the
     identity once (``_image``) and act on it by the coefficient word:
@@ -124,7 +125,7 @@ class FreeResolution:
 
     coherent: CoherentPresentation
     _words: list = field(default_factory=list, repr=False)
-    _numbers: dict = field(default_factory=dict, repr=False)  # letters -> number
+    _numbers: dict = field(default_factory=dict, repr=False)  # text -> number
     _right: list = field(default_factory=list, repr=False)  # number -> {letter: number}
     _products: list = field(default_factory=list, repr=False)  # number i -> {j: number of i·j}
     _images: dict = field(default_factory=dict, repr=False)
@@ -150,22 +151,22 @@ class FreeResolution:
 
     def _register(self, v):
         """The number of the normal form v, new if v is new."""
-        i = self._numbers.get(v.letters)
+        i = self._numbers.get(v.text)
         if i is None:
-            i = self._numbers[v.letters] = len(self._words)
+            i = self._numbers[v.text] = len(self._words)
             self._words.append(v)
             self._right.append({})
             self._products.append({})
         return i
 
-    def _walk(self, i, letters):
-        """The number of the product of the i-th normal form and a word."""
+    def _walk(self, i, text):
+        """The number of the product of the i-th normal form and a word's text."""
         right = self._right
-        for x in letters:
+        for x in text:
             j = right[i].get(x)
             if j is None:
-                w = self._words[i].concat(self.presentation.word_from_letters((x,)))
-                v = normal_form(self.presentation, w, "leftmost")
+                w = self._words[i]
+                v = normal_form(self.presentation, Word._of(w.text + x, w.source), "leftmost")
                 j = right[i][x] = self._register(v)
             i = j
         return i
@@ -173,14 +174,14 @@ class FreeResolution:
     def _number(self, w):
         """The number of the normal form of w; a known normal form is looked
         up, any other word walked from the identity."""
-        i = self._numbers.get(w.letters)
-        return self._walk(0, w.letters) if i is None else i
+        i = self._numbers.get(w.text)
+        return self._walk(0, w.text) if i is None else i
 
     def _mult(self, i, j):
         """The number of the product of the i-th and j-th normal forms."""
         k = self._products[i].get(j)
         if k is None:
-            k = self._products[i][j] = self._walk(i, self._words[j].letters)
+            k = self._products[i][j] = self._walk(i, self._words[j].text)
         return k
 
     def _worded(self, melt):
@@ -236,18 +237,18 @@ class FreeResolution:
         """ZM[generators] -> ZM:  u[x] |-> u*x - u."""
         return {w: coef for (w, _), coef in self._differential(1, melt).items()}
 
-    def _fox_into(self, out, letters, scale):
+    def _fox_into(self, out, w, scale):
         """Add scale times the Fox bracket of a word to out: the letter at
         position i counts with the normal form of the prefix before it."""
         i = 0
-        for x in letters:
-            _acc(out, (i, x), scale)
-            i = self._walk(i, (x,))
+        for x, name in zip(w.text, w.letters):
+            _acc(out, (i, name), scale)
+            i = self._walk(i, x)
 
     def fox_bracket(self, w):
         """Fox-type derivative of a word: [1] = 0, [uv] = [u] + u~[v]."""
         out = {}
-        self._fox_into(out, w.letters, 1)
+        self._fox_into(out, w, 1)
         return self._worded(out)
 
     def d2(self, melt):
@@ -287,12 +288,13 @@ class FreeResolution:
         if image is None:
             image = {}
             if degree == 1:
-                _acc(image, (self._walk(0, (name,)), ""), 1)
+                x = self.presentation.word_from_letters((name,))
+                _acc(image, (self._walk(0, x.text), ""), 1)
                 _acc(image, (0, ""), -1)
             elif degree == 2:
                 rule = self.presentation.lookup_rule(name)
-                self._fox_into(image, rule.lhs.letters, 1)
-                self._fox_into(image, rule.rhs.letters, -1)
+                self._fox_into(image, rule.lhs, 1)
+                self._fox_into(image, rule.rhs, -1)
             else:
                 cell = self.coherent.cell_by_name[name]
                 self._bracket2_into(image, cell.source2, 1)
@@ -324,7 +326,7 @@ class FreeResolution:
             elif isinstance(node, Inv):
                 stack.append((node.expr, left, -sign))
             elif isinstance(node, Whisker):
-                stack.append((node.expr, self._walk(left, node.left.letters), sign))
+                stack.append((node.expr, self._walk(left, node.left.text), sign))
             elif not isinstance(node, (Id2, Exchange)):
                 raise TypeError(f"not a 3-cell expression: {node!r}")
         return self._worded(out)
@@ -335,7 +337,7 @@ class FreeResolution:
         """ZM -> ZM[generators]: a normal form goes to its Fox derivative."""
         out = {}
         for w, coef in relt.items():
-            self._fox_into(out, w.letters, coef)
+            self._fox_into(out, w, coef)
         return self._worded(out)
 
     def i2(self, melt):
@@ -381,14 +383,14 @@ def sample_elements(res, samples, seed=0):
     p = res.presentation
     rng = random.Random(seed)
     gens = [g.name for g in p.generators]
-    found = {w.letters: w for w in elements[: max(1, samples // 4)]}
+    found = {w.text: w for w in elements[: max(1, samples // 4)]}
     attempts = 0
     while len(found) < samples and attempts < samples * 200:
         attempts += 1
         length = rng.randint(1, 12)
         letters = tuple(rng.choice(gens) for _ in range(length))
         v = res.nf(p.word_from_letters(letters))
-        found.setdefault(v.letters, v)
+        found.setdefault(v.text, v)
     return sorted(found.values(), key=_word_sort_key(p.gen_order))
 
 
@@ -466,7 +468,7 @@ def try_enumerate(res, bound):
     `bound` elements (possibly infinitely many).  Elements come deglex-sorted.
     """
     p = res.presentation
-    gens = [g.name for g in p.generators]
+    gens = [p.word_from_letters((g.name,)).text for g in p.generators]
     seen = {0: None}  # numbered normal forms, in the order found
     queue = [0]
     closed = True
@@ -474,7 +476,7 @@ def try_enumerate(res, bound):
         frontier = []
         for i in queue:
             for x in gens:
-                j = res._walk(i, (x,))
+                j = res._walk(i, x)
                 if j in seen:
                     continue
                 if len(seen) >= bound:

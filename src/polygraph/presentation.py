@@ -12,6 +12,7 @@ Everything is an immutable value.  Transformations return new polygraphs.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -111,78 +112,134 @@ class Generator:
     target: str = MONOID_OBJECT
 
 
-@dataclass(frozen=True)
+# The codebook: every generator triple (name, source, target) met so far,
+# each with its own character, given in the order the triples are first met,
+# the first 256 below U+0100.  Nothing may depend on which character a
+# triple gets: words are compared, never ordered, by their text.
+_CODES = {}  # (name, source, target) -> character
+_NAMES = {}  # character -> name
+_TARGETS = {}  # character -> target
+_SPELLING = {}  # code point -> name and a space, for str.translate
+_ADDING = threading.Lock()  # so that two threads cannot give two triples one character
+
+
+def _code(name, source, target):
+    """The character of a generator triple, new if the triple is new."""
+    c = _CODES.get((name, source, target))
+    if c is None:
+        with _ADDING:
+            c = _CODES.get((name, source, target))
+            if c is None:
+                n = len(_CODES)
+                c = chr(n if n < 0xD800 else n + 0x800)  # no surrogates
+                _NAMES[c], _TARGETS[c], _SPELLING[ord(c)] = name, target, name + " "
+                _CODES[name, source, target] = c  # last: whoever finds c finds its name
+    return c
+
+
 class Word:
     """A composable sequence of generators.
 
-    ``nodes`` records the object at every cut point, so ``len(nodes) ==
-    len(letters) + 1``; this makes subwords and concatenation cheap without
-    consulting the polygraph.  The empty word is the identity on
-    ``nodes[0]``.
+    A word is its ``text``, one character per letter, and its ``source``
+    object.  The codebook gives each generator triple (name, source, target)
+    its own character, so the object at every cut follows from the text,
+    and slicing, concatenation, search, equality and hashing are ``str``
+    operations.  The empty word is the identity on ``source``.
+
+    ``Word(letters, nodes)`` takes the letters and the object at every cut
+    (``len(nodes) == len(letters) + 1``), which ``letters`` and ``nodes``
+    give back.  A word is a value: nothing assigns to it once it is built.
     """
 
-    letters: tuple[str, ...]
-    nodes: tuple[str, ...]
+    __slots__ = ("text", "source")
 
-    def __post_init__(self):
-        if len(self.nodes) != len(self.letters) + 1:
+    def __init__(self, letters, nodes):
+        if len(nodes) != len(letters) + 1:
             raise CompositionError(
-                f"word {self.letters!r} has {len(self.nodes)} nodes, "
-                f"expected {len(self.letters) + 1}"
+                f"word {letters!r} has {len(nodes)} nodes, expected {len(letters) + 1}"
             )
+        self.text = "".join([_code(x, nodes[i], nodes[i + 1]) for i, x in enumerate(letters)])
+        self.source = nodes[0]
+
+    @classmethod
+    def _of(cls, text, source):
+        """The word of a text from the codebook that starts at source."""
+        w = object.__new__(cls)
+        w.text = text
+        w.source = source
+        return w
 
     @property
-    def source(self):
-        return self.nodes[0]
+    def letters(self):
+        return tuple([_NAMES[c] for c in self.text])
+
+    @property
+    def nodes(self):
+        return (self.source, *[_TARGETS[c] for c in self.text])
 
     @property
     def target(self):
-        return self.nodes[-1]
+        return _TARGETS[self.text[-1]] if self.text else self.source
+
+    def node(self, i):
+        """The object at cut i."""
+        return _TARGETS[self.text[i - 1]] if i else self.source
 
     def __len__(self):
-        return len(self.letters)
+        return len(self.text)
+
+    def __eq__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.text == other.text and self.source == other.source
+
+    def __hash__(self):
+        return hash(self.text)  # a str caches its hash
+
+    def __repr__(self):
+        return f"Word(letters={self.letters!r}, nodes={self.nodes!r})"
 
     def __str__(self):
-        return " ".join(self.letters) if self.letters else "1"
+        return self.text.translate(_SPELLING)[:-1] if self.text else "1"
 
     @property
     def is_identity(self):
-        return not self.letters
+        return not self.text
 
     def slice(self, i, j):
         """The subword from position i to j (a valid word on its own)."""
-        if not (0 <= i <= j <= len(self.letters)):
+        if not (0 <= i <= j <= len(self.text)):
             raise IndexError(f"slice [{i}:{j}] out of range for {self}")
-        return Word(self.letters[i:j], self.nodes[i : j + 1])
+        return Word._of(self.text[i:j], self.node(i))
 
     def concat(self, *others):
-        letters = self.letters
-        nodes = self.nodes
+        text, target = self.text, self.target
         for other in others:
-            if other.source != nodes[-1]:
+            if other.source != target:
                 raise CompositionError(
-                    f"cannot compose {Word(letters, nodes)} (ends at {nodes[-1]}) "
+                    f"cannot compose {Word._of(text, self.source)} (ends at {target}) "
                     f"with {other} (starts at {other.source})"
                 )
-            letters = letters + other.letters
-            nodes = nodes + other.nodes[1:]
-        return Word(letters, nodes)
+            text += other.text
+            target = other.target
+        return Word._of(text, self.source)
 
     def occurrences(self, factor):
-        """All positions where ``factor`` occurs as a subword."""
-        if len(factor) > len(self):
-            return []
-        k = len(factor)
-        return [
-            i
-            for i in range(len(self) - k + 1)
-            if self.letters[i : i + k] == factor.letters
-            and self.nodes[i] == factor.source
-        ]
+        """All positions where ``factor`` occurs as a subword, letters and
+        objects both."""
+        text, f = self.text, factor.text
+        if not f:
+            return [i for i in range(len(text) + 1) if self.node(i) == factor.source]
+        out = []
+        i = text.find(f)
+        while i >= 0:
+            out.append(i)
+            i = text.find(f, i + 1)
+        return out
 
 
 def identity_word(obj=MONOID_OBJECT):
-    return Word((), (obj,))
+    return Word._of("", obj)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +261,7 @@ class Rule:
     rhs: Word
     origin: tuple[str, int] | None = None
 
-    @property
+    @cached_property
     def parallel(self):
         return self.lhs.source == self.rhs.source and self.lhs.target == self.rhs.target
 
@@ -233,7 +290,10 @@ class PumpedRule:
     rhs_q: int = 0
 
     def _power(self, n):
-        return Word((self.pump,) * n, (self.pump_object,) * (n + 1))
+        if n < 0:  # the constructor refuses it
+            return Word((self.pump,) * n, (self.pump_object,) * (n + 1))
+        return Word._of(_code(self.pump, self.pump_object, self.pump_object) * n,
+                        self.pump_object)
 
     def instance(self, n):
         lhs = self.lhs_prefix.concat(self._power(n), self.lhs_suffix)
@@ -257,7 +317,7 @@ class PumpedRule:
 # the rewrite module re-exports them alongside the operations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteStep:
     """One rule application inside a context: the word left . lhs . right,
     recorded as that source word and the position of the lhs in it.
@@ -277,8 +337,8 @@ class RewriteStep:
     def __post_init__(self):
         inner = self.rule.lhs if self.forward else self.rule.rhs
         a, w = self.position, self.source_word
-        b = a + len(inner.letters)
-        if not (a >= 0 and w.letters[a:b] == inner.letters and w.nodes[a : b + 1] == inner.nodes):
+        if not (a >= 0 and (w.text.startswith(inner.text, a) if inner.text
+                            else a <= len(w) and w.node(a) == inner.source)):
             side = "lhs" if self.forward else "rhs"
             raise CompositionError(
                 f"rule {self.rule.name}: its {side} {inner} does not occur at {a} in {w}"
@@ -303,14 +363,11 @@ class RewriteStep:
     def target_word(self):
         rule = self.rule
         inner, outer = (rule.lhs, rule.rhs) if self.forward else (rule.rhs, rule.lhs)
-        letters, nodes = self.source_word.letters, self.source_word.nodes
-        a = self.position
-        b = a + len(inner.letters)
-        if outer.nodes[0] != nodes[a] or outer.nodes[-1] != nodes[b]:
-            self.left.concat(outer, self.right)  # a rule that is not parallel: concat raises
-        return Word(
-            letters[:a] + outer.letters + letters[b:], nodes[:a] + outer.nodes + nodes[b + 1 :]
-        )
+        if not rule.parallel:
+            self.left.concat(outer, self.right)  # raises: the input side occurs here
+        text, a = self.source_word.text, self.position
+        return Word._of(text[:a] + outer.text + text[a + len(inner.text):],
+                        self.source_word.source)
 
     def inverse(self):
         return RewriteStep(self.target_word, self.position, self.rule, not self.forward)
@@ -527,19 +584,15 @@ class Polygraph:
                         "identity word is ambiguous: several objects, none specified"
                     )
             return identity_word(at)
-        nodes = []
+        text = ""
         for name in letters:
             gen = self.generator_map.get(name)
             if gen is None:
                 raise PresentationError(f"unknown generator {name!r} in word")
-            if nodes and nodes[-1] != gen.source:
-                raise PresentationError(
-                    f"word {' '.join(letters)} is not composable at {name!r}"
-                )
-            if not nodes:
-                nodes.append(gen.source)
-            nodes.append(gen.target)
-        return Word(letters, tuple(nodes))
+            if text and _TARGETS[text[-1]] != gen.source:
+                raise PresentationError(f"word {' '.join(letters)} is not composable at {name!r}")
+            text += _code(gen.name, gen.source, gen.target)
+        return Word._of(text, self.generator_map[letters[0]].source)
 
     def word(self, text, at=None):
         """Parse a word from whitespace-separated generator names; "1" is the
@@ -577,11 +630,12 @@ def validate(p):
 def word_problem(p, w):
     """Why ``w`` is not a word of ``p``, or None when it is."""
     # a letter that fits the nodes on both sides composes with its neighbours
+    nodes = w.nodes
     for i, name in enumerate(w.letters):
         g = p.generator_map.get(name)
         if g is None:
             return f"unknown generator {name!r}"
-        if w.nodes[i] != g.source or w.nodes[i + 1] != g.target:
+        if nodes[i] != g.source or nodes[i + 1] != g.target:
             return f"word {w} has inconsistent endpoints at {name!r}"
     if w.is_identity and w.source not in p.objects:
         return f"identity word at unknown object {w.source!r}"

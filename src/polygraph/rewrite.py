@@ -9,9 +9,9 @@ word can never match, so a bound of the word length is exact.
 run of pump letters at a match, so their normal forms are exact on the
 infinite systems, not approximate.
 
-Every normalization path, the sphere filler's σ included, comes from one
-walk (``_walk``), the only loop that turns the matcher's rewrites into
-charged steps; ``normal_form`` takes the same rewrites without building
+Every normalization path, the sphere filler's σ included, and every normal
+form comes from one walk (``_walk``), the only loop that turns the matcher's
+rewrites into charged steps; ``normal_form`` runs it without recording the
 steps.
 """
 
@@ -32,7 +32,6 @@ from .presentation import (
     Word,
     ZigZag,
     _split_affine,
-    validate,
 )
 
 __all__ = [
@@ -86,88 +85,47 @@ class Matcher:
     """The redex search of one presentation, built once per presentation
     (``Polygraph.matcher``).
 
-    Each letter is encoded as one character, so a word is a string and
-    ``re`` finds the next redex.  ``scans`` holds one search per strategy:
-    ``leftmost`` reads the word forward, ``rightmost`` reads it reversed,
-    where the least start is the greatest end in the word.
+    A word is a string (``Word.text``), so ``re`` finds the next redex.
+    ``scans`` holds one search per strategy, built when the strategy is
+    first used: ``leftmost`` reads the text forward, ``rightmost`` reads it
+    reversed, where the least start is the greatest end in the word.
     """
 
     def __init__(self, p):
-        letters = [g.name for g in p.generators]
-        for rule in p.rules:  # a malformed presentation may use undeclared letters
-            letters += rule.lhs.letters + rule.rhs.letters
-        for fam in p.pumped:
-            letters.append(fam.pump)
-            for w in (fam.lhs_prefix, fam.lhs_suffix, fam.rhs_prefix, fam.rhs_suffix):
-                letters += w.letters
-        self.code = {}
-        for letter in letters:
-            self.code.setdefault(letter, chr(0x100 + len(self.code)))
-        self.letter = {c: letter for letter, c in self.code.items()}
-        self.scans = {"leftmost": _Scan(self, p, reverse=False),
-                      "rightmost": _Scan(self, p, reverse=True)}
-        self.ends = {self.code[g.name]: (g.source, g.target) for g in p.generators}
-        objects = {x for pair in self.ends.values() for x in pair}
-        self.object = objects.pop() if len(objects) == 1 else None
-        if validate(p):
-            self.ends = None
-
-    def encode(self, w):
-        """w as a string, one character per letter ("\\0" for a letter no
-        rule mentions)."""
-        return "".join([self.code.get(letter, "\0") for letter in w.letters])
-
-    def decodes(self, w, text):
-        """Does ``decode`` give w back from its encoding?  Only when the
-        presentation passes ``validate`` and every letter of w is a
-        generator, between the objects the generator declares."""
-        if "\0" in text or self.ends is None:
-            return False
-        if self.object is not None:
-            return w.nodes.count(self.object) == len(w.nodes)
-        ends = [self.ends[c] for c in text]
-        return (list(w.nodes[:-1]) == [s for s, _ in ends]
-                and list(w.nodes[1:]) == [t for _, t in ends])
-
-    def decode(self, text, source):
-        """The word an encoded string stands for, starting at object source."""
-        letters = tuple([self.letter[c] for c in text])
-        if self.object is not None:
-            return Word(letters, (source,) * (len(letters) + 1))
-        return Word(letters, (source, *[self.ends[c][1] for c in text]))
+        self.scans = {}
 
 
 class _Scan:
-    """The redex search in one reading direction of encoded words.
+    """The redex search in one reading direction of word texts.
 
     A dict maps each plain left-hand side to its first rule in ``rule_key``
     order, and one pattern matches every left-hand side, pumped ones too.
     ``search`` takes the redex that starts first in this direction; among
     those, the forward scan takes the first rule, the reversed scan the
     shortest left-hand side (the greatest start in the word), then the first
-    rule.  Pumped instances are never enumerated: the run of pump letters at
-    the match fixes the least n.
+    rule.  The pattern lists the plain left-hand sides in that order, so at
+    the first start ``re`` takes the best of them.  Pumped instances are
+    never enumerated: the run of pump letters at the match fixes the least n.
     """
 
-    def __init__(self, matcher, p, reverse):
-        self.matcher = matcher
+    def __init__(self, p, reverse):
         self.reverse = reverse
-        self.plain = {}  # lhs -> (rank, rule, rhs), the least rank per lhs
+        self.plain = {}  # lhs -> (order, rule, rhs), the least order per lhs
         for decl, rule in enumerate(p.rules):
             if not rule.lhs.is_identity:
-                lhs, rank = self.encode(rule.lhs), (p.rule_key(rule), decl)
-                if lhs not in self.plain or rank < self.plain[lhs][0]:
-                    self.plain[lhs] = (rank, rule, self.encode(rule.rhs))
-        self.lengths = sorted({len(lhs) for lhs in self.plain})
+                lhs, rank = self.read(rule.lhs), (p.rule_key(rule), decl)
+                order = (len(lhs), rank) if reverse else rank
+                if lhs not in self.plain or order < self.plain[lhs][0]:
+                    self.plain[lhs] = (order, rule, self.read(rule.rhs))
         self.families = []
         for decl, fam in enumerate(p.pumped, start=len(p.rules)):
-            head, tail = self.encode(fam.lhs_prefix), self.encode(fam.lhs_suffix)
+            head, tail = self.read(fam.lhs_prefix), self.read(fam.lhs_suffix)
             if reverse:
                 head, tail = tail, head
             key = p.rule_key(fam.instance(0))[0]
-            self.families.append(_Pumped(fam, head, matcher.code[fam.pump], tail, key, decl))
-        alternatives = [re.escape(lhs) for lhs in self.plain]
-        alternatives += [fam.regex for fam in self.families]
+            self.families.append(_Pumped(fam, head, fam._power(1).text, tail, key, decl))
+        best = sorted(self.plain, key=lambda lhs: self.plain[lhs][0])
+        alternatives = [re.escape(lhs) for lhs in best] + [fam.regex for fam in self.families]
         self.pattern = re.compile("|".join(alternatives)) if alternatives else None
         # A redex that is new after a rewrite at x reaches past x, so it
         # starts less than the longest fixed part (reach + 1) before x,
@@ -175,28 +133,29 @@ class _Scan:
         # starts at most the longest head (back) before the run.
         fixed = [len(lhs) for lhs in self.plain] + [f.fixed for f in self.families]
         self.reach = max(fixed + [1]) - 1
-        self.pumps = "".join(sorted({matcher.code[fam.pump] for fam in p.pumped}))
+        self.pumps = "".join(f.pump for f in self.families)
         self.back = max((len(f.head) for f in self.families), default=0)
 
-    def encode(self, w):
-        text = self.matcher.encode(w)
-        return text[::-1] if self.reverse else text
+    def read(self, w):
+        """The text of w in this direction."""
+        return w.text[::-1] if self.reverse else w.text
+
+    def word(self, text, source):
+        """The word of a text in this direction, starting at source."""
+        return Word._of(text[::-1] if self.reverse else text, source)
 
     def search(self, text, lo):
         """The redex to take in text at or after lo, as (position in text,
-        rule, encoded rhs in this direction), or None."""
+        rule, rhs text in this direction), or None."""
         found = self.pattern.search(text, lo) if self.pattern else None
         if found is None:
             return None
         x = found.start()
-        best = None  # (order, rule, rhs), or (order, family, n) until an instance is taken
-        for length in self.lengths:
-            hit = self.plain.get(text[x:x + length]) if x + length <= len(text) else None
-            if hit is not None:
-                rank, rule, rhs = hit
-                order = (length, rank) if self.reverse else rank
-                if best is None or order < best[0]:
-                    best = (order, rule, rhs)
+        # (order, rule, rhs) of the best plain redex at x, or (order,
+        # family, n) until an instance is taken
+        best = self.plain.get(found.group())
+        if not self.families:
+            return x, best[1], best[2]
         for fam in self.families:
             n = fam.least_n(text, x)
             if n is not None:
@@ -207,7 +166,7 @@ class _Scan:
         _, chosen, rhs = best
         if isinstance(chosen, _Pumped):
             rule = chosen.family.instance(rhs)
-            return x, rule, self.encode(rule.rhs)
+            return x, rule, self.read(rule.rhs)
         return x, chosen, rhs
 
     def rescan(self, text, x):
@@ -219,15 +178,15 @@ class _Scan:
         return lo
 
     def rewrites(self, text):
-        """The rewrites this strategy takes on the encoded text, one at a
-        time, as (position of the redex in the word read forward, rule,
-        text after the rewrite).  The next redex is searched only when the
-        caller asks for it, after the search resumed where a new redex can
-        start; stopping early (on fuel) stops the search."""
+        """The rewrites this strategy takes on a text in this direction,
+        one at a time, as (position of the redex in the word read forward,
+        rule, text after the rewrite).  The next redex is searched only when
+        the caller asks for it, after the search resumed where a new redex
+        can start; stopping early (on fuel) stops the search."""
         lo = 0
         while (hit := self.search(text, lo)) is not None:
             x, rule, rhs = hit
-            k = len(rule.lhs)
+            k = len(rule.lhs.text)
             after = text[:x] + rhs + text[x + k:]
             yield (len(text) - x - k if self.reverse else x), rule, after
             text = after
@@ -239,7 +198,7 @@ class _Pumped:
 
     def __init__(self, family, head, pump, tail, key, decl):
         self.family = family
-        self.head, self.tail = head, tail
+        self.head, self.pump, self.tail = head, pump, tail
         self.key, self.decl = key, decl  # its rule_key stem and declaration index
         self.fixed = len(head) + len(tail)
         self.least = 0 if self.fixed else 1  # an empty lhs never matches
@@ -261,35 +220,59 @@ class _Pumped:
 
 
 def _scan(p, strategy):
-    try:
-        return p.matcher.scans[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
+    scans = p.matcher.scans
+    if strategy not in scans:
+        if strategy not in ("leftmost", "rightmost"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        scans[strategy] = _Scan(p, reverse=strategy == "rightmost")
+    return scans[strategy]
 
 
-def _walk(p, w, strategy, fuel, known=()):
+def _walk(p, w, strategy, fuel, known=(), record=True):
     """The steps strategy takes from w, one unit of fuel each, as (steps,
-    the word they reach).  The walk stops at a normal form, or at the first
-    word it reaches that is in ``known``.  When the fuel runs out,
+    the word they reach).  Each step checks its input side, and reaches the
+    text the scan spliced.  The walk stops at a normal form, or at the
+    first word it reaches that is in ``known``.  When the fuel runs out,
     FuelExhausted carries the partial path paid for in .trace, under
     ``normalize``'s message.
+
+    Unrecorded, the walk takes the same rewrites on the text alone and
+    returns no steps; a partial path is then built when .trace is first
+    read, by replaying the paid steps with ``normalize``.
     """
     scan = _scan(p, strategy)
     budget = Budget.of(fuel)
+    before = budget.left
     steps = []
     current = w
+    text = scan.read(w)
     try:
-        for i, rule, _ in scan.rewrites(scan.encode(w)):
+        for i, rule, after in scan.rewrites(text):
             budget.charge()
-            step = RewriteStep(current, i, rule)
-            steps.append(step)
-            current = step.target_word
-            if current in known:
-                break
+            if not rule.parallel:  # target_word refuses the step
+                RewriteStep(scan.word(text, w.source), i, rule).target_word
+            text = after
+            if record:
+                steps.append(RewriteStep(current, i, rule))
+                current = scan.word(text, w.source)
+                if current in known:
+                    break
     except FuelExhausted as exc:
-        partial = TwoCellPath._chained(w, tuple(steps), current)
-        raise FuelExhausted(f"normalizing '{w}': {exc}", partial) from None
-    return tuple(steps), current
+        message = f"normalizing '{w}': {exc}"
+        if record:
+            raise FuelExhausted(message, TwoCellPath._chained(w, tuple(steps), current)) from None
+        size, spent = budget.fuel, before - budget.left
+
+        def partial_path():
+            replay = Budget(size)
+            replay.left = spent
+            try:
+                normalize(p, w, strategy, replay)
+            except FuelExhausted as again:  # at the step this walk ran out on
+                return again.trace
+
+        raise FuelExhausted.traced_later(message, partial_path) from None
+    return tuple(steps), (current if record else scan.word(text, w.source))
 
 
 def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
@@ -314,40 +297,12 @@ def normal_form(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
     """The normal form ``normalize(p, w, strategy, fuel)`` returns, without
     its path.
 
-    The same steps are taken on the encoded word, one string splice each,
-    and charged one unit each, and the word is decoded once at the end (an
-    empty result is the identity on ``w.source``).  When the fuel runs out,
-    FuelExhausted has the message of ``normalize``; its partial path is
-    built when ``.trace`` is first read, by replaying the steps taken with
-    ``normalize``.  A word the encoding cannot give back (a letter no rule
-    or generator mentions, or letters between other objects than the
-    presentation gives them) is normalized by ``normalize``.
+    The same steps are taken on the word's text, one string splice each,
+    and charged one unit each.  When the fuel runs out, FuelExhausted has
+    the message of ``normalize``; its partial path is built when ``.trace``
+    is first read, by replaying the steps taken with ``normalize``.
     """
-    scan = _scan(p, strategy)
-    budget = Budget.of(fuel)
-    matcher = p.matcher
-    text = matcher.encode(w)
-    if not matcher.decodes(w, text):
-        return normalize(p, w, strategy, budget)[0]
-    if scan.reverse:
-        text = text[::-1]
-    before = budget.left
-    try:
-        for _, _, text in scan.rewrites(text):
-            budget.charge()
-    except FuelExhausted as exc:
-        size, spent = budget.fuel, before - budget.left
-
-        def partial_path():
-            replay = Budget(size)
-            replay.left = spent
-            try:
-                normalize(p, w, strategy, replay)
-            except FuelExhausted as again:  # at the step this scan ran out on
-                return again.trace
-
-        raise FuelExhausted.traced_later(f"normalizing '{w}': {exc}", partial_path) from None
-    return matcher.decode(text[::-1] if scan.reverse else text, w.source)
+    return _walk(p, w, strategy, fuel, record=False)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,19 @@
 
 ``make_cli_golden.py`` wrote the file; after a change that is meant to keep
 the output, every line must still match.  A diverging invocation is printed
-with its live output.
+with its live output.  The output must not depend on which character the
+codebook gives a letter either: filled in another order first, it must give
+the same lines.
 """
 
-from make_cli_golden import GOLDEN, golden_runs
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from make_cli_golden import DONE_FILES, GOLDEN, PRESENTATIONS, golden_runs
+from polygraph import parse_polygraph
 
 
 def test_cli_output_matches_the_golden_file():
@@ -21,3 +30,36 @@ def test_cli_output_matches_the_golden_file():
         print(stdout)
     assert len(runs) == len(want), (len(runs), len(want))
     assert not diverging, f"{diverging} of {len(runs)} invocations diverge"
+
+
+# Run in a fresh interpreter: fill its codebook with letters no presentation
+# uses, then with the given generators, before anything else makes a word;
+# then compare the runs with the file.
+REORDERED = """\
+import json, sys
+from polygraph import Word
+for i in range(300):
+    Word((f"unused{i}",), ("*", "*"))
+codes = [ord(Word((name,), (source, target)).text)
+         for name, source, target in json.loads(sys.argv[1])]
+from make_cli_golden import GOLDEN, golden_runs
+want = GOLDEN.read_text(encoding="utf-8").splitlines()
+got = [line for line, _ in golden_runs()]
+print(json.dumps([codes, sum(a != b for a, b in zip(got, want))]))
+sys.exit(got != want)
+"""
+
+
+def test_no_output_depends_on_the_characters_letters_get():
+    # every generator of the presentations, last declared first
+    triples = {}
+    for text in reversed([*PRESENTATIONS.values(), *DONE_FILES.values()]):
+        for g in reversed(parse_polygraph(text).generators):
+            triples.setdefault((g.name, g.source, g.target), None)
+    here = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    proc = subprocess.run([sys.executable, "-c", REORDERED, json.dumps(list(triples))],
+                          cwd=here, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    codes, diverging = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == list(range(300, 300 + len(triples))) and diverging == 0

@@ -1,7 +1,7 @@
 """``normal_form`` against ``normalize``, the path-building reference.
 
 ``normal_form(p, w, strategy, fuel)`` takes the steps ``normalize`` takes on
-the encoded word and decodes the result once.  It must give the same word,
+the word's text, without recording them.  It must give the same word,
 letters and objects both, charge the same units, and run out at the same
 unit with the same message and partial path.  ``word_eq`` and
 ``decide_confluence`` now read normal forms through it; the definitions
@@ -149,40 +149,42 @@ def test_a_letter_no_rule_mentions_falls_back_to_normalize(strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_words_and_rules_the_encoding_cannot_type_fall_back(strategy):
-    # a word whose objects are not those of its letters: normalize refuses
-    # its first step, and so does normal_form
+def test_normal_form_is_the_target_of_the_path_on_presentations_that_do_not_validate(strategy):
+    # problems the matcher never meets: an order clause that misses a
+    # generator, and a rule name declared twice
     b3 = presentation("b3")
-    w = Word(("s", "t", "s"), ("*", "Q", "*", "*"))
-    want = outcome(normalize, b3, w, strategy)
-    assert want[0] == "raised" and want[1] is CompositionError
-    assert outcome(normal_form, b3, w, strategy)[:3] == want[:3]
-    # a rule whose sides are not parallel
+    broken = [replace(b3, gen_order=("a", "s")), replace(b3, rules=b3.rules + b3.rules[:1])]
+    assert all(validate(p) for p in broken)
+    cases = [(p, [p.word_from_letters([g.name for g in p.generators[:1]])])
+             for p in [presentation(name) for name in NAMES]]
+    cases += [(p, words("b3", p, count=8)) for p in broken]
+    # a rule whose sides are not parallel: both refuse its step
     cat = presentation("category")
-    f, fg = cat.word("f"), cat.word("f g")
-    bad = replace(cat, rules=(Rule("rho", cat.word("f g f"), fg),))
-    for w in (cat.word("f g f"), cat.word("g f g f g"), f):
-        want = outcome(normalize, bad, w, strategy)
-        got = outcome(normal_form, bad, w, strategy)
-        assert got[:3] == (want[:3] if want[0] == "raised" else ("returned", want[1][0]))
+    bad = replace(cat, rules=(Rule("rho", cat.word("f g f"), cat.word("f g")),))
+    cases.append((bad, [cat.word("f g f"), cat.word("g f g f g"), cat.word("f")]))
     # a rule that uses a letter no generator declares
     z = Word(("z",), ("*", "*"))
     loose = replace(b3, rules=b3.rules + (Rule("zeta", z, b3.word("s a")),))
-    for letters in (("t", "z"), ("z", "s", "t", "a"), ("s", "t", "s")):
-        w = Word(letters, ("*",) * (len(letters) + 1))
-        assert_same_word(normal_form(loose, w, strategy), normalize(loose, w, strategy)[0])
-
-
-def test_the_matcher_decodes_exactly_the_presentations_that_validate():
-    # problems the encoding itself never meets: an order clause that
-    # misses a generator, and a rule name declared twice
-    b3 = presentation("b3")
-    broken = [replace(b3, gen_order=("a", "s")), replace(b3, rules=b3.rules + b3.rules[:1])]
-    for p in [presentation(name) for name in NAMES] + broken:
-        w = p.word_from_letters([g.name for g in p.generators[:1]])
-        assert p.matcher.decodes(w, p.matcher.encode(w)) == (not validate(p))
-        assert_same_word(normal_form(p, w), normalize(p, w)[0])
-    assert all(validate(p) for p in broken)
+    cases.append((loose, [Word(letters, ("*",) * (len(letters) + 1))
+                          for letters in (("t", "z"), ("z", "s", "t", "a"), ("s", "t", "s"))]))
+    # a word whose objects are not those of its letters: a letter is
+    # matched with its objects, so no rule rewrites the mistyped "s t"
+    mistyped = Word(("s", "t", "s", "t", "a"), ("*", "Q", "*", "*", "*", "*"))
+    cases.append((b3, [mistyped]))
+    refused = 0
+    for p, ws in cases:
+        for w in ws:
+            want = outcome(normalize, p, w, strategy)
+            got = outcome(normal_form, p, w, strategy)
+            if want[0] == "raised":
+                assert got[:3] == want[:3]
+                refused += 1
+            else:
+                assert_same_word(got[1], want[1][0])
+    assert refused == 2
+    nf, path = normalize(b3, mistyped, strategy)
+    assert nf.letters[:2] == ("s", "t") and nf.nodes[:3] == ("*", "Q", "*")
+    assert path.steps and all(step.position >= 2 for step in path.steps)
 
 
 @pytest.mark.parametrize("name", ["b3", "sq", "a4_done", "category", "lp"])
