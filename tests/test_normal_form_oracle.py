@@ -148,29 +148,10 @@ def test_a_letter_no_rule_mentions_falls_back_to_normalize(strategy):
         assert "z" in got.letters
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_normal_form_is_the_target_of_the_path_on_presentations_that_do_not_validate(strategy):
-    # problems the matcher never meets: an order clause that misses a
-    # generator, and a rule name declared twice
-    b3 = presentation("b3")
-    broken = [replace(b3, gen_order=("a", "s")), replace(b3, rules=b3.rules + b3.rules[:1])]
-    assert all(validate(p) for p in broken)
-    cases = [(p, [p.word_from_letters([g.name for g in p.generators[:1]])])
-             for p in [presentation(name) for name in NAMES]]
-    cases += [(p, words("b3", p, count=8)) for p in broken]
-    # a rule whose sides are not parallel: both refuse its step
-    cat = presentation("category")
-    bad = replace(cat, rules=(Rule("rho", cat.word("f g f"), cat.word("f g")),))
-    cases.append((bad, [cat.word("f g f"), cat.word("g f g f g"), cat.word("f")]))
-    # a rule that uses a letter no generator declares
-    z = Word(("z",), ("*", "*"))
-    loose = replace(b3, rules=b3.rules + (Rule("zeta", z, b3.word("s a")),))
-    cases.append((loose, [Word(letters, ("*",) * (len(letters) + 1))
-                          for letters in (("t", "z"), ("z", "s", "t", "a"), ("s", "t", "s"))]))
-    # a word whose objects are not those of its letters: a letter is
-    # matched with its objects, so no rule rewrites the mistyped "s t"
-    mistyped = Word(("s", "t", "s", "t", "a"), ("*", "Q", "*", "*", "*", "*"))
-    cases.append((b3, [mistyped]))
+def agree_with_normalize(cases, strategy):
+    """Assert ``normal_form`` ends where ``normalize``'s path ends on every
+    word of ``cases`` (pairs of a presentation and its words), or raises
+    what it raises; return how many words both refused."""
     refused = 0
     for p, ws in cases:
         for w in ws:
@@ -181,10 +162,47 @@ def test_normal_form_is_the_target_of_the_path_on_presentations_that_do_not_vali
                 refused += 1
             else:
                 assert_same_word(got[1], want[1][0])
-    assert refused == 2
+    return refused
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_words_and_rules_the_encoding_cannot_type_fall_back(strategy):
+    # nothing falls back any more: the walk reads the word's text, and on
+    # words and rules the codebook types loosely it must still end where
+    # normalize ends, or refuse what normalize refuses
+    b3 = presentation("b3")
+    # a rule whose sides are not parallel: both refuse its step
+    cat = presentation("category")
+    bad = replace(cat, rules=(Rule("rho", cat.word("f g f"), cat.word("f g")),))
+    cases = [(bad, [cat.word("f g f"), cat.word("g f g f g"), cat.word("f")])]
+    # a rule that uses a letter no generator declares
+    z = Word(("z",), ("*", "*"))
+    loose = replace(b3, rules=b3.rules + (Rule("zeta", z, b3.word("s a")),))
+    cases.append((loose, [Word(letters, ("*",) * (len(letters) + 1))
+                          for letters in (("t", "z"), ("z", "s", "t", "a"), ("s", "t", "s"))]))
+    # a word whose objects are not those of its letters: a letter is
+    # matched with its objects, so no rule rewrites the mistyped "s t"
+    mistyped = Word(("s", "t", "s", "t", "a"), ("*", "Q", "*", "*", "*", "*"))
+    cases.append((b3, [mistyped]))
+    assert agree_with_normalize(cases, strategy) == 2
     nf, path = normalize(b3, mistyped, strategy)
     assert nf.letters[:2] == ("s", "t") and nf.nodes[:3] == ("*", "Q", "*")
     assert path.steps and all(step.position >= 2 for step in path.steps)
+
+
+def test_the_matcher_decodes_exactly_the_presentations_that_validate():
+    # a word is its text, so nothing is decoded: normal_form must equal
+    # normalize's normal form on every presentation, also on those that do
+    # not validate -- an order clause that misses a generator, and a rule
+    # name declared twice, problems the matcher never meets
+    b3 = presentation("b3")
+    broken = [replace(b3, gen_order=("a", "s")), replace(b3, rules=b3.rules + b3.rules[:1])]
+    assert all(validate(p) for p in broken)
+    cases = [(p, [p.word_from_letters([g.name for g in p.generators[:1]])])
+             for p in [presentation(name) for name in NAMES]]
+    cases += [(p, words("b3", p, count=8)) for p in broken]
+    for strategy in STRATEGIES:
+        assert agree_with_normalize(cases, strategy) == 0
 
 
 @pytest.mark.parametrize("name", ["b3", "sq", "a4_done", "category", "lp"])
