@@ -90,6 +90,11 @@ class CriticalBranching(LocalBranching):
             f"{self.step2.rule.name} @ {self.step2.position}) on '{self.source_word}'"
         )
 
+    def entry(self):
+        """The branching as a JSON report entry: its source and its two steps."""
+        return {"source": str(self.source_word),
+                "rules": [f"{s.rule.name}@{s.position}" for s in (self.step1, self.step2)]}
+
 
 def _family_name(rule):
     return f"{rule.origin[0]}[n]" if rule.origin else rule.name
@@ -222,14 +227,8 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
         except FuelExhausted as exc:
             exc.trace = {"branchings": entries, "truncated": bool(p.pumped)}
             raise
-        entry = {
-            "source": str(b.source_word),
-            "rules": [
-                f"{b.step1.rule.name}@{b.step1.position}",
-                f"{b.step2.rule.name}@{b.step2.position}",
-            ],
-            "status": "Confluent" if nf1 == nf2 else "NotConfluent",
-        }
+        entry = b.entry()
+        entry["status"] = "Confluent" if nf1 == nf2 else "NotConfluent"
         if b.family:
             entry["family"] = f"{b.family[0]} ~ {b.family[1]} @ offset {b.family[2]}"
         if nf1 == nf2:

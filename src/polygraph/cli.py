@@ -196,13 +196,7 @@ def _cmd_cp(args):
         note = str(exc)
 
     if evidence is None and not args.resolve:
-        branchings = enumerate_critical_branchings(p, args.pump_bound)
-        entries = [
-            {"source": str(b.source_word),
-             "rules": [f"{b.step1.rule.name}@{b.step1.position}",
-                       f"{b.step2.rule.name}@{b.step2.position}"]}
-            for b in branchings
-        ]
+        entries = [b.entry() for b in enumerate_critical_branchings(p, args.pump_bound)]
         lines = [f"{_plural(len(entries), 'critical branching')} "
                  f"(not resolved: no termination evidence; pass --resolve to force)"]
         lines += _branching_lines(entries)

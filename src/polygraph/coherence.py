@@ -48,6 +48,7 @@ from .branchings import (
     PEIFFER,
     classify_local_branching,
     enumerate_critical_branchings,
+    make_local_branching,
     resolve_branching,
 )
 
@@ -382,19 +383,18 @@ def fill_local_branching(cp, f, g):
     pumped instance above the pump bound, and otherwise means the coherent
     presentation is stale (PresentationError).
     """
-    kind = classify_local_branching(f, g)
+    b = make_local_branching(cp.base, f, g)
     w = f.source_word
-    if kind == ASPHERICAL:
+    if b.kind == ASPHERICAL:
         empty = ZigZag(f.target_word)
         return empty, empty, Id2(ZigZag.of(f))
-    if kind == PEIFFER:
+    if b.kind == PEIFFER:
         f_prime = ZigZag.of(transported(f, g))
         g_prime = ZigZag.of(transported(g, f))
         return f_prime, g_prime, Exchange(f, g)
 
     # overlapping: factor the critical core out of the shared context
-    h, k = (f, g) if (f.position, cp.base.rule_key(f.rule)) <= (
-        g.position, cp.base.rule_key(g.rule)) else (g, f)
+    h, k = b.step1, b.step2
     start = h.position
     end = max(h.span[1], k.span[1])
     u, v = w.slice(0, start), w.slice(end, len(w))
@@ -411,7 +411,7 @@ def fill_local_branching(cp, f, g):
         raise PresentationError(f"no generating 3-cell for {core} — stale coherent presentation")
     h_rest = _suffix(cell.target2, 1)
     k_rest = _suffix(cell.source2, 1)
-    if f is h or (f.rule == h.rule and f.position == h.position):
+    if f is h:
         # f runs along the cell's target side, so invert the cell
         f_prime = h_rest.whisker(u, v)
         g_prime = k_rest.whisker(u, v)

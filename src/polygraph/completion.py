@@ -184,7 +184,7 @@ def metivier_squier_reduce(p, fuel=DEFAULT_FUEL, cert=None, ack_sampled=False):
     # pass 1: normalize right-hand sides in one sweep: normal forms depend
     # only on the left-hand sides, so no later change makes a normalized rhs
     # reducible again (the final is_reduced check confirms it).  The
-    # polygraph, and so its matcher, is rebuilt only when a rhs changes.
+    # polygraph, and so its redex scan, is rebuilt only when a rhs changes.
     rules = list(p.rules)
     current = p
     for i, rule in enumerate(rules):

@@ -72,12 +72,6 @@ def add_into(target, other, scale=1):
     return target
 
 
-def scaled(elt, scale):
-    out = {}
-    add_into(out, elt, scale)
-    return out
-
-
 def _word_sort_key(order):
     def cmp(u, v):
         return deglex_compare(order, u, v)

@@ -41,31 +41,22 @@ class FuelExhausted(RuntimeError):
 
     ``trace`` holds the partial path of an exhausted ``normalize`` or
     ``normal_form``, the partial report of an exhausted
-    ``decide_confluence``, and None otherwise.  ``traced_later`` makes an
-    exception whose trace is built when it is first read.
+    ``decide_confluence``, and None otherwise.  A trace given as a
+    zero-argument callable is called when ``trace`` is first read.
     """
 
     def __init__(self, message, trace=None):
         super().__init__(message)
-        self.trace = trace
-
-    @classmethod
-    def traced_later(cls, message, build):
-        """The exception whose trace is ``build()``, called on first read."""
-        exc = cls(message)
-        exc._build = build
-        return exc
+        self._trace = trace
 
     @property
     def trace(self):
-        if self._build is not None:
-            build, self._build = self._build, None
-            self._trace = build()
+        if callable(self._trace):
+            self._trace = self._trace()
         return self._trace
 
     @trace.setter
     def trace(self, value):
-        self._build = None
         self._trace = value
 
 
@@ -537,12 +528,12 @@ class Polygraph:
         return {r.name: i for i, r in enumerate(self.pumped)}
 
     @cached_property
-    def matcher(self):
-        """The redex search behind ``normalize`` and ``normal_form`` (see
-        ``rewrite.Matcher``)."""
-        from .rewrite import Matcher  # rewrite builds on this module
-
-        return Matcher(self)
+    def _scans(self):
+        """The redex searches of ``normalize`` and ``normal_form`` on this
+        presentation: strategy -> its scan, built when the strategy is first
+        used (see ``rewrite._scan``).  Like ``_certified``, a ``replace``
+        copy starts empty."""
+        return {}
 
     @cached_property
     def _certified(self):

@@ -81,22 +81,13 @@ def find_redexes(p, w, pump_bound=DEFAULT_PUMP_BOUND):
     return out
 
 
-class Matcher:
-    """The redex search of one presentation, built once per presentation
-    (``Polygraph.matcher``).
-
-    A word is a string (``Word.text``), so ``re`` finds the next redex.
-    ``scans`` holds one search per strategy, built when the strategy is
-    first used: ``leftmost`` reads the text forward, ``rightmost`` reads it
-    reversed, where the least start is the greatest end in the word.
-    """
-
-    def __init__(self, p):
-        self.scans = {}
-
-
 class _Scan:
-    """The redex search in one reading direction of word texts.
+    """The redex search in one reading direction of word texts, built once
+    per presentation and strategy (``_scan``).
+
+    A word is a string (``Word.text``), so ``re`` finds the next redex: the
+    ``leftmost`` scan reads the text forward, the ``rightmost`` scan reads it
+    reversed, where the least start is the greatest end in the word.
 
     A dict maps each plain left-hand side to its first rule in ``rule_key``
     order, and one pattern matches every left-hand side, pumped ones too.
@@ -220,7 +211,7 @@ class _Pumped:
 
 
 def _scan(p, strategy):
-    scans = p.matcher.scans
+    scans = p._scans
     if strategy not in scans:
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
@@ -271,7 +262,7 @@ def _walk(p, w, strategy, fuel, known=(), record=True):
             except FuelExhausted as again:  # at the step this walk ran out on
                 return again.trace
 
-        raise FuelExhausted.traced_later(message, partial_path) from None
+        raise FuelExhausted(message, partial_path) from None
     return tuple(steps), (current if record else scan.word(text, w.source))
 
 
@@ -416,16 +407,25 @@ class InterpretationCert:
     star: dict  # generator -> (a, b) meaning n -> a*n + b, a >= 0
     der: dict  # generator -> tuple of (coef, base) terms, base in {1, 2, 3}
 
-    def der_word(self, w, n):
+    def interpret(self, w, n, table):
+        """(w_*(n), der(w)(n)): the star maps composed along w, and the
+        derivation counts summed along them.  ``table`` keeps
+        (letter, n) -> (der(letter)(n), letter_*(n)) between calls."""
         total = 0
         for letter in w.letters:
-            total += sum(c * base**n for c, base in self.der[letter])
-            a, b = self.star[letter]
-            n = a * n + b
-        return total
+            step = table.get((letter, n))
+            if step is None:
+                a, b = self.star[letter]
+                step = table[letter, n] = (
+                    sum(c * base**n for c, base in self.der[letter]), a * n + b)
+            der, n = step
+            total += der
+        return n, total
 
-    def covers(self, p):
-        return all(g.name in self.star and g.name in self.der for g in p.generators)
+    def missing(self, p):
+        """The generators of p the certificate gives no star map or no
+        derivation count."""
+        return [g.name for g in p.generators if g.name not in self.star or g.name not in self.der]
 
 
 def _parse_der(text, line):
@@ -476,32 +476,18 @@ def check_interpretation_certificate(p, cert, sample_bound=16):
     """
     if sample_bound < 0:
         raise ValueError(f"sample_bound must be at least 0, got {sample_bound}")
-    missing = [g.name for g in p.generators if g.name not in cert.star or g.name not in cert.der]
+    missing = cert.missing(p)
     if missing:
         raise PresentationError(f"certificate does not cover generators: {', '.join(missing)}")
     failures = []
     rules = p.all_rule_instances(sample_bound)
-    steps = {}  # (letter, n) -> (der(letter)(n), letter_*(n)), for this call only
-
-    def interpret(w, n):
-        """(w_*(n), der(w)(n)): the star maps composed along w, and the
-        derivation count der_word computes."""
-        total = 0
-        for letter in w.letters:
-            step = steps.get((letter, n))
-            if step is None:
-                a, b = cert.star[letter]
-                step = steps[letter, n] = (
-                    sum(c * base**n for c, base in cert.der[letter]), a * n + b)
-            der, n = step
-            total += der
-        return n, total
-
+    table = {}  # for this call only: see InterpretationCert.interpret
     checked = 0
     for rule in rules:
         for n in range(sample_bound + 1):
             checked += 1
-            (su, du), (sv, dv) = interpret(rule.lhs, n), interpret(rule.rhs, n)
+            su, du = cert.interpret(rule.lhs, n, table)
+            sv, dv = cert.interpret(rule.rhs, n, table)
             if not (su >= sv and du > dv):
                 failures.append(
                     {"rule": rule.name, "n": n,

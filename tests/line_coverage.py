@@ -1,153 +1,116 @@
-"""Line coverage of the presentation checker, the sphere filler, the
-rewriting engine, the Tietze moves and the basis transfer.
+"""Line coverage of the whole library.
 
     PYTHONPATH=src python tests/line_coverage.py
 
-runs the tests in ``TESTS`` in-process under ``sys.settrace`` and fails,
-listing the lines, when any line of the functions in ``FUNCTIONS`` (the
-functions nested in them, and every method a listed class defines in its
-own source, included) goes unreached.  For the checker, these are
-``validate``, ``_diagnostics``, its word and rule-use checks
-(``word_problem``, ``rule_use_problems``), ``parse_polygraph`` and
-``parse_path``: every diagnostic is then shown to fire by some test, from
-a file or from a polygraph built directly.  For the filler, they are the
-3-cell S of a step and the straightening built on it (``_Filler``), the σ
-walks (``_sigma``), ``fill_sphere``, ``fill_positive``,
-``fill_step`` and ``fill_local_branching``: every branch is taken, among
-them a leftmost step, a leg that is σ already, a backward step, a Peiffer
-and an aspherical pair, a σ walk that runs out of fuel, and a pumped
-instance above the pump bound; a step carried along σ in a run that ends
-at the next step of σ and in one that ends at the S of the carried step,
-a Peiffer step too near σ's first to carry, and a presentation with
-pumped families, where no step carries.  For the engine, they are the
-redex search (``Matcher``, ``_Scan``, ``_Pumped``, ``_scan``), the one
-normalization walk (``_walk``), ``normalize`` and ``normal_form``: among
-them an unknown strategy, an unrecorded walk refusing a rule whose sides
-are not parallel, and a partial path built when it is read.  For the moves, they are
-``tietze_apply`` with ``_removable``, ``_check_witness`` and
-``_substitute``: each refusal fires, those ``validate`` names and those
-only a move can make.  For the transfer, they are ``check_two_functor``, ``TwoFunctor``
-and ``transfer_homotopy_basis``, every problem of a functor included.
-Besides these, the refusals of ``classify_local_branching``,
-``transported``, ``Exchange`` and ``Word.slice``, the boundary of a run
-(``Exchange.boundary``), and every branch of ``is_reduced`` and
-``knuth_bendix``.  Standard library only, besides pytest itself.
+installs a ``sys.settrace`` hook before ``polygraph`` is imported, runs all
+of tier-1 in-process with a fixed hypothesis seed, and fails, listing the
+lines, when an executable line of ``src/polygraph`` goes unreached and is
+not in ``ALLOWED``.  ``ALLOWED`` names a line by its file and its stripped
+source text, with the reason no test reaches it; an entry that names no
+unreached line fails the gate too.  Standard library only, besides pytest
+and hypothesis themselves.
 """
 
 import linecache
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from polygraph import branchings, coherence, completion, presentation, rewrite
-
 HERE = Path(__file__).parent
-TESTS = (
-    "test_input_errors.py",
-    "test_presentation.py",
-    "test_filler_oracle.py",
-    "test_budget.py",
-    "test_coherence.py",
-    "test_matcher.py",
-    "test_normal_form_oracle.py::test_words_and_rules_the_encoding_cannot_type_fall_back",
-    "test_normal_form_oracle.py::test_the_matcher_decodes_exactly_the_presentations_that_validate",
-    "test_normal_form_oracle.py::test_the_partial_path_is_built_when_the_trace_is_read",
-    "test_rewrite.py::test_an_unknown_strategy_is_a_value_error",
-    "test_expr_oracle.py::test_walks_match_the_recursions_on_every_kind_of_node",
-    "test_expr_oracle.py::test_runs_expand_into_nested_one_step_exchanges",
-    "test_cli.py::test_homology_pump_bound_too_small_is_partial",
-    "test_cli.py::test_homology_stale_declared_cells_is_usage_error",
-    "test_cli.py::test_transfer_refuses_a_tau_component_with_the_wrong_source",
-    "test_branchings.py",
-    "test_completion.py",
-)
-FUNCTIONS = (
-    presentation.validate,
-    presentation._diagnostics,
-    presentation.parse_polygraph,
-    coherence._Filler,
-    coherence._sigma,
-    coherence._first,
-    coherence._one,
-    coherence.fill_positive,
-    coherence.fill_step,
-    coherence.fill_sphere,
-    coherence.fill_local_branching,
-    rewrite.Matcher,
-    rewrite._Scan,
-    rewrite._Pumped,
-    rewrite._scan,
-    rewrite._walk,
-    rewrite.normalize,
-    rewrite.normal_form,
-    presentation.word_problem,
-    presentation.rule_use_problems,
-    presentation.tietze_apply,
-    presentation._removable,
-    presentation._check_witness,
-    presentation._substitute,
-    presentation.Word.slice,
-    presentation.parse_path,
-    coherence.check_two_functor,
-    coherence.TwoFunctor,
-    coherence.transfer_homotopy_basis,
-    coherence.Exchange,
-    coherence.transported,
-    branchings.classify_local_branching,
-    completion.is_reduced,
-    completion.knuth_bendix,
-)
+LIBRARY = (HERE.parent / "src" / "polygraph").resolve()
+HYPOTHESIS_SEED = 0
+
+ALLOWED = {
+    ("cli.py", 'lines += ["validation: FAIL"] + [f"  {m}" for m in problems]'):
+        "fault detector: transfer_homotopy_basis names its cells apart and checks each one",
+    ("cli.py", "return 1, sections, lines"):
+        "fault detector: the exit 1 of the transfer FAIL branch above",
+    ("completion.py", "raise AssertionError("):
+        "fault detector: a convergent input's pass 3 witness ends at the rule's rhs",
+    ("completion.py", 'f"pass 3 witness for {rule.name} ends at {witness.target}, "'):
+        "fault detector: the message of the assertion above",
+    ("completion.py", 'f"expected {rule.rhs}; input was not convergent"'):
+        "fault detector: the message of the assertion above",
+    ("homology.py", 'failures.append("eps_i0: augmentation does not split")'):
+        "fault detector: epsilon . i0 is the identity on Z by construction",
+    ("cli.py", "sys.exit(main())"):
+        "runs only when the module is run as a script, out of process",
+}
 
 
-def code_objects(code):
-    """``code`` and the code of every function, generator and
-    comprehension defined inside it."""
-    yield code
-    for const in code.co_consts:
-        if isinstance(const, type(code)):
-            yield from code_objects(const)
-
-
-def function_codes(obj):
-    """The code objects of a function, or of every method written in a
-    class's module (so not those a dataclass generates)."""
-    functions = [obj]
-    if isinstance(obj, type):
-        source = sys.modules[obj.__module__].__file__
-        functions = [f for f in vars(obj).values()
-                     if callable(f) and f.__code__.co_filename == source]
-    for f in functions:
-        yield from code_objects(f.__code__)
+def executable_lines(path):
+    """The lines of a source file that carry code, as line numbers."""
+    lines = set()
+    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        stack.extend(c for c in code.co_consts if isinstance(c, type(code)))
+    return lines
 
 
 def main():
-    codes = {c for obj in FUNCTIONS for c in function_codes(obj)}
-    wanted = {(c.co_filename, line) for c in codes for _, _, line in c.co_lines()
-              if line is not None}
-    reached = set()
+    files = {str(path): path for path in sorted(LIBRARY.glob("*.py"))}
+    left = {}  # library code object -> its lines not reached yet
+    tracers = {}  # library code object -> its line tracer
+    done = set()  # code objects not traced: outside the library, or every line reached
 
-    def trace_lines(frame, event, arg):
-        reached.add((frame.f_code.co_filename, frame.f_lineno))
+    def tracer(code):
+        unreached = left[code] = {line for _, _, line in code.co_lines() if line is not None}
+
+        def trace_lines(frame, event, arg):
+            unreached.discard(frame.f_lineno)
+            if not unreached:
+                done.add(code)
+            return trace_lines
+
         return trace_lines
 
     def trace_calls(frame, event, arg):
-        if frame.f_code in codes:
-            return trace_lines(frame, event, arg)
-        return None
+        code = frame.f_code
+        if code in done:
+            return None
+        trace_lines = tracers.get(code)
+        if trace_lines is None:
+            if os.path.realpath(code.co_filename) not in files:
+                done.add(code)
+                return None
+            trace_lines = tracers[code] = tracer(code)
+        return trace_lines(frame, event, arg)
 
+    sys.path.insert(0, str(LIBRARY.parent))
+    assert "polygraph" not in sys.modules
     sys.settrace(trace_calls)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *(str(HERE / t) for t in TESTS)])
+        status = pytest.main(["-q", "-p", "no:cacheprovider",
+                              f"--hypothesis-seed={HYPOTHESIS_SEED}", str(HERE)])
     finally:
         sys.settrace(None)
     if status != 0:
         return int(status)
-    missed = sorted(wanted - reached)
-    for filename, line in missed:
-        print(f"{filename}:{line}: not reached: {linecache.getline(filename, line).strip()}")
-    print(f"{len(wanted) - len(missed)} of {len(wanted)} lines reached")
-    return 1 if missed else 0
+    reached = {filename: set() for filename in files}
+    for code, unreached in left.items():
+        reached[os.path.realpath(code.co_filename)].update(
+            line for _, _, line in code.co_lines() if line not in unreached)
+    total, missed, allowed = 0, [], set()
+    for filename, path in files.items():
+        lines = executable_lines(path)
+        total += len(lines)
+        for line in sorted(lines - reached[filename]):
+            key = (path.name, linecache.getline(filename, line).strip())
+            if key in ALLOWED and key not in allowed:  # an entry allows one line
+                allowed.add(key)
+            else:
+                missed.append(f"{filename}:{line}: not reached: {key[1]}")
+    stale = [f"allowed but reached or gone: {f}: {text}"
+             for f, text in ALLOWED if (f, text) not in allowed]
+    for problem in missed + stale:
+        print(problem)
+    print(f"{total - len(missed)} of {total} lines reached or allowed "
+          f"({len(ALLOWED)} allowed)")
+    return 1 if missed or stale else 0
 
 
 if __name__ == "__main__":

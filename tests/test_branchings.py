@@ -12,13 +12,15 @@ from polygraph import (
     decide_confluence,
     enumerate_critical_branchings,
     make_local_branching,
+    parse_multiplication_table,
     parse_polygraph,
     resolve_branching,
+    standard_coherent_presentation,
 )
 from polygraph.branchings import ASPHERICAL, OVERLAPPING, PEIFFER
 from polygraph.coherence import Exchange, transported
 
-from conftest import rstep
+from conftest import Z2_TABLE, rstep
 
 
 def test_classification(b3):
@@ -174,3 +176,13 @@ def test_pumped_family_resolution_legs(sq):
         assert gamma_lefts == ["a " + " ".join(["t"] * (k + 1)) for k in range(n)]
         # the second leg lands on the join immediately: x is a normal form
         assert res.g_prime.steps == ()
+
+
+def test_a_rule_with_an_empty_left_hand_side_is_in_no_critical_branching():
+    # the standard coherent presentation's unit rule i: 1 => g_e
+    p = standard_coherent_presentation(parse_multiplication_table(Z2_TABLE))
+    assert p.lookup_rule("i").lhs.is_identity
+    without = replace(p, rules=tuple(r for r in p.rules if r.name != "i"))
+    found = enumerate_critical_branchings(p)
+    assert found and [b.entry() for b in found] == [
+        b.entry() for b in enumerate_critical_branchings(without)]

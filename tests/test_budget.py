@@ -37,6 +37,18 @@ def test_budget_charges_until_spent():
     assert Budget.of(5).left == 5
 
 
+def test_a_callable_trace_is_called_once_on_the_first_read():
+    calls = []
+    exc = FuelExhausted("spent", lambda: calls.append("built") or "partial path")
+    assert calls == []
+    assert exc.trace == "partial path"
+    assert exc.trace == "partial path"
+    assert calls == ["built"]
+    exc.trace = {"branchings": []}
+    assert exc.trace == {"branchings": []}
+    assert FuelExhausted("spent").trace is None
+
+
 def test_normalize_charges_one_unit_per_step(b3):
     w = b3.word("s t s t s t")
     budget = Budget()

@@ -5,10 +5,12 @@ import pytest
 from dataclasses import replace
 
 from polygraph import (
+    CoherentPresentation,
     CompositionError,
     NotCertified,
     PresentationError,
     RewriteStep,
+    ThreeCell,
     TwoFunctor,
     Word,
     ZigZag,
@@ -48,6 +50,17 @@ def test_single_overlap_cell_boundary(cp_mu):
     cell = cp_mu.cells[0]
     assert cell.parallel
     assert str(cell) == "conf0: a*mu*1 . 1*mu*1 === 1*mu*a . 1*mu*1"
+
+
+def test_branching_index_skips_cells_of_no_critical_branching(mu, cp_mu):
+    """A cell with an empty side, or (built without validate) one whose
+    sides start on different words, indexes no branching."""
+    (conf0,) = cp_mu.cells
+    w = conf0.source2.source
+    on_a_a = ZigZag.of(RewriteStep(mu.word("a a"), 0, mu.lookup_rule("mu")))
+    cells = (ThreeCell("identity", ZigZag(w), ZigZag(w)),
+             ThreeCell("skew", conf0.source2, on_a_a), conf0)
+    assert list(CoherentPresentation(mu, cells).branching_index.values()) == [conf0]
 
 
 def test_completed_system_cells(cp_xyx):

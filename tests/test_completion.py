@@ -14,7 +14,7 @@ from polygraph import (
     metivier_squier_reduce,
     parse_polygraph,
 )
-from polygraph.rewrite import Matcher
+from polygraph.rewrite import _Scan
 
 from conftest import A4_TEXT
 
@@ -126,25 +126,25 @@ def test_reduce_keeps_reduced_systems_unchanged(b3):
 
 @pytest.fixture
 def matchers_built(monkeypatch):
-    """The polygraphs a matcher is built for while the test runs."""
+    """The polygraphs a redex scan is built for while the test runs."""
     built = []
-    original = Matcher.__init__
+    original = _Scan.__init__
 
-    def counting(self, p):
+    def counting(self, p, reverse):
         built.append(p)
-        original(self, p)
+        original(self, p, reverse)
 
-    monkeypatch.setattr(Matcher, "__init__", counting)
+    monkeypatch.setattr(_Scan, "__init__", counting)
     return built
 
 
 def test_reduce_builds_a_matcher_only_when_a_rule_changes(matchers_built):
     done = knuth_bendix(parse_polygraph(A4_TEXT)).final
-    fresh = dataclasses.replace(done)  # no matcher cached yet
+    fresh = dataclasses.replace(done)  # no scan cached yet
     matchers_built.clear()
     result = metivier_squier_reduce(fresh)
     # completed A4 has no right-hand side to change and nothing to drop:
-    # the confluence check and pass 1 share the input's one matcher
+    # the confluence check and pass 1 share the input's one scan
     assert result.trace == ()
     assert result.final == done
     assert matchers_built == [fresh]
@@ -163,7 +163,7 @@ def test_reduce_rebuilds_after_each_changed_right_hand_side(matchers_built):
          "witness": "1*r2*1 . 1*r3*1"},
     )
     assert [str(r) for r in result.final.rules] == ["r1: d => a", "r2: c => a", "r3: b => a"]
-    # the input's matcher, then one after each of the two changes
+    # the input's scan, then one after each of the two changes
     assert len(matchers_built) == 3
 
 

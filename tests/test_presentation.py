@@ -44,6 +44,7 @@ def test_word_parsing(b3):
     one = b3.word("1")
     assert one.is_identity and str(one) == "1"
     assert w.concat(one) == w
+    assert w != "s t s" and w != w.text  # a word is never equal to a str
 
 
 def test_word_unknown_generator(b3):
@@ -124,6 +125,7 @@ def test_all_rule_instances_bound(sq):
 def test_serialization_round_trip(b3, sq, xyx_done):
     for p in (b3, sq, xyx_done):
         assert parse_polygraph(serialize_polygraph(p)) == p
+        assert str(p) == serialize_polygraph(p)
 
 
 def test_rewrite_step_words(b3):

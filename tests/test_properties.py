@@ -35,7 +35,7 @@ from polygraph import (
     validate,
     word_eq,
 )
-from polygraph.homology import add_into, scaled
+from polygraph.homology import add_into
 
 B3_LETTERS = st.lists(st.sampled_from(("a", "s", "t")), max_size=10)
 XY_LETTERS = st.lists(st.sampled_from(("x", "y")), max_size=9)
@@ -253,8 +253,8 @@ def test_bracket3_chain_rule(res_xyx, cp_xyx, xyx_done, letters):
                        st.integers(-5, 5)))
 def test_scaled_and_add_into_cancel(coeffs):
     elt = {k: v for k, v in coeffs.items() if v != 0}
-    assert add_into(dict(elt), scaled(elt, -1)) == {}
-    assert scaled(elt, 0) == {}
+    assert add_into(dict(elt), elt, -1) == {}
+    assert add_into({}, elt, 0) == {}
 
 
 @given(n=st.integers(0, 40))

@@ -166,10 +166,10 @@ def test_certificate_parse_and_evaluation(sq, sq_cert):
     assert sq_cert.star["x"] == (1, 1)  # n + 1
     assert sq_cert.star["a"] == (1, 0)  # n
     # der a = 3^n
-    assert [sq_cert.der_word(sq.word("a"), n) for n in (0, 1, 2)] == [1, 3, 9]
+    assert [sq_cert.interpret(sq.word("a"), n, {})[1] for n in (0, 1, 2)] == [1, 3, 9]
     # der x = 0
-    assert sq_cert.der_word(sq.word("x"), 5) == 0
-    assert sq_cert.covers(sq)
+    assert sq_cert.interpret(sq.word("x"), 5, {})[1] == 0
+    assert sq_cert.missing(sq) == []
 
 
 def test_certificate_star_grammar():

@@ -23,6 +23,7 @@ from polygraph import (
 )
 from polygraph.coherence import TwoFunctor, parse_transfer_maps, tau_word
 
+from conftest import CATEGORY_TEXT
 from test_coherence import IDENTITY_MAP
 
 
@@ -136,6 +137,23 @@ def test_tau_word_fails_where_its_recursive_definition_does(xyz):
             assert outcome(tau_word, f, g, components, w) == want
             raised.add(want[1] if want[0] == "raised" else None)
     assert raised == {PresentationError, CompositionError, None}
+
+
+def test_tau_word_refuses_category_data_whose_objects_do_not_meet():
+    """On a category a junction can fail on objects alone: a τ component
+    that ends at the wrong object, or a generator image that does.  The
+    same error as the recursion raises, on the words next to the junction."""
+    c = parse_polygraph(CATEGORY_TEXT)  # f: X -> Y ; g: Y -> X
+    F = TwoFunctor(c, c, {"f": c.word("f"), "g": c.word("g")}, {})
+    tau = {"f": ZigZag(c.word("f")), "g": ZigZag(c.word("g"))}
+    tau_f_at_x = {**tau, "f": ZigZag(identity_word("X"))}
+    g_to_y = TwoFunctor(c, c, {"f": c.word("f"), "g": c.word("g f")}, {})
+    for G, components, w, message in (
+            (F, tau_f_at_x, "f g", "cannot compose 1 (ends at X) with g (starts at Y)"),
+            (g_to_y, tau, "f g f", "cannot compose g f (ends at Y) with f (starts at X)")):
+        want = outcome(ref_tau_word, F, G, components, c.word(w))
+        assert want == ("raised", CompositionError, message)
+        assert outcome(tau_word, F, G, components, c.word(w)) == want
 
 
 @pytest.fixture
