@@ -6,8 +6,9 @@ The central algorithm turns a convergent presentation into a *coherent* one:
 one generating 3-cell per critical branching (squier_completion), after
 which every pair of parallel rewriting paths — indeed every zigzag 2-sphere
 — bounds a composite of those generators (fill_sphere), pasted from one
-3-cell per rewriting step (fill_step).  The composites are kept as syntax
-trees (ThreeCellExpr) so that homology can linearize them.
+3-cell per rewriting step (fill_step).  The composites are kept as DAGs
+of expression nodes (ThreeCellExpr), which ``_nodes`` walks once and every
+reader folds over, so that homology can linearize them.
 
 Orientation convention: the generating cell of a critical branching goes
 FROM the lexicographically-second leg TO the first one, i.e. source2 is the
@@ -62,20 +63,14 @@ class _Node:
 
     def __str__(self):
         """The text ``polygraph fill`` prints (not parsed back).  A node
-        that two or more parents read (per ``_nodes``) is written once, as
-        a binding ``let #i = <text> in`` ahead of the text, which reads it
-        as ``#i``.  The bindings are numbered in the order a walk from this
-        node, first child first, finishes them, so each reads only those
-        before it."""
-        counts = _nodes(self)
-        shared = []
-        _fold(self, lambda node, *_: shared.append(node) if counts[id(node)][1] > 1 else None)
+        that two or more parents read is written once, as a binding ``let
+        #i = <text> in`` ahead of the text, which reads it as ``#i``.  The
+        bindings are numbered in the order ``_nodes`` lists them, children
+        first, so each reads only those before it."""
+        shared = [node for node, parents in _nodes(self) if parents > 1]
         names = {id(node): f"#{i}" for i, node in enumerate(shared, 1)}
-        out = []
-        for node in shared:
-            out += ("let ", names[id(node)], " = ", _text(node, names), " in ")
-        out.append(_text(self, names))
-        return "".join(out)
+        lets = [f"let {names[id(node)]} = {_text(node, names)} in " for node in shared]
+        return "".join(lets) + _text(self, names)
 
 
 def _text(e, names):
@@ -215,45 +210,41 @@ def _children(node):
 
 
 def _nodes(e):
-    """Each distinct node of e (by identity) as [node, number of times its
-    parents read it], the walk on a stack of its own."""
-    nodes = {id(e): [e, 0]}
-    stack = [e]
+    """Each distinct node of e (by identity) once, as [node, number of times
+    its parents read it], in the order a recursion from e, first child
+    first, finishes them: the one walk over an expression, on a stack of its
+    own, as e may nest deeper than the recursion limit."""
+    entries = {id(e): [e, 0]}
+    out, stack = [], [(e, iter(_children(e)))]
     while stack:
-        for kid in _children(stack.pop()):
-            entry = nodes.get(id(kid))
+        for kid in stack[-1][1]:
+            entry = entries.get(id(kid))
             if entry is None:
-                entry = nodes[id(kid)] = [kid, 0]
-                stack.append(kid)
+                entries[id(kid)] = [kid, 1]
+                stack.append((kid, iter(_children(kid))))
+                break
             entry[1] += 1
-    return nodes
+        else:
+            out.append(entries[id(stack.pop()[0])])
+    return out
 
 
 def _fold(e, rule):
-    """Apply rule(node, *values of its children) to each distinct node of
-    e (by identity, so a subexpression shared in a DAG is read once),
-    children first and the first child first; return the value at e.  The
-    walk keeps its own stack: e may nest deeper than the recursion limit.
-    A child's value is dropped once the last of its parents has read it.
+    """Apply rule(node, *values of its children) to each node that
+    ``_nodes`` lists, in its order, so a subexpression shared in a DAG is
+    read once; return the value at e.  A child's value is dropped once the
+    last of its parents has read it.
     """
-    nodes = _nodes(e)
-    values = {}
-    stack = [(e, None)]
-    while stack:
-        node, kids = stack.pop()
-        if kids is None:
-            if id(node) not in values:
-                kids = _children(node)
-                stack.append((node, kids))
-                stack += ((kid, None) for kid in reversed(kids))
-            continue
-        values[id(node)] = rule(node, *[values[id(k)] for k in kids])
+    values = {}  # id -> [value, parents still to read it]
+    for node, parents in _nodes(e):
+        kids = _children(node)
+        values[id(node)] = [rule(node, *[values[id(k)][0] for k in kids]), parents]
         for k in kids:
-            entry = nodes[id(k)]
+            entry = values[id(k)]
             entry[1] -= 1
             if not entry[1]:
                 del values[id(k)]
-    return values[id(e)]
+    return values[id(e)][0]
 
 
 def _node_boundary(e, inner=None, second=None):
@@ -295,7 +286,7 @@ def boundary3(e):
 
 def generating_cells(e):
     """The set of generating 3-cell names used anywhere in the expression."""
-    return {node.cell.name for node, _ in _nodes(e).values() if isinstance(node, Gen)}
+    return {node.cell.name for node, _ in _nodes(e) if isinstance(node, Gen)}
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,12 @@ from .presentation import (
 )
 from .rewrite import deglex_compare, normal_form
 from .coherence import (
-    Comp1,
     Comp2,
     CoherentPresentation,
-    Exchange,
     Gen,
-    Id2,
     Inv,
     Whisker,
+    _fold,
     fill_step,
     sigma_path,
 )
@@ -303,27 +301,24 @@ class FreeResolution:
         whiskering as coefficient; inverses negate; horizontal and vertical
         composition are additive; identities and exchanges, Peiffer runs
         included, are invisible (they permute disjoint steps, no cell is
-        consumed).  Walked top down on a stack of (node, left whiskering,
-        sign), the first child first; a node shared in a DAG is read once
-        per path to it.
+        consumed).  A fold over the distinct nodes (``coherence._fold``):
+        a node shared in a DAG is read once and counts once per path to it.
         """
-        out = {}
-        stack = [(expr, 0, 1)]
-        while stack:
-            node, left, sign = stack.pop()
-            while isinstance(node, Comp1):
-                node = node.expr
-            if isinstance(node, Comp2):
-                stack += ((node.second, left, sign), (node.first, left, sign))
-            elif isinstance(node, Gen):
-                _acc(out, (left, node.cell.name), sign)
-            elif isinstance(node, Inv):
-                stack.append((node.expr, left, -sign))
-            elif isinstance(node, Whisker):
-                stack.append((node.expr, self._walk(left, node.left.text), sign))
-            elif not isinstance(node, (Id2, Exchange)):
-                raise TypeError(f"not a 3-cell expression: {node!r}")
-        return self._worded(out)
+        return self._worded(_fold(expr, self._node_content))
+
+    def _node_content(self, node, inner=None, second=None):
+        """One node's content, keyed by numbers, from its children's (unchanged)."""
+        if isinstance(node, Gen):
+            return {(0, node.cell.name): 1}
+        if isinstance(node, Inv):
+            return {key: -coef for key, coef in inner.items()}
+        if isinstance(node, Whisker):
+            out = {}
+            self._act_into(out, self._walk(0, node.left.text), inner, 1)
+            return out
+        if isinstance(node, Comp2):
+            return add_into(dict(inner), second) if inner and second else inner or second
+        return {} if inner is None else inner  # Comp1 is its expression's; Id2 and Exchange none
 
     # -- contracting homotopy -------------------------------------------------
 

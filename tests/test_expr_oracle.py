@@ -2,9 +2,10 @@
 
 The references below are the recursive walkers the library had: the
 boundary, the generating cells, the cell content (``bracket_3cell``) and
-the printer, each walking an expression as a tree.  The library walks with
-stacks of its own and reads the boundary and the cells once per distinct
-node.  On the spheres of ``test_filler_oracle`` and on hand-built
+the printer, each walking an expression as a tree, and the recursion that
+lists the distinct nodes.  The library has one walk, ``_nodes``, on a
+stack of its own, and reads everything else off its list once per
+distinct node.  On the spheres of ``test_filler_oracle`` and on hand-built
 expressions holding every kind of node, both must give equal values, in
 the same order where order shows.  A zigzag far deeper than the
 interpreter's recursion limit must still fill, check, linearize and print.
@@ -161,6 +162,27 @@ def ref_children(e):
     return []
 
 
+def ref_nodes(e):
+    """Each distinct node once, with the number of times its parents read
+    it, in the order a recursion from e, first child first, finishes them."""
+    reads, order = {id(e): 0}, []
+
+    def finish(n):
+        for kid in ref_children(n):
+            if id(kid) not in reads:
+                reads[id(kid)] = 0
+                finish(kid)
+            reads[id(kid)] += 1
+        order.append(n)
+
+    finish(e)
+    return [(n, reads[id(n)]) for n in order]
+
+
+def same_nodes(got, want):
+    return [(id(n), k) for n, k in got] == [(id(n), k) for n, k in want]
+
+
 def ref_expr_str(e):
     """Every node that two or more parents read bound once, numbered as a
     recursion from e, first child first, finishes it."""
@@ -237,6 +259,40 @@ def test_walks_match_the_recursions_on_the_filler_spheres(cases):  # noqa: F811
         assert_walks_agree(res, expr, label)
 
 
+def test_nodes_lists_each_node_once_in_the_order_a_recursion_finishes_them(cases):  # noqa: F811
+    for label, cp, f, g in cases:
+        expr = fill_sphere(cp, f, g)
+        got = _nodes(expr)
+        assert same_nodes(got, ref_nodes(expr)), label
+        assert len({id(n) for n, _ in got}) == len(got), label
+        assert got[-1][0] is expr and got[-1][1] == 0, label
+
+
+def test_a_node_read_twice_by_one_parent_counts_twice(b3):
+    """A hand-built DAG: the whiskered cell ``wg`` is both children of one
+    vertical composite, and the cell ``g`` is read at three depths (under
+    ``wg``, under an inverse and at the top).  ``_nodes`` lists each node
+    once, children first, with its parents' reads; the cell content counts
+    ``wg`` twice, and the two reads of ``g`` at the identity cancel.  The
+    DAG is not composable: nothing here asks for its boundary."""
+    cp = squier_completion(b3)
+    res = FreeResolution(cp)
+    g = Gen(cp.cells[0])
+    wg = Whisker(b3.word("a"), g, b3.word("s"))
+    twice = Comp2(wg, wg)
+    inv = Inv(g)
+    first = Comp2(twice, inv)
+    dag = Comp2(first, g)
+    got = _nodes(dag)
+    assert same_nodes(got, [(g, 3), (wg, 2), (twice, 1), (inv, 1), (first, 1), (dag, 0)])
+    assert same_nodes(got, ref_nodes(dag))
+    content = res.bracket_3cell(dag)
+    assert content == ref_bracket_3cell(res, dag) == {(b3.word("a"), "conf0"): 2}
+    assert str(dag) == ref_expr_str(dag) == (
+        "let #1 = conf0 in let #2 = (a * #1 * s) in (((#2 ; #2) ; inv(#1)) ; #1)")
+    assert generating_cells(dag) == ref_generating_cells(dag) == {"conf0"}
+
+
 def test_walks_match_the_recursions_on_every_kind_of_node(b3):
     """Local branchings give Whisker, Inv, Gen, Exchange and Id2 nodes;
     they are padded with paths, whiskered, and composed vertically with
@@ -293,14 +349,14 @@ def test_runs_expand_into_nested_one_step_exchanges(cases):  # noqa: F811
         expr = fill_sphere(cp, f, g)
         name = label.split("/")[0]
         runs.setdefault(name, 0)
-        for node, _ in _nodes(expr).values():
+        for node, _ in _nodes(expr):
             if isinstance(node, Exchange) and node.rest:
                 runs[name] += 1
                 expanded = expand_run(node)
                 assert boundary3(expanded) == boundary3(node) == ref_boundary(node), label
                 assert bracket(expanded) == bracket(node) == {}, label
         expanded = expand_runs(expr)
-        assert not any(isinstance(n, Exchange) and n.rest for n, _ in _nodes(expanded).values())
+        assert not any(isinstance(n, Exchange) and n.rest for n, _ in _nodes(expanded))
         assert boundary3(expanded) == (f, g), label
         assert bracket(expanded) == bracket(expr), label
     assert runs["b3"] and runs["a4"] and runs["category"], runs

@@ -293,7 +293,7 @@ def test_a_step_carries_past_the_sigma_steps_far_enough_before_it(cases):
     for label, cp, f, g in cases:
         name = label.split("/")[0]
         reach = max(len(r.lhs) for r in cp.base.rules)
-        for node, _ in _nodes(fill_sphere(cp, f, g)).values():
+        for node, _ in _nodes(fill_sphere(cp, f, g)):
             if isinstance(node, Exchange):
                 carried = not cp.base.pumped and node.step1.position - node.step2.position >= reach
                 assert carried or not node.rest, label
