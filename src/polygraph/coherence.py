@@ -867,46 +867,52 @@ def tau_word(F, G, tau_gen, w):
     from FG(w) to w: τ_{v_1} on the first letters, with the still-unfixed
     tail FG(v_2 ⋯ v_n) after it, then v_1 acting on τ_{v_2 ⋯ v_n}.
 
-    Built in one loop, right to left, with each τ_{v_k} whiskered once by
-    its fixed head v_1 ⋯ v_{k-1} and its tail FG(v_{k+1} ⋯ v_n).  The
-    junctions are checked right to left, as the recursive definition does,
-    each on the words next to it: the two words that meet there end in the
-    same tail.  A whole tail is built only for a whisker, the path's source
-    or an error message.
+    Built without recursion and checked in the recursion's order, so the
+    first failing check raises what the recursion raises: left to right,
+    each τ_{v_k}, its tail FG(v_{k+1} ⋯ v_n) (only the first is built
+    whole; a later one is new only where it starts) and τ_{v_k} whiskered
+    by it; then the junctions right to left, each on the words next to it.
+    Each τ_{v_k} is whiskered once, by v_1 ⋯ v_{k-1} and its tail.
     """
     n = len(w)
     if n == 0:
         return ZigZag(w)
-    taus = [_tau_component(tau_gen, w.letters[0])]
-    images = [G.word(w.slice(k, k + 1)) for k in range(1, n)]
-    images = [F.word(image) for image in images]  # FG(v_2), ..., FG(v_n)
-    taus += [_tau_component(tau_gen, letter) for letter in w.letters[1:]]
-    end = identity_word(w.target)
+    letters = w.letters
+    taus = [_tau_component(tau_gen, letters[0])]
+    F.word(G.word(w.slice(1, n)))  # raises what building the first tail raises
+    # at each index k ≥ 1: FG of the letter's text, where G of it starts,
+    # and where F of the first letter of G of the letters from k on starts
+    images, starts, meets = [""] * (n + 1), [None] * (n + 1), [None] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        g = G.gen_map[letters[k]]
+        images[k], starts[k] = "".join([F.gen_map[x].text for x in g.letters]), g.source
+        meets[k] = F.gen_map[g.letters[0]].source if g.text else meets[k + 1]
 
     def tail(k):
         """FG(v_{k+2} ⋯ v_n), the tail of the letter at index k, in one join."""
-        start = w.target if k == n - 1 else images[k].source
-        return Word._of("".join([image.text for image in images[k:]]), start)
+        return Word._of("".join(images[k + 1:]), w.node(k + 1))
 
+    for k in range(n):
+        at = w.node(k + 1)
+        if k:
+            taus.append(_tau_component(tau_gen, letters[k]))
+            if k + 1 < n and (starts[k + 1] != at or meets[k + 1] not in (None, at)):
+                F.word(G.word(w.slice(k + 1, n)))  # raises: the tail starts elsewhere
+        source = taus[k].source
+        if (source.source, source.target) != (w.node(k), at):
+            taus[k].whisker(identity_word(w.node(k)), tail(k))  # raises
     chunks = []  # the whiskered steps of τ_{v_n}, ..., τ_{v_1}
     for k in range(n - 1, -1, -1):
-        tau, letter = taus[k], w.slice(k, k + 1)
-        # the first word of the tail, and of the source of the component after
-        after, met = (images[k], taus[k + 1].source) if k < n - 1 else (end, end)
-        try:
-            fits = tau.target.concat(after) == letter.concat(met)
-        except CompositionError:
-            fits = False
-        if not fits:  # the whole words raise what the recursive definition raises
-            reached = taus[k + 1].source.concat(tail(k + 1)) if k < n - 1 else end
-            start, stop = tau.target.concat(tail(k)), letter.concat(reached)
+        tau = taus[k]
+        met = taus[k + 1].source.text if k < n - 1 else ""
+        if tau.target.text + images[k + 1] != w.text[k] + met:
+            reached = taus[k + 1].source.concat(tail(k + 1)) if k < n - 1 else tail(k)
+            start, stop = tau.target.concat(tail(k)), w.slice(k, k + 1).concat(reached)
             raise CompositionError(
                 f"cannot chain path ending at {start} with one starting at {stop}")
         if tau.steps:
             left, right = w.slice(0, k), tail(k)
             chunks.append([s.whisker(left, right) for s in tau.steps])
-        if k and images[k - 1].target != after.source:
-            images[k - 1].concat(tail(k))  # raises as joining the whole tail did
     steps = tuple(s for chunk in reversed(chunks) for s in chunk)
     return ZigZag._chained(taus[0].source.concat(tail(0)), steps, w)
 

@@ -23,7 +23,6 @@ is equality of elements.
 
 import random
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 
 from .presentation import (
     FuelExhausted,
@@ -32,7 +31,7 @@ from .presentation import (
     Word,
     identity_word,
 )
-from .rewrite import deglex_compare, normal_form
+from .rewrite import _deglex_key, normal_form
 from .coherence import (
     Comp2,
     CoherentPresentation,
@@ -70,18 +69,16 @@ def add_into(target, other, scale=1):
     return target
 
 
-def _word_sort_key(order):
-    def cmp(u, v):
-        return deglex_compare(order, u, v)
-
-    return cmp_to_key(cmp)
+def _order(p):
+    """p's generator order; the order of declaration when it declares none."""
+    return p.gen_order or tuple(g.name for g in p.generators)
 
 
 def format_ring(relt, order):
     """Render a ring element as 'c*w + c*w', deglex-sorted; '0' when empty."""
     if not relt:
         return "0"
-    words = sorted(relt, key=_word_sort_key(order))
+    words = sorted(relt, key=_deglex_key(order))
     return " + ".join(f"{relt[w]}*{w}" for w in words)
 
 
@@ -380,7 +377,7 @@ def sample_elements(res, samples, seed=0):
         letters = tuple(rng.choice(gens) for _ in range(length))
         v = res.nf(p.word_from_letters(letters))
         found.setdefault(v.text, v)
-    return sorted(found.values(), key=_word_sort_key(p.gen_order))
+    return sorted(found.values(), key=_deglex_key(_order(p)))
 
 
 def verify_identities(res, samples=16, seed=0):
@@ -477,7 +474,7 @@ def try_enumerate(res, bound):
                 break
         queue = frontier
     elements = [res._words[i] for i in seen]
-    return sorted(elements, key=_word_sort_key(p.gen_order)), closed
+    return sorted(elements, key=_deglex_key(_order(p))), closed
 
 
 def enumerate_elements(res, bound):
@@ -552,7 +549,7 @@ def symbolic_matrices(res):
     On a pumped family the rows of d3 are the rule instances up to the pump
     bound; an image that needs an instance above it is a bound hit
     (FuelExhausted), as in ``coherence.fill_local_branching``."""
-    order = res.presentation.gen_order
+    order = _order(res.presentation)
     bases = _basis_labels(res)
     mats = {}
     for degree in (1, 2, 3):

@@ -315,6 +315,12 @@ def deglex_compare(order, u, v):
     return EQUAL
 
 
+def _deglex_key(order):
+    """deglex_compare as a sort key: length, then the letters' ranks."""
+    rank = _rank(order)
+    return lambda w: (len(w), [rank[x] for x in w.letters])
+
+
 def _rank(order):
     if order is None:
         raise PresentationError("no generator order declared (add an order: clause)")

@@ -465,6 +465,18 @@ def test_homology_identities_all_hold(files):
     assert set(report.sections["identities"].values()) == {"ok"}
 
 
+def test_homology_runs_on_a_certificate_without_an_order_clause(files):
+    """Termination by an interpretation certificate, with no order: clause:
+    the resolution sorts its sample deglex on the generators in the order
+    they are declared, and every identity holds."""
+    f = files(p="monoid\ngenerators: a b\nrules:\nmu: a a => a\nnu: b b => b\n",
+              cert="a: star n ; der 1\nb: star n ; der 1\n")
+    code, report = run(["homology", f["p"], "--cert", f["cert"], "--json"])
+    assert code == 0, report.sections
+    assert set(report.sections["identities"].values()) == {"ok"}
+    assert report.sections["samples"] == 16
+
+
 def test_homology_with_a_cell_turned_round_exits_one_with_witnesses(files):
     # Squier's basis of xyx with conf1 declared from its target to its source
     conf0, conf1 = squier_completion(parse_polygraph(XYX_DONE_TEXT)).cells

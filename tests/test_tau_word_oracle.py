@@ -8,6 +8,7 @@ be equal on seeded words; a word far longer than the recursion limit must
 return.
 """
 
+import itertools
 import random
 import sys
 
@@ -141,19 +142,65 @@ def test_tau_word_fails_where_its_recursive_definition_does(xyz):
 
 def test_tau_word_refuses_category_data_whose_objects_do_not_meet():
     """On a category a junction can fail on objects alone: a τ component
-    that ends at the wrong object, or a generator image that does.  The
-    same error as the recursion raises, on the words next to the junction."""
+    that ends at the wrong object, or a generator image that does, in the
+    first tail or only in a later one (the tail of a later letter starts at
+    that letter's target).  The same error as the recursion raises, on the
+    words next to the junction."""
     c = parse_polygraph(CATEGORY_TEXT)  # f: X -> Y ; g: Y -> X
-    F = TwoFunctor(c, c, {"f": c.word("f"), "g": c.word("g")}, {})
+    ident = TwoFunctor(c, c, {"f": c.word("f"), "g": c.word("g")}, {})
     tau = {"f": ZigZag(c.word("f")), "g": ZigZag(c.word("g"))}
     tau_f_at_x = {**tau, "f": ZigZag(identity_word("X"))}
     g_to_y = TwoFunctor(c, c, {"f": c.word("f"), "g": c.word("g f")}, {})
-    for G, components, w, message in (
-            (F, tau_f_at_x, "f g", "cannot compose 1 (ends at X) with g (starts at Y)"),
-            (g_to_y, tau, "f g f", "cannot compose g f (ends at Y) with f (starts at X)")):
+    # G(g) starts at X: the first tail of g f g, 1_X then f g, meets; the
+    # tail of the second letter starts at Y
+    g_at_x = TwoFunctor(c, c, {"f": identity_word("X"), "g": c.word("f g")}, {})
+    # F(f) is 1_Y: it meets after F(g) = g f in the first tail of f g f,
+    # and not at the start of the tail of the second letter, at X
+    f_at_y = TwoFunctor(c, c, {"f": identity_word("Y"), "g": c.word("g f")}, {})
+    for F, G, components, w, message in (
+            (ident, ident, tau_f_at_x, "f g", "cannot compose 1 (ends at X) with g (starts at Y)"),
+            (ident, g_to_y, tau, "f g f", "cannot compose g f (ends at Y) with f (starts at X)"),
+            (ident, g_at_x, tau, "g f g", "cannot compose 1 (ends at Y) with f g (starts at X)"),
+            (f_at_y, ident, tau, "f g f", "cannot compose 1 (ends at X) with 1 (starts at Y)")):
         want = outcome(ref_tau_word, F, G, components, c.word(w))
         assert want == ("raised", CompositionError, message)
         assert outcome(tau_word, F, G, components, c.word(w)) == want
+
+
+def category_words(c, longest):
+    """The words of c of 1 to ``longest`` letters, shortest first."""
+    out = []
+    for n in range(1, longest + 1):
+        for letters in itertools.product([g.name for g in c.generators], repeat=n):
+            try:
+                out.append(c.word_from_letters(letters))
+            except PresentationError:  # f f and g g do not compose
+                pass
+    return out
+
+
+def test_tau_word_raises_what_its_recursive_definition_raises_on_every_empty_component():
+    """The identity 2-functor on the category, τ_f and τ_g each the empty
+    path on a word of up to 2 letters (the identity at the letter's source
+    among them), and every word of up to 3 letters: 150 cases.  The
+    recursion whiskers τ_{v_1} by FG(v_2 ⋯ v_n) before it recurses, so a
+    τ component that ends at the wrong object fails at the leftmost such
+    letter; tau_word raises the same error, with the same message."""
+    c = parse_polygraph(CATEGORY_TEXT)  # f: X -> Y ; g: Y -> X
+    F = TwoFunctor(c, c, {"f": c.word("f"), "g": c.word("g")}, {})
+    short = category_words(c, 2)
+    components = {x: [identity_word(c.generator_map[x].source), *short] for x in ("f", "g")}
+    cases, kinds = 0, set()
+    for tau_f in components["f"]:
+        for tau_g in components["g"]:
+            tau = {"f": ZigZag(tau_f), "g": ZigZag(tau_g)}
+            for w in category_words(c, 3):
+                want = outcome(ref_tau_word, F, F, tau, w)
+                assert outcome(tau_word, F, F, tau, w) == want, (tau_f, tau_g, w)
+                cases += 1
+                kinds.add(want[:2] if want[0] == "raised" else want[0])
+    assert cases == 150
+    assert kinds == {"returned", ("raised", CompositionError)}
 
 
 @pytest.fixture
