@@ -20,7 +20,6 @@ from .presentation import (
     Rule,
     ThreeCell,
     TietzeMove,
-    TwoCellPath,
     Word,
     ZigZag,
     identity_word,
@@ -73,7 +72,6 @@ from .coherence import (
     TwoFunctor,
     boundary3,
     check_two_functor,
-    extract_finite_subbasis,
     fill_positive,
     fill_sphere,
     generating_cells,
@@ -87,9 +85,7 @@ from .coherence import (
 )
 from .homology import (
     FreeResolution,
-    enumerate_elements,
     format_ring,
-    integer_matrices,
     symbolic_matrices,
     try_enumerate,
     verify_identities,

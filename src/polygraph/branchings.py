@@ -20,8 +20,8 @@ from .presentation import (
     CompositionError,
     FuelExhausted,
     RewriteStep,
-    TwoCellPath,
     Word,
+    ZigZag,
 )
 from .rewrite import DEFAULT_PUMP_BOUND, normal_form, normalize, termination_evidence
 
@@ -46,6 +46,12 @@ class LocalBranching:
     @property
     def offset(self):
         return self.step2.position - self.step1.position
+
+    def describe(self):
+        return (
+            f"({self.step1.rule.name} @ {self.step1.position}, "
+            f"{self.step2.rule.name} @ {self.step2.position}) on '{self.source_word}'"
+        )
 
 
 def classify_local_branching(step1, step2):
@@ -83,12 +89,6 @@ class CriticalBranching(LocalBranching):
     """
 
     family: tuple | None = None
-
-    def describe(self):
-        return (
-            f"({self.step1.rule.name} @ {self.step1.position}, "
-            f"{self.step2.rule.name} @ {self.step2.position}) on '{self.source_word}'"
-        )
 
     def entry(self):
         """The branching as a JSON report entry: its source and its two steps."""
@@ -161,8 +161,8 @@ class Resolution:
     """A confluence diagram: step_i followed by path_i ends at join_word."""
 
     branching: CriticalBranching
-    f_prime: TwoCellPath
-    g_prime: TwoCellPath
+    f_prime: ZigZag
+    g_prime: ZigZag
     join_word: Word
     status = "Confluent"
 
@@ -172,8 +172,8 @@ class NotConfluent:
     branching: CriticalBranching
     nf1: Word
     nf2: Word
-    f_prime: TwoCellPath
-    g_prime: TwoCellPath
+    f_prime: ZigZag
+    g_prime: ZigZag
     status = "NotConfluent"
 
 

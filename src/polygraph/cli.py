@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -63,7 +64,7 @@ from .coherence import (
     transfer_homotopy_basis,
     validate_table,
 )
-from .homology import FreeResolution, verify_identities, write_matrices
+from .homology import IDENTITIES, FreeResolution, verify_identities, write_matrices
 
 
 @dataclass
@@ -91,8 +92,15 @@ _STATUS = {0: "OK", 1: "FAIL", 2: "FAIL", 3: "PARTIAL"}
 
 
 def _read(path):
+    """The text of a file, which must be UTF-8; a byte that is not is an
+    input error that names the file and the byte's offset."""
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise PresentationError(
+                f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                f"at offset {exc.start}") from None
 
 
 def _load(path):
@@ -331,8 +339,7 @@ def _cmd_transfer(args):
     xi = _load(args.xi)
     F, G, tau = parse_transfer_maps(sigma, xi, _read(args.mapfile))
     cp = _coherent_from(sigma, args)
-    cells = transfer_homotopy_basis(cp.base, xi, F, G, tau, cp.cells,
-                                    pump_bound=args.pump_bound)
+    cells = transfer_homotopy_basis(xi, F, G, tau, cp.cells, pump_bound=args.pump_bound)
     problems = validate(replace(xi, three_cells=tuple(cells)))
     sections = {
         "count": len(cells),
@@ -355,16 +362,13 @@ def _cmd_transfer(args):
     return 0, sections, lines
 
 
-_IDENTITIES = ("eps_i0", "d1d2", "d2d3", "d1i1_i0eps", "d2i2_i1d1", "d3i3_i2d2")
-
-
 def _cmd_homology(args):
     p = _load(args.file)
     cert = _load_cert(args.cert)
     cp = _coherent_from(p, args, cert=cert)
     res = FreeResolution(cp)
     rep = verify_identities(res, samples=args.samples, seed=args.seed)
-    identities = {name: ("ok" if rep[name] else "FAIL") for name in _IDENTITIES}
+    identities = {name: ("ok" if rep[name] else "FAIL") for name in IDENTITIES}
     sections = {
         "cells": len(cp.cells),
         "samples": rep["samples"],
@@ -376,7 +380,7 @@ def _cmd_homology(args):
         f"(pump bound {args.pump_bound})",
         f"identities ({rep['samples']} sampled elements, seed {args.seed}):",
     ]
-    lines += [f"  {name}: {identities[name]}" for name in _IDENTITIES]
+    lines += [f"  {name}: {identities[name]}" for name in IDENTITIES]
     code = 0
     if not rep["passed"]:
         lines += [f"  witness: {w}" for w in rep["failures"][:5]]
@@ -567,11 +571,19 @@ def run(argv):
 
 
 def main(argv=None):
-    code, report = run(sys.argv[1:] if argv is None else argv)
-    machine = "--json" in (sys.argv[1:] if argv is None else argv)
-    text = format_report(report, machine)
+    argv = sys.argv[1:] if argv is None else argv
+    code, report = run(argv)
+    text = format_report(report, "--json" in argv)
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone; what is left in the buffer goes to devnull,
+            # so the flush at exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

@@ -1,6 +1,5 @@
 """3-cell expressions, Squier completion, sphere filling, the standard
-coherent presentation of a finite monoid, homotopy-basis transfer, and
-finite-subbasis extraction.
+coherent presentation of a finite monoid, and homotopy-basis transfer.
 
 The central algorithm turns a convergent presentation into a *coherent* one:
 one generating 3-cell per critical branching (squier_completion), after
@@ -394,8 +393,7 @@ def fill_local_branching(cp, f, g):
     k_core = RewriteStep(core_word, k.position - start, k.rule, k.forward)
     cell = cp.branching_index.get(_branching_key(h_core, k_core))
     if cell is None:
-        core = (f"the critical branching ({h.rule.name} @ {h.position}, "
-                f"{k.rule.name} @ {k.position}) on '{w}'")
+        core = f"the critical branching {b.describe()}"
         over = [r.name for r in (h.rule, k.rule) if r.origin and r.origin[1] > cp.pump_bound]
         if over:
             raise FuelExhausted(f"{core} needs {over[0]}, above the pump bound {cp.pump_bound}")
@@ -924,9 +922,8 @@ def _tau_component(tau_gen, letter):
         raise PresentationError(f"no tau component for generator {letter!r}") from None
 
 
-def transfer_homotopy_basis(sigma, xi, F, G, tau_gen, gamma,
-                            pump_bound=DEFAULT_PUMP_BOUND):
-    """Transport a homotopy basis Γ of sigma along F: sigma -> xi
+def transfer_homotopy_basis(xi, F, G, tau_gen, gamma, pump_bound=DEFAULT_PUMP_BOUND):
+    """Transport a homotopy basis Γ of sigma = F.source along F: sigma -> xi
     (with quasi-inverse data G: xi -> sigma and τ_v: FG(v) ⇒ v per
     generator v of xi).
 
@@ -959,25 +956,6 @@ def transfer_homotopy_basis(sigma, xi, F, G, tau_gen, gamma,
         assert out.parallel, f"transferred cell {out.name} has a non-parallel boundary"
         cells.append(out)
     return cells
-
-
-# ---------------------------------------------------------------------------
-# finite subbasis extraction
-
-
-def extract_finite_subbasis(cp, deltas, fuel=DEFAULT_FUEL):
-    """The generating 3-cells actually needed to fill the given spheres.
-
-    Fills each (f, g) pair in deltas with fill_sphere and returns the cells
-    (in declaration order) that occur in some filler.  No minimality claim:
-    the filler takes its standard route, which may pass through cells a
-    cleverer homotopy would avoid.  All fillings draw on one budget.
-    """
-    budget = Budget.of(fuel)
-    used = set()
-    for f, g in deltas:
-        used |= generating_cells(fill_sphere(cp, f, g, budget))
-    return [c for c in cp.cells if c.name in used]
 
 
 # ---------------------------------------------------------------------------

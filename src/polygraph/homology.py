@@ -196,20 +196,6 @@ class FreeResolution:
         """The normal form of w: its letters walked from the identity."""
         return self._words[self._number(w)]
 
-    def mult(self, u, v):
-        """Product in the monoid: normal form of the concatenation."""
-        return self._words[self._mult(self._number(u), self._number(v))]
-
-    def _act(self, u, elt):
-        """Left action of the monoid element u on a module element: multiply
-        every coefficient word and renormalize."""
-        numbered = {}
-        for (w, basis), coef in elt.items():
-            _acc(numbered, (self._number(w), basis), coef)
-        out = {}
-        self._act_into(out, self._number(u), numbered, 1)
-        return self._worded(out)
-
     # -- augmentation and differentials --------------------------------------
 
     def epsilon(self, relt):
@@ -346,10 +332,6 @@ class FreeResolution:
             add_into(out, self.bracket_3cell(fill_step(self.coherent, step)), coef)
         return out
 
-    def contract(self, n, x):
-        """The contracting homotopy at degree n (0..3)."""
-        return (self.i0, self.i1, self.i2, self.i3)[n](x)
-
 
 # ---------------------------------------------------------------------------
 # numerical verification of the resolution identities
@@ -380,13 +362,17 @@ def sample_elements(res, samples, seed=0):
     return sorted(found.values(), key=_deglex_key(_order(p)))
 
 
+# the identity families verify_identities checks, in the order they are reported
+IDENTITIES = ("eps_i0", "d1d2", "d2d3", "d1i1_i0eps", "d2i2_i1d1", "d3i3_i2d2")
+
+
 def verify_identities(res, samples=16, seed=0):
     """Check the chain and homotopy identities on sampled basis elements.
 
     The sample always contains the identity and short normal forms, topped up
     with seeded random ones; every identity is tested exactly, over the
     integers.  Returns a report dict with one boolean per identity family
-    plus the failures, if any.
+    (``IDENTITIES``) plus the failures, if any.
     """
     elements = sample_elements(res, samples, seed)
     _, gens, rules, cells = _basis_labels(res)
@@ -397,12 +383,11 @@ def verify_identities(res, samples=16, seed=0):
         "cells_checked": len(cells),
     }
 
+    ok = dict.fromkeys(IDENTITIES, True)
     # eps . i0 = id on Z
-    report["eps_i0"] = res.epsilon(res.i0(1)) == 1 and res.epsilon(res.i0(0)) == 0
-    if not report["eps_i0"]:
+    ok["eps_i0"] = res.epsilon(res.i0(1)) == 1 and res.epsilon(res.i0(0)) == 0
+    if not ok["eps_i0"]:
         failures.append("eps_i0: augmentation does not split")
-
-    ok = dict.fromkeys(("d1d2", "d2d3", "d1i1_i0eps", "d2i2_i1d1", "d3i3_i2d2"), True)
 
     for u in elements:
         # d1 i1 + i0 eps = id on ZM
@@ -477,18 +462,6 @@ def try_enumerate(res, bound):
     return sorted(elements, key=_deglex_key(_order(p))), closed
 
 
-def enumerate_elements(res, bound):
-    """The whole monoid as normal-form words, deglex-sorted; raises
-    PresentationError when there are more than `bound` elements."""
-    elements, closed = try_enumerate(res, bound)
-    if not closed:
-        raise PresentationError(
-            f"monoid has more than {bound} elements; "
-            "raise the bound or export symbolically"
-        )
-    return elements
-
-
 def _basis_labels(res):
     """The names of the module bases of degrees 0..3 in declaration order:
     "" for ZM itself, the generators, the rule instances up to the pump
@@ -501,11 +474,13 @@ def _basis_labels(res):
 
 
 def _sparse_differentials(res, elements):
-    """The three differentials over the Z-basis of ``integer_matrices``, one
-    at a time, as (name, row count, columns): column j maps the row index of
-    each nonzero coefficient of the j-th source basis vector's image to it.
-    The column of u[b] is the image of [b] (``_image``) acted on by the
-    number of u, its entries placed by element number; no Word is built."""
+    """The three differentials over the Z-basis, one at a time, as (name,
+    row count, columns): column j maps the row index of each nonzero
+    coefficient of the j-th source basis vector's image to it.  The Z-basis
+    of ZM[B] is basis-major: the elements, in the order given, under the
+    first basis name, then under the next.  The column of u[b] is the image
+    of [b] (``_image``) acted on by the number of u, its entries placed by
+    element number; no Word is built."""
     n = len(elements)
     row_of = {res._number(w): k for k, w in enumerate(elements)}  # number -> row
     bases = _basis_labels(res)
@@ -520,24 +495,6 @@ def _sparse_differentials(res, elements):
                 res._act_into(col, u, image, 1)
                 columns.append({offset[b] + row_of[i]: coef for (i, b), coef in col.items()})
         yield f"d{degree}", len(targets) * n, columns
-
-
-def integer_matrices(res, elements):
-    """The three differentials as integer matrices over the Z-basis.
-
-    The Z-basis of ZM[B] is ordered basis-major: all monoid elements (deglex)
-    under the first basis name, then the next.  Rows index the target, columns
-    the source; column j holds the differential of the j-th source basis
-    vector.
-    """
-    mats = {}
-    for name, rows, columns in _sparse_differentials(res, elements):
-        dense = [[0] * len(columns) for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, coef in col.items():
-                dense[i][j] = coef
-        mats[name] = dense
-    return mats
 
 
 def symbolic_matrices(res):
@@ -639,11 +596,11 @@ def write_matrices(res, out_dir, bound=2000):
         "elements": None,
         "integer": [],
     }
-    try:
-        elements = enumerate_elements(res, bound)
-    except PresentationError as exc:
+    elements, closed = try_enumerate(res, bound)
+    if not closed:
         report["finite"] = False
-        report["error"] = str(exc)
+        report["error"] = (f"monoid has more than {bound} elements; "
+                           "raise the bound or export symbolically")
         return report
 
     report["finite"] = True

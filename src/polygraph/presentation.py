@@ -291,15 +291,14 @@ class PumpedRule:
         rhs = self.rhs_prefix.concat(self._power(self.rhs_p * n + self.rhs_q), self.rhs_suffix)
         return Rule(f"{self.name}[{n}]", lhs, rhs, origin=(self.name, n))
 
-    def affine_text(self):
-        if self.rhs_p == 1:
-            return "n" if self.rhs_q == 0 else f"n+{self.rhs_q}"
-        return str(self.rhs_q)
-
     def __str__(self):
+        if self.rhs_p == 1:
+            exponent = "n" if self.rhs_q == 0 else f"n+{self.rhs_q}"
+        else:
+            exponent = str(self.rhs_q)
         return (
             f"{self.name}[n]: {self.lhs_prefix} ( {self.pump} )^n {self.lhs_suffix}"
-            f" => {self.rhs_prefix} ( {self.pump} )^( {self.affine_text()} ) {self.rhs_suffix}"
+            f" => {self.rhs_prefix} ( {self.pump} )^( {exponent} ) {self.rhs_suffix}"
         )
 
 
@@ -377,9 +376,8 @@ class RewriteStep:
 class ZigZag:
     """A composable sequence of (possibly inverted) rewriting steps.
 
-    With all steps forward this is a positive rewriting path (exported under
-    the alias TwoCellPath); in general it is a 2-cell of the free
-    (2,1)-category. Composability is checked on construction: each step
+    With all steps forward this is a positive rewriting path; in general it
+    is a 2-cell of the free (2,1)-category. Composability is checked on construction: each step
     must rewrite the word the steps before it reached.  A path the library
     builds from paths it has checked (``then``, ``inverse``, ``whisker``,
     ``reduced``, the path ``normalize`` returns) is chained at its
@@ -414,10 +412,6 @@ class ZigZag:
     @classmethod
     def of(cls, *steps):
         return cls(steps[0].source_word, tuple(steps))
-
-    @property
-    def positive(self):
-        return all(s.forward for s in self.steps)
 
     def __len__(self):
         return len(self.steps)
@@ -471,10 +465,6 @@ class ZigZag:
         if not self.steps:
             return f"id({self.source})"
         return " . ".join(str(s) for s in self.steps)
-
-
-# A positive zigzag; kept as an alias because the two views share all code.
-TwoCellPath = ZigZag
 
 
 @dataclass(frozen=True)

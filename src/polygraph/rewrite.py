@@ -28,7 +28,6 @@ from .presentation import (
     NotCertified,
     PresentationError,
     RewriteStep,
-    TwoCellPath,
     Word,
     ZigZag,
     _split_affine,
@@ -38,7 +37,6 @@ __all__ = [
     "DEFAULT_FUEL",
     "DEFAULT_PUMP_BOUND",
     "RewriteStep",
-    "TwoCellPath",
     "ZigZag",
     "find_redexes",
     "normalize",
@@ -251,7 +249,7 @@ def _walk(p, w, strategy, fuel, known=(), record=True):
     except FuelExhausted as exc:
         message = f"normalizing '{w}': {exc}"
         if record:
-            raise FuelExhausted(message, TwoCellPath._chained(w, tuple(steps), current)) from None
+            raise FuelExhausted(message, ZigZag._chained(w, tuple(steps), current)) from None
         size, spent = budget.fuel, before - budget.left
 
         def partial_path():
@@ -281,7 +279,7 @@ def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
     steps without building them.
     """
     steps, nf = _walk(p, w, strategy, fuel)
-    return nf, TwoCellPath._chained(w, steps, nf)
+    return nf, ZigZag._chained(w, steps, nf)
 
 
 def normal_form(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):
@@ -306,17 +304,13 @@ def deglex_compare(order, u, v):
     A strict total order on parallel words whenever `order` is a total order
     on the generators.
     """
-    rank = _rank(order)
-    if len(u) != len(v):
-        return LESS if len(u) < len(v) else GREATER
-    for a, b in zip(u.letters, v.letters):
-        if a != b:
-            return LESS if rank[a] < rank[b] else GREATER
-    return EQUAL
+    key = _deglex_key(order)
+    a, b = key(u), key(v)
+    return EQUAL if a == b else LESS if a < b else GREATER
 
 
 def _deglex_key(order):
-    """deglex_compare as a sort key: length, then the letters' ranks."""
+    """The deglex order as a sort key: length, then the letters' ranks."""
     rank = _rank(order)
     return lambda w: (len(w), [rank[x] for x in w.letters])
 

@@ -323,6 +323,20 @@ def a3_done():
 
 
 # --------------------------------------------------------------------------
+# the integer export, read back
+
+
+def read_int_matrices(out_dir):
+    """d1, d2 and d3 as ``write_matrices`` wrote them to out_dir: one list
+    of ints per row, read past the three header lines."""
+    mats = {}
+    for name in ("d1", "d2", "d3"):
+        lines = (out_dir / f"{name}.txt").read_text(encoding="utf-8").splitlines()[3:]
+        mats[name] = [[int(v) for v in line.split()] for line in lines]
+    return mats
+
+
+# --------------------------------------------------------------------------
 # recursive paths over the pumped presentation (and its finite variant)
 
 

@@ -8,6 +8,9 @@ with the same argv and files produce identical JSON.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +31,8 @@ from conftest import (
     XYX_TEXT,
     Z2_TABLE,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 UNREDUCED_TEXT = """\
 monoid
@@ -684,3 +689,52 @@ def test_seed_changes_sampled_elements(files):
     assert r0.sections["samples"] == r1.sections["samples"] == 16
     assert set(r0.sections["identities"].values()) == {"ok"}
     assert set(r1.sections["identities"].values()) == {"ok"}
+
+
+# --------------------------------------------------------------------------
+# undecodable input and a closed stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{bad}"],  # a presentation
+    ["cert", "{sq}", "{bad}"],  # a certificate
+    ["std", "{bad}"],  # a multiplication table
+    ["transfer", "{done}", "{done}", "{bad}"],  # a map file
+])
+def test_a_file_that_is_not_utf8_is_an_input_error(files, tmp_path, capsys, argv):
+    """Each kind of file a command reads: a byte that is not UTF-8 exits 2,
+    and the error names the file and the byte's offset."""
+    f = files(sq=SQ_TEXT, done=XYX_DONE_TEXT)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"monoid\n# caf\xe9\n")
+    assert main([arg.format(bad=bad, **f) for arg in argv] + ["--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == f"{bad}: not UTF-8: byte 0xe9 at offset 12"
+
+
+def test_main_keeps_its_exit_code_when_stdout_is_closed(files, monkeypatch):
+    f = files(b3=B3_TEXT)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = open(write_end, "w", encoding="utf-8")
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", out)
+            code = main(["check", f["b3"], "--json"])
+    finally:
+        out.close()
+    assert code == 0
+
+
+def test_a_closed_stdout_is_no_traceback(files):
+    """The reader closes the pipe before the command writes: the command
+    still exits with its own code, and writes nothing to stderr."""
+    f = files(b3=B3_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "polygraph.cli", "check", f["b3"], "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

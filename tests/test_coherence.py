@@ -16,7 +16,6 @@ from polygraph import (
     ZigZag,
     boundary3,
     check_two_functor,
-    extract_finite_subbasis,
     fill_sphere,
     generating_cells,
     parse_multiplication_table,
@@ -107,7 +106,7 @@ def test_sigma_path_reaches_normal_form(cp_xyx, xyx_done):
     z = sigma_path(cp_xyx, w)
     assert z.source == w
     assert str(z.target) == "x y y y"
-    assert z.positive
+    assert all(s.forward for s in z.steps)
 
 
 def test_fill_sphere_boundary_exact(cp_mu, mu):
@@ -135,10 +134,10 @@ def test_fill_sphere_rejects_non_parallel(cp_mu, mu):
         fill_sphere(cp_mu, f, ZigZag(mu.word("a a")))
 
 
-def test_extract_finite_subbasis(cp_xyx):
+def test_generating_cells_of_each_cell_sphere(cp_xyx):
+    """Filling the boundary of a generating cell uses that cell alone."""
     for cell in cp_xyx.cells:
-        got = extract_finite_subbasis(cp_xyx, [(cell.source2, cell.target2)])
-        assert [c.name for c in got] == [cell.name]
+        assert generating_cells(fill_sphere(cp_xyx, cell.source2, cell.target2)) == {cell.name}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ def test_functor_images_of_steps_and_words(xyx_done):
 
 def test_transfer_identity_functor(xyx_done, cp_xyx):
     F, G, tau = parse_transfer_maps(xyx_done, xyx_done, IDENTITY_MAP)
-    cells = transfer_homotopy_basis(xyx_done, xyx_done, F, G, tau, cp_xyx.cells)
+    cells = transfer_homotopy_basis(xyx_done, F, G, tau, cp_xyx.cells)
     assert [c.name for c in cells] == ["F_conf0", "F_conf1", "tau_alpha", "tau_kb1"]
     for c in cells:
         assert c.parallel
@@ -284,4 +283,4 @@ def test_transfer_identity_functor(xyx_done, cp_xyx):
 def test_transfer_demands_tau_components(xyx_done, cp_xyx):
     F, G, _ = parse_transfer_maps(xyx_done, xyx_done, IDENTITY_MAP)
     with pytest.raises(PresentationError):
-        transfer_homotopy_basis(xyx_done, xyx_done, F, G, {}, cp_xyx.cells)
+        transfer_homotopy_basis(xyx_done, F, G, {}, cp_xyx.cells)

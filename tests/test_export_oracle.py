@@ -2,7 +2,7 @@
 
 The reference builds every column of d1, d2 and d3 as a dense list, transposes
 them, and writes each matrix as one joined string.  The library builds sparse
-columns and streams the rows; its matrices and files must be identical.
+columns and streams the rows; its files must be identical byte for byte.
 """
 
 import pytest
@@ -16,13 +16,12 @@ from conftest import (
 )
 from polygraph import (
     FreeResolution,
-    enumerate_elements,
-    integer_matrices,
     knuth_bendix,
     metivier_squier_reduce,
     parse_polygraph,
     serialize_polygraph,
     squier_completion,
+    try_enumerate,
     write_matrices,
 )
 from polygraph.cli import run
@@ -81,7 +80,8 @@ def reference_int_file(name, matrix, row_desc, col_desc):
 
 def reference_files(res):
     """The bytes of d1.txt, d2.txt and d3.txt as the dense writer made them."""
-    elements = enumerate_elements(res, 2000)
+    elements, closed = try_enumerate(res, 2000)
+    assert closed
     mats = reference_matrices(res, elements)
     _, gens, rules, cells = _basis_labels(res)
     elt_desc = ", ".join(str(w) for w in elements)
@@ -114,10 +114,6 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_export_matches_dense_reference(case, tmp_path):
     cp = squier_completion(CASES[case]())
-    res = FreeResolution(cp)
-    elements = enumerate_elements(res, 2000)
-    assert integer_matrices(res, elements) == reference_matrices(FreeResolution(cp), elements)
-
     report = write_matrices(FreeResolution(cp), tmp_path)
     assert report["integer"] == ["elements.txt", "d1.txt", "d2.txt", "d3.txt"]
     for name, want in reference_files(FreeResolution(cp)).items():

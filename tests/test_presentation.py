@@ -205,10 +205,10 @@ def test_zigzag_composition_and_inverse(b3):
     ).then(ZigZag(b3.word("a s")))
     assert str(z.source) == "s t s" and str(z.target) == "a s"
     assert len(z.steps) == 1
-    assert z.positive
+    assert all(s.forward for s in z.steps)
     inv = z.inverse()
     assert inv.source == z.target and inv.target == z.source
-    assert not inv.positive
+    assert not all(s.forward for s in inv.steps)
     assert z.then(inv).reduced() == ZigZag(z.source)
     with pytest.raises(CompositionError):
         ZigZag.of(

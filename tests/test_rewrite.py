@@ -62,7 +62,7 @@ def test_normalize_leftmost_path_is_sound(b3):
     nf, path = normalize(b3, b3.word("s t s"))
     assert str(nf) == "a s"
     assert path.source == b3.word("s t s") and path.target == nf
-    assert path.positive
+    assert all(s.forward for s in path.steps)
     # the path really is a rewriting derivation: each step matches the word
     current = path.source
     for s in path.steps:
