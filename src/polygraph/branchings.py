@@ -225,8 +225,8 @@ def decide_confluence(p, cert=None, ack_sampled=False, fuel=DEFAULT_FUEL,
         try:
             nf1, nf2 = _legs(p, b, budget, normal_form)
         except FuelExhausted as exc:
-            exc.trace = {"branchings": entries, "truncated": bool(p.pumped)}
-            raise
+            partial = {"branchings": entries, "truncated": bool(p.pumped)}
+            raise FuelExhausted(str(exc), partial) from None
         entry = b.entry()
         entry["status"] = "Confluent" if nf1 == nf2 else "NotConfluent"
         if b.family:

@@ -92,11 +92,11 @@ _STATUS = {0: "OK", 1: "FAIL", 2: "FAIL", 3: "PARTIAL"}
 
 
 def _read(path):
-    """The text of a file, which must be UTF-8; a byte that is not is an
-    input error that names the file and the byte's offset."""
+    """The text of a file, which must be UTF-8, less a leading byte-order
+    mark; a byte that is not is an input error naming the file and its offset."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise PresentationError(
                 f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} "

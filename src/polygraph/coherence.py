@@ -35,6 +35,7 @@ from .presentation import (
     ThreeCell,
     Word,
     ZigZag,
+    _at_line,
     _logical_entries,
     _sections,
     identity_word,
@@ -42,7 +43,7 @@ from .presentation import (
     rule_use_problems,
     word_problem,
 )
-from .rewrite import DEFAULT_PUMP_BOUND, _walk, normalize, termination_evidence
+from .rewrite import DEFAULT_PUMP_BOUND, _scan, _walk, normalize, termination_evidence
 from .branchings import (
     ASPHERICAL,
     PEIFFER,
@@ -320,16 +321,15 @@ class CoherentPresentation:
             h, k = cell.target2.steps[0], cell.source2.steps[0]
             if h.source_word != k.source_word:
                 continue
-            index[_branching_key(h, k)] = cell
+            key = _branching_key(h.source_word.text, (h.position, h.rule.name),
+                                 (k.position, k.rule.name))
+            index[key] = cell
         return index
 
 
-def _branching_key(h, k):
-    legs = sorted(
-        [(h.rule.name, h.position), (k.rule.name, k.position)],
-        key=lambda t: (t[1], t[0]),
-    )
-    return (h.source_word.text, tuple(legs))
+def _branching_key(text, *legs):
+    """A branching on a word's text, by its legs' (offset, rule name)."""
+    return text, tuple(sorted(legs))
 
 
 def squier_completion(p, pump_bound=DEFAULT_PUMP_BOUND, fuel=DEFAULT_FUEL,
@@ -388,10 +388,9 @@ def fill_local_branching(cp, f, g):
     start = h.position
     end = max(h.span[1], k.span[1])
     u, v = w.slice(0, start), w.slice(end, len(w))
-    core_word = w.slice(start, end)
-    h_core = RewriteStep(core_word, 0, h.rule, h.forward)
-    k_core = RewriteStep(core_word, k.position - start, k.rule, k.forward)
-    cell = cp.branching_index.get(_branching_key(h_core, k_core))
+    key = _branching_key(w.text[start:end], (0, h.rule.name),
+                         (k.position - start, k.rule.name))
+    cell = cp.branching_index.get(key)
     if cell is None:
         core = f"the critical branching {b.describe()}"
         over = [r.name for r in (h.rule, k.rule) if r.origin and r.origin[1] > cp.pump_bound]
@@ -464,19 +463,18 @@ class _Filler:
     f′ ⋆₁ h is σ already has no term.
 
     Most pairs (a, b) are Peiffer, and then a is carried along σ(w) = b₁ b₂
-    … on integer offsets, past each step bᵢ that starts at least ``reach``
-    (the longest left-hand side) letters before it: no redex that the
-    carried step's rewrite creates starts that far left, so bᵢ, carried
-    after it, is still the first step of σ.  Past b₁ … b_k, with a_k the
-    carried step on w_k and w_k′ its target, σ(a's target) is b₁′ … b_k′
-    σ(w_k′), and
+    … on integer offsets, past each step bᵢ that starts more than ``reach``
+    letters before it (the leftmost scan's reach): no redex that the carried
+    step's rewrite creates starts that far left, so bᵢ, carried after it, is
+    still the first step of σ.  Past b₁ … b_k, with a_k the carried step on
+    w_k and w_k′ its target, σ(a's target) is b₁′ … b_k′ σ(w_k′), and
 
         S(a) = (run ⋆₁ σ(w_k′)) ⋆₂ (b₁ … b_k ⋆₁ S(a_k)),
 
     where the run (an Exchange) goes from a ⋆₁ b₁′ … b_k′ to b₁ … b_k ⋆₁
     a_k, and the second term is left out when a_k is the next step of σ.
-    A presentation with pumped families has no longest left-hand side, and
-    a step that does not carry past b₁ takes the general S.
+    A presentation with pumped families has no longest left-hand side and
+    makes no runs; a step that does not carry past b₁ takes the general S.
 
     Each S built costs one unit of the budget, each run one and each σ
     step walked one more; a step or a word met again costs nothing.
@@ -487,8 +485,8 @@ class _Filler:
         self.budget = budget
         self.paths = {}
         self.cells = {}
-        base = cp.base
-        self.reach = None if base.pumped else max((len(r.lhs) for r in base.rules), default=0)
+        scan = _scan(cp.base, "leftmost")
+        self.reach = None if scan.families else scan.reach
 
     def sigma(self, w):
         return _sigma(self.cp, w, self.budget, self.paths)
@@ -567,13 +565,13 @@ class _Filler:
     def carry(self, a, sig):
         """How far the step a carries along sig, the σ path of its source:
         (k, a's position on the source of sig's k-th step), carried past
-        the first k steps, each of which starts at least ``reach`` letters
+        the first k steps, each of which starts more than ``reach`` letters
         before it; (0, a's position) when it carries past none."""
         k, position = 0, a.position
         if self.reach is None:
             return k, position
         for b in sig.steps:
-            if position - b.position < self.reach:
+            if position - b.position <= self.reach:
                 break
             position += len(b.rule.rhs) - len(b.rule.lhs)
             k += 1
@@ -905,9 +903,8 @@ def tau_word(F, G, tau_gen, w):
         met = taus[k + 1].source.text if k < n - 1 else ""
         if tau.target.text + images[k + 1] != w.text[k] + met:
             reached = taus[k + 1].source.concat(tail(k + 1)) if k < n - 1 else tail(k)
-            start, stop = tau.target.concat(tail(k)), w.slice(k, k + 1).concat(reached)
-            raise CompositionError(
-                f"cannot chain path ending at {start} with one starting at {stop}")
+            stop = w.slice(k, k + 1).concat(reached)
+            ZigZag(tau.target.concat(tail(k))).then(ZigZag(stop))  # raises
         if tau.steps:
             left, right = w.slice(0, k), tail(k)
             chunks.append([s.whisker(left, right) for s in tau.steps])
@@ -988,27 +985,20 @@ def parse_transfer_maps(sigma, xi, text):
         name, image = entry.split("=>", 1)
         return name.strip(), image.strip()
 
-    def at(line, read, text):
-        """read(text), its PresentationError naming the entry's line."""
-        try:
-            return read(text)
-        except PresentationError as exc:
-            raise PresentationError(str(exc), line) from None
-
     def gen_section(key, domain, read):
         out = {}
         for line, entry in sections.get(key, []):
             name, image = split(entry, line)
             if name not in domain.generator_map:
                 raise PresentationError(f"{key}: unknown generator {name!r}", line)
-            out[name] = at(line, read, image)
+            out[name] = _at_line(line, read, image)
         return out
 
     def rule_section(key, domain, codomain):
         out = {}
         for line, entry in sections.get(key, []):
             name, image = split(entry, line)
-            at(line, domain.lookup_rule, name)  # raises on unknown names
+            _at_line(line, domain.lookup_rule, name)  # raises on unknown names
             out[name] = parse_path(codomain, image, line=line)
         return out
 

@@ -131,7 +131,7 @@ def is_reduced(p, pump_bound=DEFAULT_PUMP_BOUND):
     violations = []
     instances = p.all_rule_instances(pump_bound)
     for rule in instances:
-        for step in find_redexes(p, rule.lhs, pump_bound):
+        for step in find_redexes(p, rule.lhs):
             if step.rule == rule:
                 continue
             violations.append(
@@ -139,7 +139,7 @@ def is_reduced(p, pump_bound=DEFAULT_PUMP_BOUND):
                 f"at {step.position}"
             )
             break
-        for step in find_redexes(p, rule.rhs, pump_bound):
+        for step in find_redexes(p, rule.rhs):
             violations.append(
                 f"rule {rule.name}: rhs {rule.rhs} reducible by {step.rule.name} "
                 f"at {step.position}"

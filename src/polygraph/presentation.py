@@ -55,10 +55,6 @@ class FuelExhausted(RuntimeError):
             self._trace = self._trace()
         return self._trace
 
-    @trace.setter
-    def trace(self, value):
-        self._trace = value
-
 
 class Budget:
     """The fuel of one top-level call, shared by everything that call runs.
@@ -828,12 +824,6 @@ def parse_polygraph(text):
 
     skeleton = check(Polygraph(objects=objects, generators=tuple(generators), is_monoid=is_monoid))
 
-    def parse_word(txt, line, at=None):
-        try:
-            return skeleton.word(txt, at=at)
-        except PresentationError as exc:
-            raise PresentationError(str(exc), line) from None
-
     gen_order = None
     order_entries = sections.get("order", [])
     if order_entries:
@@ -854,9 +844,9 @@ def parse_polygraph(text):
         if not m:
             raise PresentationError(f"cannot parse rule entry {entry!r}", line)
         name, lhs_txt, rhs_txt = m.groups()
-        lhs = parse_word(lhs_txt, line)
+        lhs = _at_line(line, skeleton.word, lhs_txt)
         lines["rules", len(rules)] = line
-        rules.append(Rule(name, lhs, parse_word(rhs_txt, line, at=lhs.source)))
+        rules.append(Rule(name, lhs, _at_line(line, skeleton.word, rhs_txt, at=lhs.source)))
 
     pumped = []
     for line, entry in sections.get("pumped", []):
@@ -876,10 +866,10 @@ def parse_polygraph(text):
         if gen is None:
             raise PresentationError(f"pumped rule {name}: unknown pump letter {g1!r}", line)
         p_, q_ = _split_affine(affine, line)
-        lhs_prefix = parse_word(lp, line, at=gen.source)
-        lhs_suffix = parse_word(ls, line, at=gen.target)
-        rhs_prefix = parse_word(rp, line, at=gen.source)
-        rhs_suffix = parse_word(rs, line, at=gen.target)
+        lhs_prefix = _at_line(line, skeleton.word, lp, at=gen.source)
+        lhs_suffix = _at_line(line, skeleton.word, ls, at=gen.target)
+        rhs_prefix = _at_line(line, skeleton.word, rp, at=gen.source)
+        rhs_suffix = _at_line(line, skeleton.word, rs, at=gen.target)
         lines["pumped", len(pumped)] = line
         pumped.append(PumpedRule(
             name, lhs_prefix, lhs_suffix, rhs_prefix, rhs_suffix,
@@ -903,6 +893,14 @@ def parse_polygraph(text):
         cells.append(ThreeCell(name, src, tgt))
 
     return check(replace(partial, three_cells=tuple(cells), gen_order=gen_order))
+
+
+def _at_line(line, read, *args, **kwargs):
+    """read(*args, **kwargs), its PresentationError naming line."""
+    try:
+        return read(*args, **kwargs)
+    except PresentationError as exc:
+        raise PresentationError(str(exc), line) from None
 
 
 def parse_path(p, text, line=None):

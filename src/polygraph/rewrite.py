@@ -3,8 +3,8 @@ order, termination checks, and the word problem for certified-convergent
 presentations.
 
 Pumped rule families are instantiated lazily.  ``find_redexes`` enumerates
-instances up to a bound; a pumped left-hand side longer than the inspected
-word can never match, so a bound of the word length is exact.
+instances up to the word's length: a pumped left-hand side longer than the
+inspected word can never match, so its redex list is exact.
 ``normalize`` and ``normal_form`` enumerate none: their matcher reads the
 run of pump letters at a match, so their normal forms are exact on the
 infinite systems, not approximate.
@@ -61,16 +61,16 @@ LESS, EQUAL, GREATER = -1, 0, 1
 # redexes and steps
 
 
-def find_redexes(p, w, pump_bound=DEFAULT_PUMP_BOUND):
+def find_redexes(p, w):
     """Every way a rule matches inside w, as forward rewriting steps.
 
     Sorted by position, then by rule declaration order (pumped families come
     after the plain rules, instances ordered by n).  Rules with an identity
-    lhs never match.  Pumped instances are enumerated for n <= pump_bound,
-    further capped by len(w) since longer instances cannot match.
+    lhs never match.  The list is exact: pumped instances are enumerated for
+    n <= len(w), since longer instances cannot match.
     """
     out = []
-    for rule in p.all_rule_instances(min(pump_bound, len(w))):
+    for rule in p.all_rule_instances(len(w)):
         if rule.lhs.is_identity:
             continue
         for pos in w.occurrences(rule.lhs):

@@ -224,12 +224,12 @@ def random_word(p, rng, max_len):
     return p.word(" ".join(letters) if letters else "1")
 
 
-def random_path(p, w, rng, pump=8):
+def random_path(p, w, rng):
     """A rewriting path from w to its normal form taking random redexes."""
     steps = []
     current = w
     while True:
-        redexes = find_redexes(p, current, max(pump, len(current)))
+        redexes = find_redexes(p, current)
         if not redexes:
             return ZigZag(w, tuple(steps))
         step = rng.choice(redexes)

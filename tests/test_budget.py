@@ -44,8 +44,6 @@ def test_a_callable_trace_is_called_once_on_the_first_read():
     assert exc.trace == "partial path"
     assert exc.trace == "partial path"
     assert calls == ["built"]
-    exc.trace = {"branchings": []}
-    assert exc.trace == {"branchings": []}
     assert FuelExhausted("spent").trace is None
 
 

@@ -144,7 +144,7 @@ def with_cancelling_pairs(p, path, rng, count):
         k = rng.randint(0, len(steps))
         word = steps[k].source_word if k < len(steps) else path.target
         choices = []
-        redexes = find_redexes(p, word, SQ_PUMP_BOUND)
+        redexes = find_redexes(p, word)
         if redexes:
             t = rng.choice(redexes)
             choices.append((t, t.inverse()))

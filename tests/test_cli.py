@@ -712,6 +712,31 @@ def test_a_file_that_is_not_utf8_is_an_input_error(files, tmp_path, capsys, argv
     assert doc["error"] == f"{bad}: not UTF-8: byte 0xe9 at offset 12"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["check", "{file}"], B3_TEXT),  # a presentation
+    (["cert", "{sq}", "{file}"], SQ_CERT_TEXT),  # a certificate
+    (["std", "{file}"], Z2_TABLE),  # a multiplication table
+    (["transfer", "{done}", "{done}", "{file}"], IDENTITY_MAP),  # a map file
+], ids=["presentation", "certificate", "table", "map"])
+def test_a_leading_byte_order_mark_is_ignored(files, tmp_path, capsys, argv, text):
+    """Each kind of file a command reads: with a UTF-8 byte-order mark in
+    front it gives the output it gives without one, and a byte that is not
+    UTF-8 after the mark is still named at its offset in the file."""
+    f = files(sq=SQ_TEXT, done=XYX_DONE_TEXT)
+    path = tmp_path / "file.txt"
+    argv = [arg.format(file=path, **f) for arg in argv] + ["--json"]
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + text.encode("utf-8"))
+        outputs.append((main(argv), capsys.readouterr().out))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+    head = b"\xef\xbb\xbf" + text.encode("utf-8") + b"# caf"
+    path.write_bytes(head + b"\xe9\n")
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == f"{path}: not UTF-8: byte 0xe9 at offset {len(head)}"
+
+
 def test_main_keeps_its_exit_code_when_stdout_is_closed(files, monkeypatch):
     f = files(b3=B3_TEXT)
     read_end, write_end = os.pipe()

@@ -129,7 +129,7 @@ def ref_fill_sphere(cp, f, g, budget, memoized=False):
     which every sphere it fills shares, as the library does."""
     memo = {} if memoized else None
     try:
-        if all(s.forward for s in f.steps + g.steps) and not find_redexes(cp.base, f.target, len(f.target)):
+        if all(s.forward for s in f.steps + g.steps) and not find_redexes(cp.base, f.target):
             return ref_fill_positive(cp, f, g, budget, memo)
         return Comp2(ref_sigma_zigzag(cp, f, budget, memo),
                      Inv(ref_sigma_zigzag(cp, g, budget, memo)))

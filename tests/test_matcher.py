@@ -79,16 +79,16 @@ def presentations():
 # the oracle: the naive strategies that normalize used to call
 
 
-def leftmost_step(p, w, pump_bound):
+def leftmost_step(p, w):
     """The leftmost-innermost redex: least position, first-declared rule."""
-    redexes = find_redexes(p, w, pump_bound)
+    redexes = find_redexes(p, w)
     return redexes[0] if redexes else None
 
 
-def rightmost_step(p, w, pump_bound):
+def rightmost_step(p, w):
     """The rightmost redex: greatest end position, tie broken by greatest
     start position, then by declaration order."""
-    redexes = find_redexes(p, w, pump_bound)
+    redexes = find_redexes(p, w)
     if not redexes:
         return None
     best = max((s.span[1], s.span[0]) for s in redexes)
@@ -105,7 +105,7 @@ def oracle_normalize(p, w, strategy, fuel):
     pick = _STRATEGIES[strategy]
     steps = []
     current = w
-    while (step := pick(p, current, len(current))) is not None:
+    while (step := pick(p, current)) is not None:
         if len(steps) == fuel:
             return current, steps, True
         steps.append(step)
@@ -180,7 +180,7 @@ def test_is_normal_matches_the_naive_search(presentations, name):
     p = presentations[name]
     for w in cases(p, f"normal/{name}", 60, 6):
         normal = not normalize(p, w)[1].steps
-        assert normal == (not find_redexes(p, w, len(w))), f"{name}: '{w}'"
+        assert normal == (not find_redexes(p, w)), f"{name}: '{w}'"
 
 
 def test_pumped_instances_are_not_bounded(sq):

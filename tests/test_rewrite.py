@@ -1,6 +1,8 @@
 """Rewriting steps, normalization strategies, the deglex order, and
 termination evidence (deglex check and sampled interpretation certificates)."""
 
+import random
+
 import pytest
 
 from polygraph import (
@@ -51,11 +53,33 @@ def test_find_redexes(b3):
 
 def test_find_redexes_pumped_instances(sq):
     w = sq.word("a t t b")
-    hits = find_redexes(sq, w, pump_bound=4)
+    hits = find_redexes(sq, w)
     assert ("alpha[2]", 0) in [(s.rule.name, s.position) for s in hits]
-    # bound too small: the instance is invisible
-    hits0 = find_redexes(sq, w, pump_bound=1)
-    assert all(not s.rule.name.startswith("alpha") for s in hits0)
+
+
+def test_find_redexes_is_exact(b3, sq):
+    """A word's redex list is empty exactly when the word is normal: on
+    Squier's example with a t^n b inside (n = 0…20, past any pump bound),
+    and on B3+ and a category."""
+    rng = random.Random(1)
+    cat = parse_polygraph(CATEGORY_TEXT)
+    words = []
+    for n in range(21):
+        for _ in range(3):
+            left, right = (rng.choices("abtxy", k=rng.randint(0, 4)) for _ in "lr")
+            words.append((sq, sq.word(" ".join(left + ["a"] + ["t"] * n + ["b"] + right))))
+    for p in (b3, cat):
+        for _ in range(60):
+            node, letters = p.objects[0], []
+            for _ in range(rng.randint(0, 10)):
+                g = rng.choice([g for g in p.generators if g.source == node])
+                letters.append(g.name)
+                node = g.target
+            words.append((p, p.word_from_letters(letters, at=p.objects[0])))
+    for p, w in words:
+        assert (not find_redexes(p, w)) == (normal_form(p, w) == w), f"'{w}'"
+    w = sq.word("a " + "t " * 10 + "b")
+    assert [(s.rule.name, s.position) for s in find_redexes(sq, w)] == [("alpha[10]", 0)]
 
 
 def test_normalize_leftmost_path_is_sound(b3):
