@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product as product_of
 
 from .presentation import (
     DEFAULT_FUEL,
@@ -36,8 +37,10 @@ from .presentation import (
     Word,
     ZigZag,
     _at_line,
+    _check_junction,
     _logical_entries,
     _sections,
+    _setters,
     identity_word,
     parse_path,
     rule_use_problems,
@@ -60,6 +63,8 @@ from .branchings import (
 
 class _Node:
     """The base of the seven kinds of node."""
+
+    __slots__ = ()
 
     def __str__(self):
         """The text ``polygraph fill`` prints (not parsed back).  A node
@@ -104,21 +109,27 @@ def _text(e, names):
     return "".join(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gen(_Node):
     """A generating 3-cell, used as declared."""
 
     cell: ThreeCell
 
+    def __init__(self, cell):
+        _set_gen_cell(self, cell)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Inv(_Node):
     """The ⋆₂-inverse: swaps the boundary."""
 
     expr: "ThreeCellExpr"
 
+    def __init__(self, expr):
+        _set_inv_expr(self, expr)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Whisker(_Node):
     """0-composition with words on both sides."""
 
@@ -126,8 +137,13 @@ class Whisker(_Node):
     expr: "ThreeCellExpr"
     right: Word
 
+    def __init__(self, left, expr, right):
+        _set_whisker_left(self, left)
+        _set_whisker_expr(self, expr)
+        _set_whisker_right(self, right)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Comp1(_Node):
     """1-composition with zigzags before and after."""
 
@@ -135,8 +151,13 @@ class Comp1(_Node):
     expr: "ThreeCellExpr"
     post: ZigZag
 
+    def __init__(self, pre, expr, post):
+        _set_comp1_pre(self, pre)
+        _set_comp1_expr(self, expr)
+        _set_comp1_post(self, post)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Comp2(_Node):
     """Vertical composition; the joint must match up to free-groupoid
     reduction of the step sequences."""
@@ -144,15 +165,22 @@ class Comp2(_Node):
     first: "ThreeCellExpr"
     second: "ThreeCellExpr"
 
+    def __init__(self, first, second):
+        _set_comp2_first(self, first)
+        _set_comp2_second(self, second)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Id2(_Node):
     """The identity 3-cell on a 2-cell (zigzag)."""
 
     path: ZigZag
 
+    def __init__(self, path):
+        _set_id2_path(self, path)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Exchange(_Node):
     """A Peiffer run: step1 carried past the steps step2, *rest, each
     disjoint from step1 as carried to its word; a single exchange, the
@@ -167,11 +195,14 @@ class Exchange(_Node):
     step2: RewriteStep
     rest: tuple[RewriteStep, ...] = ()
 
-    def __post_init__(self):
-        if classify_local_branching(self.step1, self.step2) != PEIFFER:
+    def __init__(self, step1, step2, rest=()):
+        if classify_local_branching(step1, step2) != PEIFFER:
             raise CompositionError(
                 "Exchange needs two steps with disjoint spans on one word"
             )
+        _set_exchange_step1(self, step1)
+        _set_exchange_step2(self, step2)
+        _set_exchange_rest(self, rest)
 
     def boundary(self):
         """(a₀ then b₁′ … b_k′, b₁ … b_k then a_k), each side checked."""
@@ -183,6 +214,15 @@ class Exchange(_Node):
         target.append(a)
         w = self.step1.source_word
         return ZigZag(w, tuple(source)), ZigZag(w, tuple(target))
+
+
+(_set_gen_cell,) = _setters(Gen)
+(_set_inv_expr,) = _setters(Inv)
+_set_whisker_left, _set_whisker_expr, _set_whisker_right = _setters(Whisker)
+_set_comp1_pre, _set_comp1_expr, _set_comp1_post = _setters(Comp1)
+_set_comp2_first, _set_comp2_second = _setters(Comp2)
+(_set_id2_path,) = _setters(Id2)
+_set_exchange_step1, _set_exchange_step2, _set_exchange_rest = _setters(Exchange)
 
 
 ThreeCellExpr = Gen | Inv | Whisker | Comp1 | Comp2 | Id2 | Exchange
@@ -730,6 +770,21 @@ def validate_table(table):
     return out
 
 
+def _refuse_clashes(elements):
+    """PresentationError naming the first two products, or triples, of the
+    elements that the rule names m_u_v, or the 3-cell names a_u_v_w, give
+    one name."""
+    for what, prefix, n in (("products", "m", 2), ("triples", "a", 3)):
+        seen = {}
+        for key in product_of(elements, repeat=n):
+            name = "_".join((prefix, *key))
+            first = seen.setdefault(name, key)
+            if first != key:
+                raise PresentationError(
+                    f"{what} {'*'.join(first)} and {'*'.join(key)} are both named {name}"
+                )
+
+
 def standard_coherent_presentation(table):
     """The standard coherent presentation of a finite monoid.
 
@@ -739,17 +794,20 @@ def standard_coherent_presentation(table):
     is flagged by validate() by design — this presentation is a coherence
     object, not a rewriting system.
 
+    Two products, or two triples, that would get one name are refused.
     Each word is made once: one per element, pair and triple, and both
     sides of a_u_v_w share the word u v w.  A side is its first step,
-    checked where it is made, then the checked one-step path of the
-    multiplication on its target, joined by ``then``, which checks the
-    word between them.
+    checked where it is made, followed by the steps of the checked one-step
+    path of the multiplication on the word that step reaches; the first
+    step's output, spliced into u v w, is checked to be that path's source.
     """
     problems = validate_table(table)
     if problems:
         raise PresentationError("; ".join(problems))
 
     elements, product = table.elements, table.product
+    if any("_" in e for e in elements):  # else each name splits one way only
+        _refuse_clashes(elements)
     name = {e: f"g_{e}" for e in elements}
     word = {e: Word((name[e],), (MONOID_OBJECT,) * 2) for e in elements}
     mul = {}
@@ -761,19 +819,21 @@ def standard_coherent_presentation(table):
             bare[(u, v)] = ZigZag.of(RewriteStep(r.lhs, 0, r))
     iota = Rule("i", identity_word(), word[table.unit])
 
-    def side(uvw, position, rule, rest):
-        first = RewriteStep(uvw, position, rule)
-        return ZigZag._chained(uvw, (first,), first.target_word).then(rest)
-
     cells = []
     for u in elements:
+        u_text = word[u].text
         for v in elements:
-            uv = product[(u, v)]
+            m_uv = mul[(u, v)]
+            uv, uv_text = product[(u, v)], m_uv.rhs.text
             for w in elements:
-                vw = product[(v, w)]
-                uvw = word[u].concat(word[v], word[w])
-                src = side(uvw, 0, mul[(u, v)], bare[(uv, w)])
-                tgt = side(uvw, 1, mul[(v, w)], bare[(u, vw)])
+                m_vw = mul[(v, w)]
+                uvw = m_uv.lhs.concat(word[w])
+                pair = bare[(uv, w)]
+                _check_junction(uv_text + word[w].text, MONOID_OBJECT, pair.source)
+                src = ZigZag._chained(uvw, (RewriteStep(uvw, 0, m_uv), *pair.steps), pair.target)
+                pair = bare[(u, product[(v, w)])]
+                _check_junction(u_text + m_vw.rhs.text, MONOID_OBJECT, pair.source)
+                tgt = ZigZag._chained(uvw, (RewriteStep(uvw, 1, m_vw), *pair.steps), pair.target)
                 cells.append(ThreeCell(f"a_{u}_{v}_{w}", src, tgt))
     one = table.unit
     for u in elements:

@@ -7,13 +7,19 @@ generators between them (1-cells), rules rewriting words to parallel words
 presentations are the single-object case; one data model serves both.
 
 Everything is an immutable value.  Transformations return new polygraphs.
+The values made most often, RewriteStep, ZigZag and ThreeCell here and the
+expression nodes in coherence, are frozen dataclasses with slots and a
+hand-written ``__init__``: it runs the class's check and stores each field
+through its slot's own setter (``_setters``), where a generated one would
+go through the slower ``object.__setattr__``.  A field still cannot be
+assigned, and ``dataclasses.replace`` still runs the check.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 MONOID_OBJECT = "*"
@@ -303,7 +309,12 @@ class PumpedRule:
 # the rewrite module re-exports them alongside the operations)
 
 
-@dataclass(frozen=True, slots=True)
+def _setters(cls):
+    """The slot setter of each field of a slotted dataclass, in field order."""
+    return [cls.__dict__[f.name].__set__ for f in fields(cls)]
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class RewriteStep:
     """One rule application inside a context: the word left . lhs . right,
     recorded as that source word and the position of the lhs in it.
@@ -320,15 +331,19 @@ class RewriteStep:
     rule: Rule
     forward: bool = True
 
-    def __post_init__(self):
-        inner = self.rule.lhs if self.forward else self.rule.rhs
-        a, w = self.position, self.source_word
+    def __init__(self, source_word, position, rule, forward=True):
+        inner = rule.lhs if forward else rule.rhs
+        a, w = position, source_word
         if not (a >= 0 and (w.text.startswith(inner.text, a) if inner.text
                             else a <= len(w) and w.node(a) == inner.source)):
-            side = "lhs" if self.forward else "rhs"
+            side = "lhs" if forward else "rhs"
             raise CompositionError(
-                f"rule {self.rule.name}: its {side} {inner} does not occur at {a} in {w}"
+                f"rule {rule.name}: its {side} {inner} does not occur at {a} in {w}"
             )
+        _set_step_word(self, source_word)
+        _set_step_position(self, position)
+        _set_step_rule(self, rule)
+        _set_step_forward(self, forward)
 
     @property
     def left(self):
@@ -368,7 +383,10 @@ class RewriteStep:
         return f"{self.left}*{name}*{self.right}"
 
 
-@dataclass(frozen=True)
+_set_step_word, _set_step_position, _set_step_rule, _set_step_forward = _setters(RewriteStep)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ZigZag:
     """A composable sequence of (possibly inverted) rewriting steps.
 
@@ -384,7 +402,14 @@ class ZigZag:
     steps: tuple[RewriteStep, ...] = ()
     target: Word = field(init=False, compare=False)
 
+    def __init__(self, source, steps=()):
+        _set_path_source(self, source)
+        _set_path_steps(self, steps)
+        self.__post_init__()
+
     def __post_init__(self):
+        """Walk the steps from the source, each on the word the steps
+        before it reached, and set the target where the walk ends."""
         word = self.source
         for i, step in enumerate(self.steps):
             if step.source_word != word:
@@ -393,16 +418,16 @@ class ZigZag:
                     f"but the running word is {word}"
                 )
             word = step.target_word
-        object.__setattr__(self, "target", word)
+        _set_path_target(self, word)
 
     @classmethod
     def _chained(cls, source, steps, target):
         """The path of steps already known to chain from source to target,
         built without walking them again."""
         path = object.__new__(cls)
-        object.__setattr__(path, "source", source)
-        object.__setattr__(path, "steps", steps)
-        object.__setattr__(path, "target", target)
+        _set_path_source(path, source)
+        _set_path_steps(path, steps)
+        _set_path_target(path, target)
         return path
 
     @classmethod
@@ -416,10 +441,7 @@ class ZigZag:
         steps = self.steps
         tail = self.target
         for other in others:
-            if other.source != tail:
-                raise CompositionError(
-                    f"cannot chain path ending at {tail} with one starting at {other.source}"
-                )
+            _check_junction(tail.text, tail.source, other.source)
             steps = steps + other.steps
             tail = other.target
         return ZigZag._chained(self.source, steps, tail)
@@ -463,7 +485,19 @@ class ZigZag:
         return " . ".join(str(s) for s in self.steps)
 
 
-@dataclass(frozen=True)
+_set_path_source, _set_path_steps, _set_path_target = _setters(ZigZag)
+
+
+def _check_junction(text, obj, head):
+    """Refuse to follow a path that ends at the word of ``text`` from
+    ``obj`` by one that starts at the word ``head``, unless they are one."""
+    if head.text != text or head.source != obj:
+        raise CompositionError(
+            f"cannot chain path ending at {Word._of(text, obj)} with one starting at {head}"
+        )
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ThreeCell:
     """A generating 3-cell: a named pair of parallel 2-cells.
 
@@ -476,6 +510,11 @@ class ThreeCell:
     source2: ZigZag
     target2: ZigZag
 
+    def __init__(self, name, source2, target2):
+        _set_cell_name(self, name)
+        _set_cell_source2(self, source2)
+        _set_cell_target2(self, target2)
+
     @property
     def parallel(self):
         return (
@@ -485,6 +524,9 @@ class ThreeCell:
 
     def __str__(self):
         return f"{self.name}: {self.source2} === {self.target2}"
+
+
+_set_cell_name, _set_cell_source2, _set_cell_target2 = _setters(ThreeCell)
 
 
 # ---------------------------------------------------------------------------

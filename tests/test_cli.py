@@ -406,6 +406,32 @@ def test_std_refuses_two_products_for_one_pair(files):
     assert report.sections["error"] == "line 1: a second product for a*a: 'a*a=a'"
 
 
+def cyclic_table(*names):
+    """Z/n on the names, the first the unit: names[i]*names[j] = names[(i+j) % n]."""
+    entries = " ; ".join(f"{x}*{y}={names[(i + j) % len(names)]}"
+                         for i, x in enumerate(names) for j, y in enumerate(names))
+    return f"elements: {' '.join(names)}; unit: {names[0]}; table: {entries}\n"
+
+
+@pytest.mark.parametrize("names, error", [
+    (("1", "a", "a_a"), "products a*a_a and a_a*a are both named m_a_a_a"),
+    (("a", "b", "a_b"), "triples a*b*a_b and a_b*a*b are both named a_a_b_a_b"),
+])
+def test_std_refuses_two_products_or_triples_of_one_name(files, names, error):
+    code, report = run(["std", files(table=cyclic_table(*names))["table"]])
+    assert code == 2
+    assert report.sections["error"] == error
+
+
+def test_std_keeps_names_with_underscores_that_name_one_product_each(files):
+    code, report = run(["std", files(table=cyclic_table("e", "a_b"))["table"]])
+    assert code == 0
+    names = [line.split(":")[0].strip()
+             for line in report.sections["presentation"].splitlines() if line.startswith("  ")]
+    assert names[:5] == ["m_e_e", "m_e_a_b", "m_a_b_e", "m_a_b_a_b", "i"]
+    assert len(set(names)) == len(names) == 5 + 12
+
+
 def test_transfer_identity_functor(files):
     f = files(done=XYX_DONE_TEXT, map=IDENTITY_MAP)
     code, report = run(["transfer", f["done"], f["done"], f["map"]])

@@ -2,7 +2,7 @@
 coherent presentation of a finite monoid, and homotopy-basis transfer."""
 
 import pytest
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 from polygraph import (
     CoherentPresentation,
@@ -29,7 +29,7 @@ from polygraph import (
     validate,
     validate_table,
 )
-from polygraph.coherence import Gen, Inv, Whisker
+from polygraph.coherence import Comp1, Comp2, Exchange, Gen, Id2, Inv, Whisker
 
 from conftest import CATEGORY_TEXT, NONASSOC_TABLE, TRIVIAL_TABLE, XYX_DONE_TEXT, Z2_TABLE
 
@@ -60,6 +60,37 @@ def test_branching_index_skips_cells_of_no_critical_branching(mu, cp_mu):
     cells = (ThreeCell("identity", ZigZag(w), ZigZag(w)),
              ThreeCell("skew", conf0.source2, on_a_a), conf0)
     assert list(CoherentPresentation(mu, cells).branching_index.values()) == [conf0]
+
+
+def test_the_values_stay_frozen(mu, cp_mu):
+    """A step, a path, a 3-cell and each kind of node: no field can be
+    assigned, a copy is equal and hashes equal, and replace() goes through
+    the checking constructor."""
+    rule = mu.lookup_rule("mu")
+    w = mu.word("a a a a")
+    step, far = RewriteStep(w, 0, rule), RewriteStep(w, 2, rule)
+    path = ZigZag.of(step)
+    (cell,) = cp_mu.cells
+    gen = Gen(cell)
+    values = [step, path, cell, gen, Inv(gen), Whisker(mu.word("a"), gen, mu.word("1")),
+              Comp1(ZigZag(cell.source2.source), gen, ZigZag(cell.source2.target)),
+              Comp2(gen, Inv(gen)), Id2(path), Exchange(step, far)]
+    for value in values:
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, None)
+        copy = replace(value)
+        assert copy is not value and copy == value and hash(copy) == hash(value)
+        assert repr(copy) == repr(value)
+    assert repr(step) == f"RewriteStep(source_word={w!r}, position=0, rule={rule!r}, forward=True)"
+    assert replace(path).target == path.target == mu.word("a a a")
+    with pytest.raises(CompositionError, match="^rule mu: its lhs a a does not occur at 3 in a a a a$"):
+        replace(step, position=3)
+    with pytest.raises(CompositionError, match=r"^step 1 \(1\*mu\*a a\) rewrites a a a a, "
+                                               "but the running word is a a a$"):
+        replace(path, steps=(step, step))
+    with pytest.raises(CompositionError, match="^Exchange needs two steps with disjoint spans"):
+        replace(values[-1], step2=RewriteStep(w, 1, rule))
 
 
 def test_completed_system_cells(cp_xyx):
