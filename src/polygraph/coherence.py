@@ -17,6 +17,7 @@ map d₃ of the resolution come out with the signs used throughout.)
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as product_of
@@ -36,6 +37,7 @@ from .presentation import (
     ThreeCell,
     Word,
     ZigZag,
+    _NAME,
     _at_line,
     _check_junction,
     _logical_entries,
@@ -721,9 +723,15 @@ class MultiplicationTable:
 def parse_multiplication_table(text):
     """Parse a finite monoid from `elements:`, `unit:` and `table:` sections,
     read as presentation files are; table entries are `x*y=z`, at most one
-    per pair, and the last `unit` entry names the unit."""
+    per pair, and the last `unit` entry names the unit.  Element names are
+    generator names: the standard presentation names its cells after them."""
     sections = _sections(_logical_entries(text), ("elements", "unit", "table"))
-    elements = [x for _, entry in sections.get("elements", []) for x in entry.split()]
+    elements = []
+    for line, entry in sections.get("elements", []):
+        for x in entry.split():
+            if not re.fullmatch(_NAME, x):
+                raise PresentationError(f"bad element name {x!r}", line)
+            elements.append(x)
     units = sections.get("unit", [])
     product = {}
     for line, entry in sections.get("table", []):

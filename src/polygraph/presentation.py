@@ -558,9 +558,9 @@ class Polygraph:
     @cached_property
     def _scans(self):
         """The redex searches of ``normalize`` and ``normal_form`` on this
-        presentation: strategy -> its scan, built when the strategy is first
-        used (see ``rewrite._scan``).  Like ``_certified``, a ``replace``
-        copy starts empty."""
+        presentation: strategy -> its scan and the pumped instances it has
+        built, made when the strategy is first used (see ``rewrite._scan``).
+        Like ``_certified``, a ``replace`` copy starts empty."""
         return {}
 
     @cached_property

@@ -10,9 +10,11 @@ run of pump letters at a match, so their normal forms are exact on the
 infinite systems, not approximate.
 
 Every normalization path, the sphere filler's σ included, and every normal
-form comes from one walk (``_walk``), the only loop that turns the matcher's
-rewrites into charged steps; ``normal_form`` runs it without recording the
-steps.
+form comes from one loop over the redex scan's table (``_walk``): it
+searches, charges, splices and records each step itself.  On pumped
+systems the scan picks the instance at each match, and each family keeps
+the instances it built, so ``alpha[n]`` is built once per presentation
+and strategy.  ``normal_form`` runs the loop without recording the steps.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .presentation import (
     RewriteStep,
     Word,
     ZigZag,
+    _set_step_forward,
+    _set_step_position,
+    _set_step_rule,
+    _set_step_word,
     _split_affine,
 )
 
@@ -56,6 +62,8 @@ DEFAULT_PUMP_BOUND = 8
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
+_new = object.__new__
+
 
 # ---------------------------------------------------------------------------
 # redexes and steps
@@ -81,46 +89,45 @@ def find_redexes(p, w):
 
 class _Scan:
     """The redex search in one reading direction of word texts, built once
-    per presentation and strategy (``_scan``).
+    per presentation and strategy (``_scan``) and run by ``_walk``.
 
     A word is a string (``Word.text``), so ``re`` finds the next redex: the
     ``leftmost`` scan reads the text forward, the ``rightmost`` scan reads it
     reversed, where the least start is the greatest end in the word.
 
-    A dict maps each plain left-hand side to its first rule in ``rule_key``
-    order, and one pattern matches every left-hand side, pumped ones too.
-    ``search`` takes the redex that starts first in this direction; among
-    those, the forward scan takes the first rule, the reversed scan the
-    shortest left-hand side (the greatest start in the word), then the first
-    rule.  The pattern lists the plain left-hand sides in that order, so at
-    the first start ``re`` takes the best of them.  Pumped instances are
-    never enumerated: the run of pump letters at the match fixes the least n.
+    The table maps each plain left-hand side to the entry of its first rule
+    in ``rule_key`` order: (rule, rhs text in this direction, lhs length).
+    One pattern matches every left-hand side, pumped ones too.  The redex
+    to take starts first in this direction; among those, the forward scan
+    takes the first rule, the reversed scan the shortest left-hand side
+    (the greatest start in the word), then the first rule.  The pattern
+    lists the plain left-hand sides in that order, so at the first start
+    ``re`` takes the best of them: without pumped families, the table entry
+    of the match is the step.  Pumped instances are never enumerated
+    (``pick``): the run of pump letters at the match fixes the least n.
     """
 
     def __init__(self, p, reverse):
         self.reverse = reverse
-        self.plain = {}  # lhs -> (order, rule, rhs), the least order per lhs
+        self.table = {}  # lhs -> (rule, rhs, len(lhs)), of the least order per lhs
+        self.order = {}  # lhs -> that order
         for decl, rule in enumerate(p.rules):
             if not rule.lhs.is_identity:
                 lhs, rank = self.read(rule.lhs), (p.rule_key(rule), decl)
                 order = (len(lhs), rank) if reverse else rank
-                if lhs not in self.plain or order < self.plain[lhs][0]:
-                    self.plain[lhs] = (order, rule, self.read(rule.rhs))
-        self.families = []
-        for decl, fam in enumerate(p.pumped, start=len(p.rules)):
-            head, tail = self.read(fam.lhs_prefix), self.read(fam.lhs_suffix)
-            if reverse:
-                head, tail = tail, head
-            key = p.rule_key(fam.instance(0))[0]
-            self.families.append(_Pumped(fam, head, fam._power(1).text, tail, key, decl))
-        best = sorted(self.plain, key=lambda lhs: self.plain[lhs][0])
+                if lhs not in self.order or order < self.order[lhs]:
+                    self.order[lhs] = order
+                    self.table[lhs] = (rule, self.read(rule.rhs), len(lhs))
+        self.families = [_Pumped(fam, reverse, p.rule_key(fam.instance(0))[0], decl)
+                         for decl, fam in enumerate(p.pumped, start=len(p.rules))]
+        best = sorted(self.order, key=self.order.get)
         alternatives = [re.escape(lhs) for lhs in best] + [fam.regex for fam in self.families]
-        self.pattern = re.compile("|".join(alternatives)) if alternatives else None
+        self.pattern = re.compile("|".join(alternatives) or "(?!)")  # (?!) never matches
         # A redex that is new after a rewrite at x reaches past x, so it
         # starts less than the longest fixed part (reach + 1) before x,
         # unless its run of pump letters reaches back beyond that; then it
         # starts at most the longest head (back) before the run.
-        fixed = [len(lhs) for lhs in self.plain] + [f.fixed for f in self.families]
+        fixed = [len(lhs) for lhs in self.table] + [f.fixed for f in self.families]
         self.reach = max(fixed + [1]) - 1
         self.pumps = "".join(f.pump for f in self.families)
         self.back = max((len(f.head) for f in self.families), default=0)
@@ -133,18 +140,12 @@ class _Scan:
         """The word of a text in this direction, starting at source."""
         return Word._of(text[::-1] if self.reverse else text, source)
 
-    def search(self, text, lo):
-        """The redex to take in text at or after lo, as (position in text,
-        rule, rhs text in this direction), or None."""
-        found = self.pattern.search(text, lo) if self.pattern else None
-        if found is None:
-            return None
-        x = found.start()
-        # (order, rule, rhs) of the best plain redex at x, or (order,
-        # family, n) until an instance is taken
-        best = self.plain.get(found.group())
-        if not self.families:
-            return x, best[1], best[2]
+    def pick(self, text, found):
+        """The entry of the redex to take at the match found in text, on a
+        presentation with pumped families: a plain rule's, or an instance's."""
+        x, lhs = found.start(), found.group()
+        # (order, None, lhs) of the plain redex at x, or (order, family, n)
+        best = (self.order[lhs], None, lhs) if lhs in self.table else None
         for fam in self.families:
             n = fam.least_n(text, x)
             if n is not None:
@@ -152,48 +153,26 @@ class _Scan:
                 order = (fam.fixed + n, rank) if self.reverse else rank
                 if best is None or order < best[0]:
                     best = (order, fam, n)
-        _, chosen, rhs = best
-        if isinstance(chosen, _Pumped):
-            rule = chosen.family.instance(rhs)
-            return x, rule, self.read(rule.rhs)
-        return x, chosen, rhs
-
-    def rescan(self, text, x):
-        """Where to search again after a rewrite at x, given that no redex
-        started before x: no redex of the new text starts before it."""
-        lo = max(x - self.reach, 0)
-        if self.pumps:
-            lo = max(len(text[:lo].rstrip(self.pumps)) - self.back, 0)
-        return lo
-
-    def rewrites(self, text):
-        """The rewrites this strategy takes on a text in this direction,
-        one at a time, as (position of the redex in the word read forward,
-        rule, text after the rewrite).  The next redex is searched only when
-        the caller asks for it, after the search resumed where a new redex
-        can start; stopping early (on fuel) stops the search."""
-        lo = 0
-        while (hit := self.search(text, lo)) is not None:
-            x, rule, rhs = hit
-            k = len(rule.lhs.text)
-            after = text[:x] + rhs + text[x + k:]
-            yield (len(text) - x - k if self.reverse else x), rule, after
-            text = after
-            lo = self.rescan(text, x)
+        _, fam, key = best
+        return self.table[key] if fam is None else fam.entry(key)
 
 
 class _Pumped:
-    """A pumped family read in one direction: head . pump^n . tail."""
+    """A pumped family read in one direction: head . pump^n . tail, with
+    the entry of each instance met, built once (``entry``)."""
 
-    def __init__(self, family, head, pump, tail, key, decl):
-        self.family = family
-        self.head, self.pump, self.tail = head, pump, tail
+    def __init__(self, family, reverse, key, decl):
+        head, tail = family.lhs_prefix.text, family.lhs_suffix.text
+        if reverse:
+            head, tail = tail[::-1], head[::-1]
+        self.family, self.reverse, self.instances = family, reverse, {}
+        self.head, self.pump, self.tail = head, family._power(1).text, tail
         self.key, self.decl = key, decl  # its rule_key stem and declaration index
         self.fixed = len(head) + len(tail)
         self.least = 0 if self.fixed else 1  # an empty lhs never matches
-        self.run = re.compile(re.escape(pump) + "*")
-        self.tail_pumps = len(tail) - len(tail.lstrip(pump))
-        self.regex = (re.escape(head) + re.escape(pump) + ("*" if self.fixed else "+")
+        self.run = re.compile(re.escape(self.pump) + "*")
+        self.tail_pumps = len(tail) - len(tail.lstrip(self.pump))
+        self.regex = (re.escape(head) + re.escape(self.pump) + ("*" if self.fixed else "+")
                       + re.escape(tail))
 
     def least_n(self, text, x):
@@ -207,6 +186,14 @@ class _Pumped:
         n = pumps - self.tail_pumps  # the run stops inside the tail
         return n if n >= 0 and text.startswith(self.tail, start + n) else None
 
+    def entry(self, n):
+        """Instance n's entry, as in the scan's table."""
+        if n not in self.instances:
+            rule = self.family.instance(n)
+            rhs = rule.rhs.text[::-1] if self.reverse else rule.rhs.text
+            self.instances[n] = (rule, rhs, len(rule.lhs.text))
+        return self.instances[n]
+
 
 def _scan(p, strategy):
     scans = p._scans
@@ -219,11 +206,13 @@ def _scan(p, strategy):
 
 def _walk(p, w, strategy, fuel, known=(), record=True):
     """The steps strategy takes from w, one unit of fuel each, as (steps,
-    the word they reach).  Each step checks its input side, and reaches the
-    text the scan spliced.  The walk stops at a normal form, or at the
-    first word it reaches that is in ``known``.  When the fuel runs out,
-    FuelExhausted carries the partial path paid for in .trace, under
-    ``normalize``'s message.
+    the word they reach).  One loop searches the scan's pattern, reads the
+    step's entry (from the table, or ``pick``), charges it, splices the
+    text, and builds the step, checking its input side, and its target
+    word.  The walk stops at a normal form, or at the first word it
+    reaches that is in ``known``.  When the fuel runs out, FuelExhausted
+    carries the partial path paid for in .trace, under ``normalize``'s
+    message.
 
     Unrecorded, the walk takes the same rewrites on the text alone and
     returns no steps; a partial path is then built when .trace is first
@@ -232,18 +221,37 @@ def _walk(p, w, strategy, fuel, known=(), record=True):
     scan = _scan(p, strategy)
     budget = Budget.of(fuel)
     before = budget.left
+    search, table, reach, pumps, back = (scan.pattern.search, scan.table, scan.reach,
+                                         scan.pumps, scan.back)
+    reverse, source = scan.reverse, w.source
     steps = []
     current = w
     text = scan.read(w)
+    lo = 0
     try:
-        for i, rule, after in scan.rewrites(text):
+        while (found := search(text, lo)) is not None:
+            x = found.start()
+            rule, rhs, k = scan.pick(text, found) if pumps else table[found.group()]
             budget.charge()
+            i = len(text) - x - k if reverse else x
             if not rule.parallel:  # target_word refuses the step
-                RewriteStep(scan.word(text, w.source), i, rule).target_word
-            text = after
+                RewriteStep(scan.word(text, source), i, rule).target_word
+            text = text[:x] + rhs + text[x + k:]
+            lo = x - reach if x > reach else 0  # no redex of the new text starts before lo
+            if pumps:  # unless its run of pump letters reaches back beyond
+                lo = max(len(text[:lo].rstrip(pumps)) - back, 0)
             if record:
-                steps.append(RewriteStep(current, i, rule))
-                current = scan.word(text, w.source)
+                if not current.text.startswith(rule.lhs.text, i):
+                    RewriteStep(current, i, rule)  # raises: the lhs does not occur at i
+                step = _new(RewriteStep)
+                _set_step_word(step, current)
+                _set_step_position(step, i)
+                _set_step_rule(step, rule)
+                _set_step_forward(step, True)
+                steps.append(step)
+                current = _new(Word)
+                current.text = text[::-1] if reverse else text
+                current.source = source
                 if current in known:
                     break
     except FuelExhausted as exc:
@@ -261,7 +269,7 @@ def _walk(p, w, strategy, fuel, known=(), record=True):
                 return again.trace
 
         raise FuelExhausted(message, partial_path) from None
-    return tuple(steps), (current if record else scan.word(text, w.source))
+    return tuple(steps), (current if record else scan.word(text, source))
 
 
 def normalize(p, w, strategy="leftmost", fuel=DEFAULT_FUEL):

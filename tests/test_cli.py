@@ -432,6 +432,28 @@ def test_std_keeps_names_with_underscores_that_name_one_product_each(files):
     assert len(set(names)) == len(names) == 5 + 12
 
 
+@pytest.mark.parametrize("name", ["a.b", "a:b", "[a]", "a(b", "a*b"])
+def test_std_refuses_an_element_name_that_is_no_generator_name(files, name):
+    code, report = run(["std", files(table=cyclic_table("1", name))["table"]])
+    assert code == 2
+    assert report.sections["error"] == f"line 1: bad element name {name!r}"
+
+
+@pytest.mark.parametrize("name", ["a-b", "x'", "a_b", "2"])
+def test_std_prints_element_names_that_read_back(files, name):
+    """check reads every name std prints.  The one complaint is the unit
+    rule i, whose identity lhs std declares on purpose; without it and the
+    unit cells l and r that use it, the presentation checks."""
+    code, report = run(["std", files(table=cyclic_table("1", name))["table"]])
+    assert code == 0
+    lines = report.sections["presentation"].splitlines()
+    code, report = run(["check", files(full="\n".join(lines) + "\n")["full"]])
+    assert (code, report.sections["error"]) == (2, "line 8: rule i: lhs is an identity")
+    kept = [line for line in lines if not line.lstrip().startswith(("i:", "l_", "r_"))]
+    code, report = run(["check", files(kept="\n".join(kept) + "\n")["kept"]])
+    assert code == 0, report.human
+
+
 def test_transfer_identity_functor(files):
     f = files(done=XYX_DONE_TEXT, map=IDENTITY_MAP)
     code, report = run(["transfer", f["done"], f["done"], f["map"]])

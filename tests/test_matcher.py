@@ -48,8 +48,13 @@ wide[n]: c ( t )^n a b a b a b => c ( t )^( 0 )
 """
 
 # a word where one rewrite completes an instance of wide that starts more
-# than the longest plain lhs before the rewrite
-CRAFTED = {"pump-edges": ["c a b a b a a t b"]}
+# than the longest plain lhs before the rewrite; then words where a plain
+# lhs and a pumped instance start at one position of the text a scan reads:
+# ct and runs[0] or runs[1] at the start of the word (read forward), tb
+# and tail[0] or tail[1] at its end (read reversed), and ct with runs[0]
+# and tb with tail[0] at both
+CRAFTED = {"pump-edges": ["c a b a b a a t b", "c t t t", "c t t", "a t t b", "a t b",
+                          "b c t t t a t b", "c t t a t t b"]}
 
 PRESENTATIONS = {
     "b3": B3_TEXT,

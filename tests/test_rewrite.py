@@ -1,6 +1,7 @@
 """Rewriting steps, normalization strategies, the deglex order, and
 termination evidence (deglex check and sampled interpretation certificates)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -22,9 +23,9 @@ from polygraph import (
     word_eq,
 )
 from polygraph.cli import run
-from polygraph.rewrite import EQUAL, GREATER, LESS, deglex_compare
+from polygraph.rewrite import EQUAL, GREATER, LESS, _scan, deglex_compare
 
-from conftest import CATEGORY_TEXT, SQ_BAD_CERT_TEXT
+from conftest import CATEGORY_TEXT, SQ_BAD_CERT_TEXT, SQ_TEXT
 
 
 def test_deglex_length_first(b3):
@@ -114,6 +115,52 @@ def test_normal_form_is_fixed_point(b3):
     nf, _ = normalize(b3, b3.word("t a t a"))
     again, path = normalize(b3, nf)
     assert again == nf and not path.steps
+
+
+def sq_pump_words(sq):
+    """SQ words whose pump runs repeat, side by side and nested."""
+    runs = " ".join("a " + "t " * n + "b" for n in (2, 0, 2, 5, 2, 0, 5, 1))
+    texts = [runs, "x " + runs + " y", "a a t t b t b b", "x a t t b a t t b t x a b"]
+    return [sq.word(text) for text in texts]
+
+
+def test_each_pumped_instance_is_built_once_per_scan():
+    """The scan of a strategy builds alpha[n] the first time it takes it
+    and keeps it: every step of that instance holds instance(n)'s rule,
+    one object per presentation, strategy and n.  A replace copy of the
+    presentation starts without any."""
+    sq = parse_polygraph(SQ_TEXT)
+    family = sq.pumped[0]
+    taken = {}  # (strategy, n) -> the rules of the steps that took alpha[n]
+    for strategy in ("leftmost", "rightmost"):
+        for w in sq_pump_words(sq):
+            for step in normalize(sq, w, strategy)[1].steps:
+                if step.rule.origin is not None:
+                    n = step.rule.origin[1]
+                    assert step.rule == family.instance(n)
+                    taken.setdefault((strategy, n), []).append(step.rule)
+    assert {(s, n) for s in ("leftmost", "rightmost") for n in (0, 1, 2, 5)} <= set(taken)
+    for rules in taken.values():
+        assert len(rules) > 1 and all(rule is rules[0] for rule in rules)
+    assert taken["leftmost", 2][0] is not taken["rightmost", 2][0]
+
+    copy = dataclasses.replace(sq)
+    assert copy._scans == {}
+    [step] = normalize(copy, copy.word("a t t b"))[1].steps
+    assert step.rule == taken["leftmost", 2][0] and step.rule is not taken["leftmost", 2][0]
+
+
+def test_a_recorded_step_checks_its_input_side(b3):
+    """The walk builds each recorded step itself, with RewriteStep's check
+    and error text: a scan whose table names the wrong rule for a
+    left-hand side is refused at the first step it would record."""
+    p = dataclasses.replace(b3)  # a scan of its own
+    table = _scan(p, "leftmost").table
+    alpha, beta = p.rules[:2]
+    table[alpha.lhs.text] = (beta, *table[alpha.lhs.text][1:])
+    with pytest.raises(CompositionError) as exc:
+        normalize(p, p.word("a t a"))
+    assert str(exc.value) == "rule beta: its lhs s t does not occur at 1 in a t a"
 
 
 def test_an_unknown_strategy_is_a_value_error(b3):
