@@ -4,8 +4,6 @@ the low-dimensional free resolution extracted from a coherent presentation.
 """
 
 from .presentation import (
-    AddGenerator,
-    AddRule,
     Budget,
     CompositionError,
     FuelExhausted,
@@ -14,19 +12,15 @@ from .presentation import (
     Polygraph,
     PresentationError,
     PumpedRule,
-    RemoveGenerator,
-    RemoveRule,
     RewriteStep,
     Rule,
     ThreeCell,
-    TietzeMove,
     Word,
     ZigZag,
     identity_word,
     parse_path,
     parse_polygraph,
     serialize_polygraph,
-    tietze_apply,
     validate,
 )
 from .rewrite import (

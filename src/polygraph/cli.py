@@ -73,6 +73,7 @@ class Report:
     status: str  # OK | FAIL | PARTIAL
     sections: dict
     human: tuple
+    machine: bool = False  # the parsed --json: how main renders the report
 
 
 def format_report(report, machine):
@@ -554,8 +555,9 @@ def run(argv):
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         command = argv[0] if argv else ""
+        # no parse to ask: a usage error answers in JSON if the word is there
         return code, Report(command, _STATUS.get(code, "FAIL"),
-                            {"error": "usage"}, ())
+                            {"error": "usage"}, (), "--json" in argv)
 
     try:
         code, sections, lines = args.handler(args)
@@ -566,14 +568,13 @@ def run(argv):
         if exc.trace is not None:  # a partial report, or a partial path as text
             sections["trace"] = exc.trace if isinstance(exc.trace, dict) else str(exc.trace)
         code, lines = 3, [f"fuel exhausted: {exc}"]
-    return code, Report(args.command if hasattr(args, "command") else "",
-                        _STATUS[code], sections, tuple(lines))
+    return code, Report(args.command, _STATUS[code], sections, tuple(lines), args.json)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     code, report = run(argv)
-    text = format_report(report, "--json" in argv)
+    text = format_report(report, report.machine)
     if text:
         try:
             print(text)

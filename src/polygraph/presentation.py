@@ -6,12 +6,12 @@ generators between them (1-cells), rules rewriting words to parallel words
 (2-cells), and optional 3-cells connecting parallel rewriting paths.  Monoid
 presentations are the single-object case; one data model serves both.
 
-Everything is an immutable value.  Transformations return new polygraphs.
-The values made most often, RewriteStep, ZigZag and ThreeCell here and the
-expression nodes in coherence, are frozen dataclasses with slots and a
-hand-written ``__init__``: it runs the class's check and stores each field
-through its slot's own setter (``_setters``), where a generated one would
-go through the slower ``object.__setattr__``.  A field still cannot be
+Everything is an immutable value: completion and reduction return new
+polygraphs.  The values made most often, RewriteStep, ZigZag and ThreeCell
+here and the expression nodes in coherence, are frozen dataclasses with
+slots and a hand-written ``__init__``: it runs the class's check and stores
+each field through its slot's own setter (``_setters``), where a generated
+one would go through the slower ``object.__setattr__``.  A field still cannot be
 assigned, and ``dataclasses.replace`` still runs the check.
 """
 
@@ -1016,129 +1016,3 @@ def serialize_polygraph(p):
             lines.append(f"  {c}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Tietze transformations
-
-
-@dataclass(frozen=True)
-class AddGenerator:
-    """Adjoin a generator x and a defining rule word => x."""
-
-    gen_name: str
-    word: Word
-    rule_name: str
-
-
-@dataclass(frozen=True)
-class RemoveGenerator:
-    """Remove a generator x along its defining rule u => x, substituting
-    u for x everywhere else."""
-
-    gen_name: str
-    rule_name: str
-
-
-@dataclass(frozen=True)
-class AddRule:
-    rule_name: str
-    lhs: Word
-    rhs: Word
-    witness: ZigZag  # a derivation lhs -> rhs in the current polygraph
-
-
-@dataclass(frozen=True)
-class RemoveRule:
-    rule_name: str
-    witness: ZigZag  # a derivation lhs -> rhs avoiding the removed rule
-
-
-TietzeMove = AddGenerator | RemoveGenerator | AddRule | RemoveRule
-
-
-def _substitute(p_new, word, gen_name, image):
-    letters = []
-    for l in word.letters:
-        letters.extend(image.letters if l == gen_name else (l,))
-    return p_new.word_from_letters(letters, at=word.source)
-
-
-def _check_witness(p, witness, lhs, rhs, forbidden=None):
-    if witness.source != lhs or witness.target != rhs:
-        raise PresentationError(
-            f"witness goes {witness.source} -> {witness.target}, expected {lhs} -> {rhs}"
-        )
-    if any(s.rule.name == forbidden for s in witness.steps):
-        raise PresentationError(f"witness uses removed rule {forbidden!r}")
-    for problem in rule_use_problems(p, witness):
-        raise PresentationError(f"witness {problem}")
-
-
-def _removable(p, name):
-    """The rule a Remove move names; an instance of a pumped family is
-    refused, since a move removes no instance without its family."""
-    rule = p.lookup_rule(name)
-    if rule.origin is not None:
-        raise PresentationError(
-            f"rule {rule.name} is an instance of the pumped family {rule.origin[0]!r}, "
-            f"which a move cannot remove one instance of"
-        )
-    return rule
-
-
-def tietze_apply(p, move):
-    """Apply one elementary transformation, returning the new polygraph.
-
-    Every move preserves the presented category; the witnesses are checked
-    here so that soundness is not taken on faith.  The result is then judged
-    by ``validate``: the move is refused, naming the first, exactly when its
-    result has a diagnostic that ``p`` has not.  So a valid presentation
-    stays valid, and a diagnostic ``p`` has already (such as the identity-lhs
-    rule of a standard coherent presentation) blocks no move.
-    """
-    if isinstance(move, AddGenerator):
-        gen = Generator(move.gen_name, move.word.source, move.word.target)
-        rhs = Word((gen.name,), (gen.source, gen.target))
-        rule = Rule(move.rule_name, move.word, rhs)
-        order = p.gen_order + (gen.name,) if p.gen_order is not None else None
-        moved = replace(p, generators=p.generators + (gen,), rules=p.rules + (rule,),
-                        gen_order=order)
-    elif isinstance(move, RemoveGenerator):
-        rule = _removable(p, move.rule_name)
-        x = move.gen_name
-        if rule.rhs.letters != (x,):
-            raise PresentationError(
-                f"rule {rule.name} does not define generator {x!r} (rhs is {rule.rhs})"
-            )
-        if x in rule.lhs.letters:
-            raise PresentationError(f"defining word for {x!r} mentions it")
-        # a 3-cell or pump letter that mentions x is left as it is, for
-        # validate to name
-        gens = tuple(g for g in p.generators if g.name != x)
-        order = tuple(n for n in p.gen_order if n != x) if p.gen_order is not None else None
-        p_new = replace(p, generators=gens, gen_order=order, rules=(), pumped=())
-
-        def sub(word):
-            return _substitute(p_new, word, x, rule.lhs)
-
-        rules = tuple(Rule(r.name, sub(r.lhs), sub(r.rhs), origin=r.origin)
-                      for r in p.rules if r.name != rule.name)
-        pumped = tuple(replace(fam, lhs_prefix=sub(fam.lhs_prefix), lhs_suffix=sub(fam.lhs_suffix),
-                               rhs_prefix=sub(fam.rhs_prefix), rhs_suffix=sub(fam.rhs_suffix))
-                       for fam in p.pumped)
-        moved = replace(p_new, rules=rules, pumped=pumped)
-    elif isinstance(move, AddRule):
-        _check_witness(p, move.witness, move.lhs, move.rhs)
-        moved = replace(p, rules=p.rules + (Rule(move.rule_name, move.lhs, move.rhs),))
-    elif isinstance(move, RemoveRule):
-        rule = _removable(p, move.rule_name)
-        _check_witness(p, move.witness, rule.lhs, rule.rhs, forbidden=rule.name)
-        moved = replace(p, rules=tuple(r for r in p.rules if r.name != rule.name))
-    else:
-        raise TypeError(f"not a Tietze move: {move!r}")
-
-    before = set(validate(p))
-    for message in validate(moved):
-        if message not in before:
-            raise PresentationError(message)
-    return moved

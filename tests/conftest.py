@@ -51,6 +51,22 @@ alpha: x y x => y y
 kb1: y y y x => x y y y
 """
 
+# the identity 2-functor of XYX_DONE_TEXT, as a transfer map file
+IDENTITY_MAP = """\
+fgen:
+x => x ; y => y
+frule:
+alpha => 1 * alpha * 1
+kb1 => 1 * kb1 * 1
+ggen:
+x => x ; y => y
+grule:
+alpha => 1 * alpha * 1
+kb1 => 1 * kb1 * 1
+tau:
+x => id(x) ; y => id(y)
+"""
+
 MU_TEXT = """\
 monoid
 generators: a

@@ -14,9 +14,11 @@ The invocations cover ``check`` (on every presentation file), ``nf``
 --resolve``, ``cohere``, ``reduce``, ``complete``, ``homology``, ``fill``
 (positive, zigzag and non-composing paths), ``std`` (on Z2, the trivial
 monoid, S3, the transformation monoid T2 and a table that is not
-associative) and ``cert``.  Words and paths are drawn from
-``random.Random(<text name>)`` and built with the library, so the argv list
-itself is part of what the file pins.  Deep ``fill`` spheres (the leftmost
+associative), ``cert`` and, last, ``transfer`` (the identity map of the
+completed xyx, a map entry without ``=>`` and a τ component with the wrong
+source).  Words and paths are drawn from ``random.Random(<text name>)`` and
+built with the library, so the argv list itself is part of what the file
+pins.  Deep ``fill`` spheres (the leftmost
 against the rightmost path of words of length 14 to 16, over B3+ and the
 completed A4) are drawn from ``random.Random(<text name>/deep)``.  Long
 σ-route ``fill`` spheres over B3+ repeat the leftmost path of a word and
@@ -98,6 +100,9 @@ OTHER_FILES = {
     "t2": texts.T2_TABLE,
     "sq_cert": texts.SQ_CERT_TEXT,
     "sq_bad_cert": texts.SQ_BAD_CERT_TEXT,
+    "identity_map": texts.IDENTITY_MAP,
+    "unarrowed_map": "fgen:\nx y\n",
+    "wrong_tau_map": texts.IDENTITY_MAP.replace("x => id(x)", "x => 1 * alpha * 1"),
 }
 WORD_LENGTHS = (4, 7, 11)
 DEEP_FILL_LENGTHS = (14, 15, 16)
@@ -226,6 +231,11 @@ def invocations():
         homology = ["homology", f(name), "--samples", str(HOMOLOGY_SAMPLES)]
         out += [homology, homology + ["--export", "{tmp}/out_" + name]]
     out += [["check", f(name)] for name in {**PRESENTATIONS, **DONE_FILES}]
+    # the identity 2-functor of the completed xyx, then a map entry without
+    # "=>" and a tau component with the wrong source: both exit 2
+    done = f("xyx_done")
+    out += [["transfer", done, done, f(name)]
+            for name in ("identity_map", "unarrowed_map", "wrong_tau_map")]
     return [argv + ["--json"] for argv in out]
 
 

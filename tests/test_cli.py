@@ -21,6 +21,7 @@ from polygraph.cli import build_parser, format_report, main, run
 
 from conftest import (
     B3_TEXT,
+    IDENTITY_MAP,
     LP_TEXT,
     MU_TEXT,
     NONASSOC_TABLE,
@@ -44,22 +45,6 @@ kb1: y y y x => x y y y
 dup: x y x => y y
 long: x y x y => y y y
 """
-
-IDENTITY_MAP = """\
-fgen:
-x => x ; y => y
-frule:
-alpha => 1 * alpha * 1
-kb1 => 1 * kb1 * 1
-ggen:
-x => x ; y => y
-grule:
-alpha => 1 * alpha * 1
-kb1 => 1 * kb1 * 1
-tau:
-x => id(x) ; y => id(y)
-"""
-
 
 @pytest.fixture
 def files(tmp_path):
@@ -708,6 +693,20 @@ def test_json_mode_carries_witness_on_failure(files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "FAIL"
     assert doc["branchings"][0]["nf1"] == "y y y x"
+
+
+def test_the_parsed_json_flag_decides_the_output(files, capsys):
+    """Once argv parses, the output is JSON exactly when argparse set --json:
+    an abbreviation of the flag counts, and the word --json after -- does
+    not.  A usage error has no parse, so there the word itself decides."""
+    f = files(b3=B3_TEXT)
+    assert main(["check", f["b3"], "--js"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "OK"
+    assert main(["nf", f["b3"], "--", "--json"]) == 2
+    assert capsys.readouterr().out == "error: unknown generator '--json' in word\n"
+    assert main(["nf", f["b3"], "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "nf", "status": "FAIL", "error": "usage"}
 
 
 def test_human_output_is_the_report_lines(files, capsys):

@@ -2,11 +2,13 @@
 
 ``make_cli_golden.py`` wrote the file; after a change that is meant to keep
 the output, every line must still match.  A diverging invocation is printed
-with its live output.  The output must not depend on which character the
-codebook gives a letter either: filled in another order first, it must give
-the same lines.
+with its live output.  Every subcommand the parser registers has at least
+one line, so a new one cannot go unpinned.  The output must not depend on
+which character the codebook gives a letter either: filled in another order
+first, it must give the same lines.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ from pathlib import Path
 
 from make_cli_golden import DONE_FILES, GOLDEN, PRESENTATIONS, golden_runs
 from polygraph import parse_polygraph
+from polygraph.cli import build_parser
 
 
 def test_cli_output_matches_the_golden_file():
@@ -30,6 +33,14 @@ def test_cli_output_matches_the_golden_file():
         print(stdout)
     assert len(runs) == len(want), (len(runs), len(want))
     assert not diverging, f"{diverging} of {len(runs)} invocations diverge"
+
+
+def test_every_subcommand_has_a_golden_line():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    pinned = {json.loads(line)[0][0] for line in lines}
+    assert set(commands) - pinned == set()
 
 
 # Run in a fresh interpreter: fill its codebook with letters no presentation

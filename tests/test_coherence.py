@@ -31,7 +31,14 @@ from polygraph import (
 )
 from polygraph.coherence import Comp1, Comp2, Exchange, Gen, Id2, Inv, Whisker
 
-from conftest import CATEGORY_TEXT, NONASSOC_TABLE, TRIVIAL_TABLE, XYX_DONE_TEXT, Z2_TABLE
+from conftest import (
+    CATEGORY_TEXT,
+    IDENTITY_MAP,
+    NONASSOC_TABLE,
+    TRIVIAL_TABLE,
+    XYX_DONE_TEXT,
+    Z2_TABLE,
+)
 
 
 @pytest.fixture(scope="module")
@@ -212,22 +219,6 @@ def test_table_parse_errors():
 
 # ---------------------------------------------------------------------------
 # homotopy-basis transfer
-
-
-IDENTITY_MAP = """\
-fgen:
-x => x ; y => y
-frule:
-alpha => 1 * alpha * 1
-kb1 => 1 * kb1 * 1
-ggen:
-x => x ; y => y
-grule:
-alpha => 1 * alpha * 1
-kb1 => 1 * kb1 * 1
-tau:
-x => id(x) ; y => id(y)
-"""
 
 
 def test_parse_transfer_maps_identity(xyx_done):

@@ -17,8 +17,7 @@ from polygraph import (
 )
 from polygraph.cli import run
 
-from conftest import XYX_DONE_TEXT
-from test_coherence import IDENTITY_MAP
+from conftest import IDENTITY_MAP, XYX_DONE_TEXT
 
 PRESENTATION_ERRORS = [
     ("", "empty presentation"),

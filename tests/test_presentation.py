@@ -1,17 +1,13 @@
-"""Words, rules, zigzags, 3-cells: construction, parsing, serialization,
-and the Tietze moves."""
+"""Words, rules, zigzags, 3-cells: construction, parsing, serialization
+and validation."""
 
 import random
 
 import pytest
 
 from polygraph import (
-    AddGenerator,
-    AddRule,
     CompositionError,
     PresentationError,
-    RemoveGenerator,
-    RemoveRule,
     RewriteStep,
     ThreeCell,
     Word,
@@ -21,11 +17,10 @@ from polygraph import (
     parse_path,
     parse_polygraph,
     serialize_polygraph,
-    tietze_apply,
     validate,
 )
 
-from conftest import B3_TEXT, CATEGORY_TEXT, S3_TABLE, SQ_TEXT, XYX_TEXT, rstep
+from conftest import B3_TEXT, CATEGORY_TEXT, SQ_TEXT, rstep
 
 
 def test_parse_monoid_basics(b3):
@@ -122,8 +117,16 @@ def test_all_rule_instances_bound(sq):
                      "alpha[0]", "alpha[1]", "alpha[2]"]
 
 
+PUMPED_AFFINE_TEXTS = [
+    "monoid\ngenerators: a b c t\npumped:\nf[n]: a ( t )^n b => c ( t )^( n )\n",
+    "monoid\ngenerators: a b c t\npumped:\nf[n]: a ( t )^n b => c ( t )^( n+2 ) a\n",
+]
+
+
 def test_serialization_round_trip(b3, sq, xyx_done):
-    for p in (b3, sq, xyx_done):
+    affine = [parse_polygraph(text) for text in PUMPED_AFFINE_TEXTS]
+    assert [(fam.rhs_p, fam.rhs_q) for p in affine for fam in p.pumped] == [(1, 0), (1, 2)]
+    for p in (b3, sq, xyx_done, *affine):
         assert parse_polygraph(serialize_polygraph(p)) == p
         assert str(p) == serialize_polygraph(p)
 
@@ -316,165 +319,3 @@ def test_a_path_step_without_two_stars_is_refused(b3):
     with pytest.raises(PresentationError, match="line 7: cannot parse path step 's beta 1'"):
         parse_path(b3, "1*alpha*1 . s beta 1", line=7)
 
-
-def test_tietze_add_remove_rule(b3):
-    witness = parse_path(b3, "1*beta*s")  # s t s => a s
-    p2 = tietze_apply(b3, AddRule("extra", b3.word("s t s"), b3.word("a s"), witness))
-    assert p2.lookup_rule("extra").lhs == b3.word("s t s")
-    assert validate(p2) == []
-    p3 = tietze_apply(p2, RemoveRule("extra", witness))
-    assert [r.name for r in p3.rules] == [r.name for r in b3.rules]
-
-
-def test_tietze_add_rule_rejects_wrong_witness(b3):
-    witness = parse_path(b3, "1*beta*s")
-    with pytest.raises(PresentationError):
-        tietze_apply(b3, AddRule("extra", b3.word("s t s"), b3.word("a a"), witness))
-
-
-def test_tietze_remove_rule_rejects_self_witness(b3):
-    witness = parse_path(b3, "1*beta*1")
-    with pytest.raises(PresentationError, match="removed rule"):
-        tietze_apply(b3, RemoveRule("beta", witness))
-
-
-def test_tietze_add_remove_generator(xyx):
-    p2 = tietze_apply(xyx, AddGenerator("z", xyx.word("y y"), "zdef"))
-    assert "z" in p2.generator_map
-    assert str(p2.lookup_rule("zdef")) == "zdef: y y => z"
-    assert validate(p2) == []
-    p3 = tietze_apply(p2, RemoveGenerator("z", "zdef"))
-    assert "z" not in p3.generator_map
-    assert [str(r) for r in p3.rules] == [str(r) for r in xyx.rules]
-
-
-def test_tietze_remove_generator_substitutes(xyx):
-    p2 = tietze_apply(xyx, AddGenerator("z", xyx.word("y y"), "zdef"))
-    witness = parse_path(p2, "1*alpha*1 . 1*zdef*1")  # x y x => y y => z
-    p3 = tietze_apply(p2, AddRule("short", p2.word("x y x"), p2.word("z"), witness))
-    p4 = tietze_apply(p3, RemoveGenerator("z", "zdef"))
-    # the added rule survives with z replaced by its definition
-    assert str(p4.lookup_rule("short")) == "short: x y x => y y"
-
-
-PUMPED_DEFINED_TEXT = """\
-monoid
-generators: a b t z
-rules:
-zdef: a b => z
-pumped:
-alpha[n]: z ( t )^n b => a ( t )^( n )
-"""
-
-
-def test_tietze_remove_generator_substitutes_in_pumped_families():
-    p = parse_polygraph(PUMPED_DEFINED_TEXT)
-    p2 = tietze_apply(p, RemoveGenerator("z", "zdef"))
-    assert [g.name for g in p2.generators] == ["a", "b", "t"]
-    assert str(p2.pumped[0]) == "alpha[n]: a b ( t )^n b => a ( t )^( n ) 1"
-    assert validate(p2) == []
-
-
-def test_tietze_refuses_what_validate_rejects(b3, xyx, mu):
-    """Each move is judged by ``validate`` on its result, so a move that
-    would make a diagnostic is refused with it."""
-    from dataclasses import replace
-
-    witness = parse_path(b3, "1*beta*s")  # s t s => a s
-    p2 = tietze_apply(b3, AddRule("extra", b3.word("s t s"), b3.word("a s"), witness))
-    used = replace(p2, three_cells=(ThreeCell("c", parse_path(p2, "1*extra*1"), witness),))
-    q = Word(("q",), ("*", "*"))
-    one = identity_word()
-    cases = [
-        (used, RemoveRule("extra", witness), "3-cell c: source uses unknown rule 'extra'"),
-        (mu, AddRule("r", q, q, ZigZag(q)), "rule r: unknown generator 'q'"),
-        (mu, AddRule("e", one, one, ZigZag(one)), "rule e: lhs is an identity"),
-        (xyx, AddGenerator("z", xyx.word("1"), "zdef"), "rule zdef: lhs is an identity"),
-        (xyx, AddGenerator("z", xyx.word("x"), "alpha"), "rule alpha: duplicate name"),
-        (xyx, AddGenerator("x", xyx.word("y y"), "xdef"), "generator x: duplicate name"),
-        (xyx, AddGenerator("z", Word(("x", "q"), ("*",) * 3), "zdef"),
-         "rule zdef: unknown generator 'q'"),
-        (b3, AddRule("alpha", b3.word("s t s"), b3.word("a s"), witness),
-         "rule alpha: duplicate name"),
-    ]
-    for p, move, message in cases:
-        with pytest.raises(PresentationError) as info:
-            tietze_apply(p, move)
-        assert str(info.value) == message
-
-
-def test_tietze_refuses_to_remove_what_is_still_used(xyx):
-    """A generator that a 3-cell or a pumped family still mentions stays."""
-    from dataclasses import replace
-
-    p2 = tietze_apply(xyx, AddGenerator("z", xyx.word("y y"), "zdef"))
-    in_word = ThreeCell("c", ZigZag(p2.word("z")), ZigZag(p2.word("z")))
-    in_rule = ThreeCell("d", parse_path(p2, "1*zdef*1"), parse_path(p2, "1*zdef*1"))
-    cases = [
-        (replace(p2, three_cells=(in_word,)), "3-cell c: unknown generator 'z'"),
-        (replace(p2, three_cells=(in_rule,)), "3-cell d: source uses unknown rule 'zdef'"),
-    ]
-    for p, message in cases:
-        with pytest.raises(PresentationError) as info:
-            tietze_apply(p, RemoveGenerator("z", "zdef"))
-        assert str(info.value) == message
-    pump = parse_polygraph(PUMPED_DEFINED_TEXT.replace("zdef: a b => z", "tdef: a b => t"))
-    with pytest.raises(PresentationError) as info:
-        tietze_apply(pump, RemoveGenerator("t", "tdef"))
-    assert str(info.value) == "pumped rule alpha: unknown pump letter 't'"
-
-
-def test_tietze_refusals_only_a_move_can_make(xyx, mu):
-    """The checks ``validate`` cannot make: the defining rule's shape, the
-    witness, and the move itself."""
-    other = parse_polygraph(XYX_TEXT.replace("alpha", "other"))
-    impostor = parse_polygraph(XYX_TEXT.replace("=> y y", "=> y x y"))
-    cases = [
-        (xyx, RemoveGenerator("y", "alpha"),
-         "rule alpha does not define generator 'y' (rhs is y y)"),
-        (mu, RemoveGenerator("a", "mu"), "defining word for 'a' mentions it"),
-        (xyx, AddRule("extra", xyx.word("x y x"), xyx.word("y y"),
-                      parse_path(other, "1*other*1")),
-         "witness uses unknown rule 'other'"),
-        (xyx, AddRule("extra", xyx.word("x y x"), xyx.word("y x y"),
-                      parse_path(impostor, "1*alpha*1")),
-         "witness uses a rule named 'alpha' that differs from the declared one"),
-    ]
-    for p, move, message in cases:
-        with pytest.raises(PresentationError) as info:
-            tietze_apply(p, move)
-        assert str(info.value) == message
-    with pytest.raises(TypeError, match="not a Tietze move"):
-        tietze_apply(xyx, "x")
-
-
-def test_tietze_refuses_to_remove_a_pumped_instance():
-    """A Remove move names a plain rule: removing one instance of a pumped
-    family returned its input unchanged, and removing a generator along one
-    kept the family, whose instance 0 became a b => a b."""
-    extra = parse_polygraph(SQ_TEXT.replace("rules:\n", "rules:\nextra: a t t b => 1\n"))
-    defined = parse_polygraph(
-        "monoid\ngenerators: a b t z\npumped:\nalpha[n]: a ( t )^n b => z ( t )^( 0 )\n")
-    cases = [
-        (extra, RemoveRule("alpha[2]", parse_path(extra, "1*extra*1"))),
-        (defined, RemoveGenerator("z", "alpha[0]")),
-    ]
-    for p, move in cases:
-        with pytest.raises(PresentationError) as info:
-            tietze_apply(p, move)
-        assert str(info.value) == (
-            f"rule {move.rule_name} is an instance of the pumped family 'alpha', "
-            "which a move cannot remove one instance of"
-        )
-
-
-def test_tietze_moves_leave_a_diagnostic_the_input_has():
-    """The standard coherent presentation declares a rule with an identity
-    lhs on purpose; that diagnostic blocks no move."""
-    from polygraph import parse_multiplication_table, standard_coherent_presentation
-
-    std = standard_coherent_presentation(parse_multiplication_table(S3_TABLE))
-    assert validate(std) == ["rule i: lhs is an identity"]
-    p2 = tietze_apply(std, AddGenerator("z", std.word("g_p1 g_p2"), "zdef"))
-    assert validate(p2) == ["rule i: lhs is an identity"]
-    assert tietze_apply(p2, RemoveGenerator("z", "zdef")) == std

@@ -16,14 +16,7 @@ from polygraph import (
     EQUAL,
     GREATER,
     LESS,
-    AddGenerator,
-    AddRule,
-    RemoveGenerator,
-    RemoveRule,
     FreeResolution,
-    PresentationError,
-    Word,
-    ZigZag,
     boundary3,
     deglex_compare,
     fill_sphere,
@@ -31,8 +24,6 @@ from polygraph import (
     normalize,
     orient,
     squier_completion,
-    tietze_apply,
-    validate,
     word_eq,
 )
 from polygraph.homology import add_into
@@ -159,45 +150,6 @@ def test_mult_monoid_laws(res_b3, b3, u, v, w):
     one = b3.word("1")
     na, _ = normalize(b3, a)
     assert m(one, a) == na and m(a, one) == na
-
-
-# --------------------------------------------------------------------------
-# Tietze moves preserve validity and round-trip
-
-
-@given(letters=B3_LETTERS)
-def test_tietze_add_remove_derivable_rule(b3, letters):
-    w = wd(b3, letters)
-    nf, path = normalize(b3, w)
-    assume(path.steps)  # a rule needs a non-trivial derivation
-    p2 = tietze_apply(b3, AddRule("extra", w, nf, path))
-    assert validate(p2) == []
-    p3 = tietze_apply(p2, RemoveRule("extra", path))
-    assert [str(r) for r in p3.rules] == [str(r) for r in b3.rules]
-
-
-@given(letters=st.lists(st.sampled_from(("x", "y")), min_size=1, max_size=4))
-def test_tietze_add_remove_generator(xyx, letters):
-    w = wd(xyx, letters)
-    p2 = tietze_apply(xyx, AddGenerator("z", w, "zdef"))
-    assert validate(p2) == []
-    p3 = tietze_apply(p2, RemoveGenerator("z", "zdef"))
-    assert [str(r) for r in p3.rules] == [str(r) for r in xyx.rules]
-
-
-@given(letters=st.lists(st.sampled_from(("x", "y", "q")), max_size=3),
-       gen=st.sampled_from(("z", "x")), rule=st.sampled_from(("zdef", "alpha")))
-def test_tietze_moves_are_refused_or_valid(xyx, letters, gen, rule):
-    """Whatever the word (empty, or over a letter ``q`` xyx lacks), the
-    witness (empty) or the names (taken or not), a move is refused or its
-    result is valid."""
-    w = Word(tuple(letters), ("*",) * (len(letters) + 1))
-    for move in (AddGenerator(gen, w, rule), AddRule(rule, w, w, ZigZag(w))):
-        try:
-            moved = tietze_apply(xyx, move)
-        except PresentationError:
-            continue
-        assert validate(moved) == []
 
 
 # --------------------------------------------------------------------------
